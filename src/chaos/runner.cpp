@@ -12,6 +12,7 @@
 #include "core/hup.hpp"
 #include "core/master.hpp"
 #include "image/image.hpp"
+#include "util/fnv.hpp"
 #include "vm/vsnode.hpp"
 
 namespace soda::chaos {
@@ -20,14 +21,8 @@ namespace {
 
 // --- end-state digest (FNV-1a 64) ----------------------------------------
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
 void mix(std::uint64_t& h, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value >> (i * 8)) & 0xFF;
-    h *= kFnvPrime;
-  }
+  h = util::fnv1a_word(h, value);
 }
 
 void mix(std::uint64_t& h, double value) {
@@ -35,11 +30,8 @@ void mix(std::uint64_t& h, double value) {
 }
 
 void mix(std::uint64_t& h, const std::string& value) {
-  for (const char c : value) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  h *= kFnvPrime;  // delimiter so "ab"+"c" != "a"+"bc"
+  // The trailing multiply delimits, so "ab"+"c" != "a"+"bc".
+  h = util::fnv1a(h, value) * util::kFnvPrime;
 }
 
 // --- open-loop load driver -------------------------------------------------
@@ -149,7 +141,7 @@ class LoadDriver {
 std::uint64_t end_state_digest(core::Hup& hup, const ChaosReport& report,
                                const std::vector<std::unique_ptr<LoadDriver>>&
                                    drivers) {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = util::kFnvBasisSnapshot;
   for (const core::TraceEvent& event : hup.trace().events()) {
     mix(h, event.at.to_seconds());
     mix(h, static_cast<std::uint64_t>(event.kind));

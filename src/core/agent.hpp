@@ -57,31 +57,17 @@ class BillingLedger {
                                            sim::SimTime now,
                                            double rate_per_instance_hour) const;
 
-  void save_state(snapshot::Writer& writer) const {
-    writer.begin_section("billing");
-    writer.u64(entries_.size());
-    for (const BillingEntry& entry : entries_) {
-      writer.str(entry.asp_id);
-      writer.str(entry.service_name);
-      writer.i64(entry.machine_instances);
-      writer.time(entry.started_at);
-      writer.time(entry.ended_at);
-    }
-    writer.end_section();
-  }
-  void load_state(snapshot::Reader& reader) {
-    reader.begin_section("billing");
-    entries_.clear();
-    const std::uint64_t entries = reader.u64();
-    for (std::uint64_t i = 0; reader.ok() && i < entries; ++i) {
-      BillingEntry& entry = entries_.emplace_back();
-      entry.asp_id = reader.str();
-      entry.service_name = reader.str();
-      entry.machine_instances = static_cast<int>(reader.i64());
-      entry.started_at = reader.time();
-      entry.ended_at = reader.time();
-    }
-    reader.end_section();
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.begin_section("billing");
+    ar.seq(entries_, [&ar](auto& entry) {
+      ar.str(entry.asp_id);
+      ar.str(entry.service_name);
+      ar.i64(entry.machine_instances);
+      ar.time(entry.started_at);
+      ar.time(entry.ended_at);
+    });
+    ar.end_section();
   }
 
  private:
@@ -131,37 +117,17 @@ class SodaAgent {
   [[nodiscard]] const std::string* owner_of(const std::string& service_name) const;
 
   /// Checkpoints enrolled ASPs, service ownership, and the billing ledger.
-  void save_state(snapshot::Writer& writer) const {
-    writer.begin_section("agent");
-    writer.u64(api_keys_.size());
-    for (const auto& [asp, key] : api_keys_) {
-      writer.str(asp);
-      writer.str(key);
-    }
-    writer.u64(owners_.size());
-    for (const auto& [service, asp] : owners_) {
-      writer.str(service);
-      writer.str(asp);
-    }
-    billing_.save_state(writer);
-    writer.end_section();
-  }
-  void load_state(snapshot::Reader& reader) {
-    reader.begin_section("agent");
-    api_keys_.clear();
-    owners_.clear();
-    const std::uint64_t asps = reader.u64();
-    for (std::uint64_t i = 0; reader.ok() && i < asps; ++i) {
-      std::string asp = reader.str();
-      api_keys_.emplace(std::move(asp), reader.str());
-    }
-    const std::uint64_t owners = reader.u64();
-    for (std::uint64_t i = 0; reader.ok() && i < owners; ++i) {
-      std::string service = reader.str();
-      owners_.emplace(std::move(service), reader.str());
-    }
-    billing_.load_state(reader);
-    reader.end_section();
+  template <class Ar>
+  void serialize(Ar& ar) {
+    const auto string_pair = [&ar](auto& entry) {
+      ar.str(entry.first);
+      ar.str(entry.second);
+    };
+    ar.begin_section("agent");
+    ar.seq(api_keys_, string_pair);
+    ar.seq(owners_, string_pair);
+    ar.walk(billing_);
+    ar.end_section();
   }
 
  private:

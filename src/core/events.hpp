@@ -16,7 +16,6 @@
 
 #include "core/trace.hpp"
 #include "sim/time.hpp"
-#include "snapshot/format.hpp"
 
 namespace soda::core {
 
@@ -59,24 +58,14 @@ class MetricsRegistry {
 
   /// Checkpoints counters only — gauges are read-callbacks (wiring), which
   /// restore re-registers as each owning subsystem is rebuilt.
-  void save_state(snapshot::Writer& writer) const {
-    writer.begin_section("metrics");
-    writer.u64(counters_.size());
-    for (const auto& [name, count] : counters_) {
-      writer.str(name);
-      writer.u64(count);
-    }
-    writer.end_section();
-  }
-  void load_state(snapshot::Reader& reader) {
-    reader.begin_section("metrics");
-    counters_.clear();
-    const std::uint64_t count = reader.u64();
-    for (std::uint64_t i = 0; reader.ok() && i < count; ++i) {
-      std::string name = reader.str();
-      counters_[std::move(name)] = reader.u64();
-    }
-    reader.end_section();
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.begin_section("metrics");
+    ar.seq(counters_, [&ar](auto& counter) {
+      ar.str(counter.first);
+      ar.u64(counter.second);
+    });
+    ar.end_section();
   }
 
  private:
@@ -115,19 +104,13 @@ class ControlPlaneBus {
 
   /// Checkpoints the metrics and the publish counter. Subscribers and the
   /// trace pointer are wiring, re-established during reconstruction.
-  void save_state(snapshot::Writer& writer) const {
-    writer.begin_section("bus");
-    metrics_.save_state(writer);
-    writer.u64(published_);
-    writer.u64(next_id_);
-    writer.end_section();
-  }
-  void load_state(snapshot::Reader& reader) {
-    reader.begin_section("bus");
-    metrics_.load_state(reader);
-    published_ = reader.u64();
-    next_id_ = static_cast<std::size_t>(reader.u64());
-    reader.end_section();
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.begin_section("bus");
+    ar.walk(metrics_);
+    ar.u64(published_);
+    ar.u64(next_id_);
+    ar.end_section();
   }
 
  private:

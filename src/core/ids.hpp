@@ -18,7 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "snapshot/format.hpp"
+#include "util/fnv.hpp"
 
 namespace soda::core {
 
@@ -32,11 +32,8 @@ namespace detail {
 struct StringViewHash {
   using is_transparent = void;
   [[nodiscard]] std::size_t operator()(std::string_view text) const noexcept {
-    std::uint64_t hash = 1469598103934665603ULL;
-    for (const char c : text) {
-      hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-    }
-    return static_cast<std::size_t>(hash);
+    return static_cast<std::size_t>(
+        util::fnv1a(util::kFnvBasisSnapshot, text));
   }
 };
 
@@ -92,23 +89,18 @@ class InternTable {
 
   /// Checkpoints names in intern order — ids are positions, so restoring
   /// the sequence restores every dense id bit-for-bit.
-  void save_state(snapshot::Writer& writer) const {
-    writer.begin_section("intern_table");
-    writer.u64(names_.size());
-    for (const std::string& name : names_) writer.str(name);
-    writer.end_section();
-  }
-  void load_state(snapshot::Reader& reader) {
-    reader.begin_section("intern_table");
-    names_.clear();
-    index_.clear();
-    const std::uint64_t count = reader.u64();
-    for (std::uint64_t i = 0; reader.ok() && i < count; ++i) {
-      const std::string& stored = names_.emplace_back(reader.str());
-      index_.emplace(std::string_view(stored),
-                     static_cast<std::uint32_t>(names_.size() - 1));
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.begin_section("intern_table");
+    ar.seq(names_, [&ar](auto& name) { ar.str(name); });
+    ar.end_section();
+    if constexpr (Ar::kLoading) {
+      index_.clear();
+      for (std::size_t id = 0; id < names_.size(); ++id) {
+        index_.emplace(std::string_view(names_[id]),
+                       static_cast<std::uint32_t>(id));
+      }
     }
-    reader.end_section();
   }
 
  private:
@@ -188,22 +180,12 @@ class IdBitSet {
     count_ = 0;
   }
 
-  void save_state(snapshot::Writer& writer) const {
-    writer.begin_section("id_bitset");
-    writer.u64(words_.size());
-    for (const std::uint64_t word : words_) writer.u64(word);
-    writer.u64(count_);
-    writer.end_section();
-  }
-  void load_state(snapshot::Reader& reader) {
-    reader.begin_section("id_bitset");
-    words_.clear();
-    const std::uint64_t words = reader.u64();
-    for (std::uint64_t i = 0; reader.ok() && i < words; ++i) {
-      words_.push_back(reader.u64());
-    }
-    count_ = static_cast<std::size_t>(reader.u64());
-    reader.end_section();
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.begin_section("id_bitset");
+    ar.seq(words_, [&ar](auto& word) { ar.u64(word); });
+    ar.u64(count_);
+    ar.end_section();
   }
 
  private:

@@ -262,8 +262,9 @@ class SodaMaster {
 
   /// Restore-time wiring: re-attaches a reconstructed daemon without the
   /// registration side effects (no disjointness probe, no detector arming —
-  /// the detector's state is restored wholesale by load_state). Call once
-  /// per daemon, in the saved registration order, before load_state.
+  /// the detector's state is restored wholesale by the master's walk).
+  /// Call once per daemon, in the saved registration order, before the
+  /// master itself is loaded.
   void attach_restored_daemon(SodaDaemon* daemon);
 
   /// The recovery subsystem's pending detector tick (checkpoint plumbing).
@@ -273,8 +274,8 @@ class SodaMaster {
   /// chunk registry, bus metrics, priming counters, detector wheel, and the
   /// full service table (switches and policy state included). Repositories
   /// and daemons are owned by the caller — attach/register them first.
-  void save_state(snapshot::Writer& writer) const;
-  void load_state(snapshot::Reader& reader);
+  template <class Ar>
+  void serialize(Ar& ar);
 
  private:
   void finish_creation(ServiceRecord& record, CreateCallback done);

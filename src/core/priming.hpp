@@ -16,7 +16,6 @@
 #include "core/placement.hpp"
 #include "image/repository.hpp"
 #include "sim/engine.hpp"
-#include "snapshot/format.hpp"
 #include "util/result.hpp"
 
 namespace soda::core {
@@ -83,17 +82,12 @@ class PrimingCoordinator {
 
   /// Checkpoints the fan-out counters (in-flight fan-outs are closures and
   /// must be quiesced before a snapshot — the owner asserts that).
-  void save_state(snapshot::Writer& writer) const {
-    writer.begin_section("priming");
-    writer.u64(fanouts_);
-    writer.u64(nodes_primed_);
-    writer.end_section();
-  }
-  void load_state(snapshot::Reader& reader) {
-    reader.begin_section("priming");
-    fanouts_ = reader.u64();
-    nodes_primed_ = reader.u64();
-    reader.end_section();
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.begin_section("priming");
+    ar.u64(fanouts_);
+    ar.u64(nodes_primed_);
+    ar.end_section();
   }
 
  private:

@@ -1,7 +1,6 @@
 #include "core/switch.hpp"
 
 #include <algorithm>
-#include <array>
 #include <climits>
 
 #include "util/contract.hpp"
@@ -48,23 +47,15 @@ class SmoothWrr final : public SwitchPolicy {
   void on_backends_changed(const std::vector<BackEndState>& slots) override {
     current_.assign(slots.size(), 0);
   }
-  void save_state(snapshot::Writer& writer) const override {
-    writer.begin_section("policy_state");
-    writer.u64(current_.size());
-    for (const long long weight : current_) writer.i64(weight);
-    writer.end_section();
-  }
-  void load_state(snapshot::Reader& reader) override {
-    reader.begin_section("policy_state");
-    current_.clear();
-    const std::uint64_t count = reader.u64();
-    for (std::uint64_t i = 0; reader.ok() && i < count; ++i) {
-      current_.push_back(reader.i64());
-    }
-    reader.end_section();
-  }
 
  private:
+  void state(snapshot::Writer& ar) override { fields(ar); }
+  void state(snapshot::Reader& ar) override { fields(ar); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.seq(current_, [&ar](auto& weight) { ar.i64(weight); });
+  }
+
   std::vector<long long> current_;  // indexed by backend slot
 };
 
@@ -78,18 +69,11 @@ class PlainRr final : public SwitchPolicy {
   void on_backends_changed(const std::vector<BackEndState>&) override {
     next_ = 0;
   }
-  void save_state(snapshot::Writer& writer) const override {
-    writer.begin_section("policy_state");
-    writer.u64(next_);
-    writer.end_section();
-  }
-  void load_state(snapshot::Reader& reader) override {
-    reader.begin_section("policy_state");
-    next_ = static_cast<std::size_t>(reader.u64());
-    reader.end_section();
-  }
 
  private:
+  void state(snapshot::Writer& ar) override { ar.u64(next_); }
+  void state(snapshot::Reader& ar) override { ar.u64(next_); }
+
   std::size_t next_ = 0;
 };
 
@@ -102,20 +86,11 @@ class RandomPolicy final : public SwitchPolicy {
         rng_.uniform_int(0, static_cast<std::int64_t>(view.size()) - 1));
   }
   [[nodiscard]] std::string name() const override { return "random"; }
-  void save_state(snapshot::Writer& writer) const override {
-    writer.begin_section("policy_state");
-    for (const std::uint64_t word : rng_.state()) writer.u64(word);
-    writer.end_section();
-  }
-  void load_state(snapshot::Reader& reader) override {
-    reader.begin_section("policy_state");
-    std::array<std::uint64_t, 4> state{};
-    for (std::uint64_t& word : state) word = reader.u64();
-    if (reader.ok()) rng_.set_state(state);
-    reader.end_section();
-  }
 
  private:
+  void state(snapshot::Writer& ar) override { ar.walk(rng_); }
+  void state(snapshot::Reader& ar) override { ar.walk(rng_); }
+
   sim::Rng rng_;
 };
 
@@ -186,30 +161,27 @@ class FastestResponse final : public SwitchPolicy {
   void on_backends_changed(const std::vector<BackEndState>& slots) override {
     reseed(slots.size());
   }
-  void save_state(snapshot::Writer& writer) const override {
-    writer.begin_section("policy_state");
-    writer.f64(alpha_);
-    writer.u64(ewma_.size());
-    for (std::size_t i = 0; i < ewma_.size(); ++i) {
-      writer.f64(ewma_[i]);
-      writer.u8(sampled_[i]);
-    }
-    writer.end_section();
-  }
-  void load_state(snapshot::Reader& reader) override {
-    reader.begin_section("policy_state");
-    alpha_ = reader.f64();
-    ewma_.clear();
-    sampled_.clear();
-    const std::uint64_t count = reader.u64();
-    for (std::uint64_t i = 0; reader.ok() && i < count; ++i) {
-      ewma_.push_back(reader.f64());
-      sampled_.push_back(reader.u8());
-    }
-    reader.end_section();
-  }
 
  private:
+  void state(snapshot::Writer& ar) override { fields(ar); }
+  void state(snapshot::Reader& ar) override { fields(ar); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.f64(alpha_);
+    // Parallel per-slot arrays, interleaved one slot at a time.
+    std::size_t slots = ewma_.size();
+    ar.count(slots);
+    if constexpr (Ar::kLoading) reseed(0);
+    for (std::size_t i = 0; i < slots && ar.ok(); ++i) {
+      if constexpr (Ar::kLoading) {
+        ewma_.emplace_back();
+        sampled_.emplace_back();
+      }
+      ar.f64(ewma_[i]);
+      ar.u8(sampled_[i]);
+    }
+  }
+
   void reseed(std::size_t n) {
     ewma_.assign(n, 0);
     sampled_.assign(n, 0);
@@ -615,87 +587,55 @@ std::uint64_t ServiceSwitch::routed_to(net::Ipv4Address backend_address,
   return 0;
 }
 
-void ServiceSwitch::save_state(snapshot::Writer& writer) const {
-  writer.begin_section("switch");
-  writer.u32(listen_.value());
-  writer.i64(port_);
-  writer.u64(backends_.size());
-  for (const BackEndState& backend : backends_) {
-    writer.u32(backend.entry.address.value());
-    writer.i64(backend.entry.port);
-    writer.i64(backend.entry.capacity);
-    writer.str(backend.entry.component);
-    writer.u64(backend.requests_routed);
-    writer.u64(backend.active_connections);
-    writer.boolean(backend.healthy);
-    writer.boolean(backend.draining);
-  }
-  writer.u64(routes_.size());
-  for (const PrefixRoute& route : routes_) {
-    writer.str(route.prefix);
-    writer.str(route.component);
-  }
-  writer.u64(route_order_.size());
-  for (const std::uint32_t index : route_order_) writer.u32(index);
-  writer.str(policy_->name());
-  policy_->save_state(writer);
-  writer.u64(epoch_);
-  writer.u64(routed_);
-  writer.u64(refused_);
-  writer.u64(failovers_);
-  writer.end_section();
-}
-
-void ServiceSwitch::load_state(snapshot::Reader& reader) {
-  reader.begin_section("switch");
-  listen_ = net::Ipv4Address{reader.u32()};
-  port_ = static_cast<int>(reader.i64());
-  backends_.clear();
-  const std::uint64_t backend_count = reader.u64();
-  for (std::uint64_t i = 0; reader.ok() && i < backend_count; ++i) {
-    BackEndState backend;
-    backend.entry.address = net::Ipv4Address{reader.u32()};
-    backend.entry.port = static_cast<int>(reader.i64());
-    backend.entry.capacity = static_cast<int>(reader.i64());
-    backend.entry.component = reader.str();
-    backend.requests_routed = reader.u64();
-    backend.active_connections = reader.u64();
-    backend.healthy = reader.boolean();
-    backend.draining = reader.boolean();
-    backends_.push_back(std::move(backend));
-  }
-  routes_.clear();
-  const std::uint64_t route_count = reader.u64();
-  for (std::uint64_t i = 0; reader.ok() && i < route_count; ++i) {
-    PrefixRoute route;
-    route.prefix = reader.str();
-    route.component = reader.str();
-    routes_.push_back(std::move(route));
-  }
-  route_order_.clear();
-  const std::uint64_t order_count = reader.u64();
-  for (std::uint64_t i = 0; reader.ok() && i < order_count; ++i) {
-    route_order_.push_back(reader.u32());
-  }
-  const std::string policy_name = reader.str();
-  if (reader.ok()) {
+template <class Ar>
+void ServiceSwitch::serialize(Ar& ar) {
+  ar.begin_section("switch");
+  ar.walk(listen_);
+  ar.i64(port_);
+  ar.seq(backends_, [&ar](auto& backend) {
+    ar.walk(backend.entry.address);
+    ar.i64(backend.entry.port);
+    ar.i64(backend.entry.capacity);
+    ar.str(backend.entry.component);
+    ar.u64(backend.requests_routed);
+    ar.u64(backend.active_connections);
+    ar.boolean(backend.healthy);
+    ar.boolean(backend.draining);
+  });
+  ar.seq(routes_, [&ar](auto& route) {
+    ar.str(route.prefix);
+    ar.str(route.component);
+  });
+  ar.seq(route_order_, [&](auto& index) {
+    ar.u32(index, snapshot::Below{routes_.size()});
+  });
+  // The policy travels by registry name; custom (ASP-function) policies
+  // cannot be re-created from one.
+  std::string policy_name = policy_->name();
+  ar.str(policy_name);
+  if constexpr (Ar::kLoading) {
+    if (!ar.ok()) return;
     auto policy = make_switch_policy_by_name(policy_name);
     if (!policy.ok()) {
-      reader.fail("cannot restore switch policy '" + policy_name +
-                  "' (custom policies are not checkpointable)");
+      ar.fail("cannot restore switch policy '" + policy_name +
+              "' (custom policies are not checkpointable)");
       return;
     }
     policy_ = std::move(policy.value());
   }
-  policy_->load_state(reader);
-  epoch_ = reader.u64();
-  routed_ = reader.u64();
-  refused_ = reader.u64();
-  failovers_ = reader.u64();
-  // The routable snapshots are cache: force a deterministic lazy rebuild.
-  snapshots_.clear();
-  snapshot_epoch_ = epoch_ - 1;
-  reader.end_section();
+  ar.walk(*policy_);
+  ar.u64(epoch_);
+  ar.u64(routed_);
+  ar.u64(refused_);
+  ar.u64(failovers_);
+  ar.end_section();
+  if constexpr (Ar::kLoading) {
+    // The routable snapshots are cache: force a deterministic lazy rebuild.
+    snapshots_.clear();
+    snapshot_epoch_ = epoch_ - 1;
+  }
 }
+template void ServiceSwitch::serialize(snapshot::Writer&);
+template void ServiceSwitch::serialize(snapshot::Reader&);
 
 }  // namespace soda::core

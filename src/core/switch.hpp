@@ -100,19 +100,22 @@ class SwitchPolicy {
     (void)seconds;
   }
 
-  /// Checkpoint hooks. Stateful policies (smooth WRR current weights, the
-  /// random policy's RNG stream, EWMA estimates) override both so a restored
-  /// switch keeps routing bit-identically; stateless policies inherit the
-  /// empty default. Implementations must write/read one "policy_state"
-  /// section so the stream stays framed even across policy versions.
-  virtual void save_state(snapshot::Writer& writer) const {
-    writer.begin_section("policy_state");
-    writer.end_section();
+  /// Snapshot walk: one "policy_state" section, so the stream stays framed
+  /// even across policy versions. Stateful policies (smooth WRR current
+  /// weights, the random policy's RNG stream, EWMA estimates) fill it so a
+  /// restored switch keeps routing bit-identically; stateless ones leave it
+  /// empty.
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.begin_section("policy_state");
+    state(ar);
+    ar.end_section();
   }
-  virtual void load_state(snapshot::Reader& reader) {
-    reader.begin_section("policy_state");
-    reader.end_section();
-  }
+
+ protected:
+  /// The policy's own fields; both overloads forward to one field list.
+  virtual void state(snapshot::Writer&) {}
+  virtual void state(snapshot::Reader&) {}
 };
 
 /// Default policy: smooth weighted round-robin over capacities — a backend
@@ -276,8 +279,8 @@ class ServiceSwitch {
   /// policies cannot be re-created from a name and fail the load with a
   /// clear error. The routable snapshots are cache: restore marks them
   /// stale and the first route() rebuilds them deterministically.
-  void save_state(snapshot::Writer& writer) const;
-  void load_state(snapshot::Reader& reader);
+  template <class Ar>
+  void serialize(Ar& ar);
 
  private:
   /// One component's cached routable set: dense slot indices into

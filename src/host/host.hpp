@@ -24,7 +24,6 @@
 #include "net/bridge.hpp"
 #include "net/flow_network.hpp"
 #include "net/proxy.hpp"
-#include "snapshot/format.hpp"
 #include "util/result.hpp"
 
 namespace soda::host {
@@ -49,6 +48,17 @@ struct HostSpec {
   /// desktop PC.
   static HostSpec seattle();  // 2.6 GHz Xeon, 2 GB RAM
   static HostSpec tacoma();   // 1.8 GHz P4, 768 MB RAM
+
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.str(name);
+    ar.f64(cpu_ghz);
+    ar.i64(ram_mb);
+    ar.i64(disk_gb);
+    ar.f64(nic_mbps);
+    ar.f64(disk_mb_s);
+    ar.f64(ramdisk_mb_s);
+  }
 };
 
 /// Handle to a reservation made on a HupHost. Encodes (slot, generation):
@@ -131,8 +141,8 @@ class HupHost {
   /// rather than recomputed: it accumulates += / -= rounding history), the
   /// IP pool, and the lazily created bridge / proxy / public address. The
   /// host must be constructed with the same spec and lan_node first.
-  void save_state(snapshot::Writer& writer) const;
-  void load_state(snapshot::Reader& reader);
+  template <class Ar>
+  void serialize(Ar& ar);
 
  private:
   /// Slot behind a valid handle, or npos when the handle is stale/unknown.

@@ -37,6 +37,14 @@ struct ResourceVector {
 
   /// "cpu=512MHz mem=256MB disk=1024MB bw=10Mbps"
   [[nodiscard]] std::string to_string() const;
+
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.f64(cpu_mhz);
+    ar.i64(memory_mb);
+    ar.i64(disk_mb);
+    ar.f64(bandwidth_mbps);
+  }
 };
 
 /// The paper's machine configuration M. Semantically identical to a
@@ -57,6 +65,14 @@ struct MachineConfig {
 
   /// The example configuration from the paper's Table 1.
   static MachineConfig table1_example() { return MachineConfig{}; }
+
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.f64(cpu_mhz);
+    ar.i64(memory_mb);
+    ar.i64(disk_mb);
+    ar.f64(bandwidth_mbps);
+  }
 };
 
 /// The ASP's resource requirement <n, M>: n machines of configuration M.
@@ -70,6 +86,12 @@ struct ResourceRequirement {
   [[nodiscard]] ResourceVector total() const { return m.times(n); }
   /// "<3, cpu=512MHz mem=256MB disk=1024MB bw=10Mbps>"
   [[nodiscard]] std::string to_string() const;
+
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.i64(n);
+    ar.walk(m);
+  }
 };
 
 }  // namespace soda::host

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "image/chunk.hpp"
-#include "snapshot/format.hpp"
 
 namespace soda::image {
 
@@ -56,45 +55,28 @@ class ImageCache {
 
   /// Checkpoints residents in recency order (front = most recent) plus the
   /// hit/miss counters; eviction behaviour after restore is bit-identical.
-  /// load_state requires a cache constructed with the same capacity.
-  void save_state(snapshot::Writer& writer) const {
-    writer.begin_section("image_cache");
-    writer.i64(capacity_);
-    writer.u64(lru_.size());
-    for (const Entry& entry : lru_) {
-      writer.u64(entry.id.digest);
-      writer.i64(entry.bytes);
+  /// A load needs a cache constructed with the same capacity.
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.begin_section("image_cache");
+    ar.expect("image cache capacity mismatch").i64(capacity_);
+    ar.seq(lru_, [&ar](auto& entry) {
+      ar.u64(entry.id.digest);
+      ar.i64(entry.bytes);
+    });
+    ar.u64(hits_);
+    ar.u64(misses_);
+    ar.u64(insertions_);
+    ar.u64(evictions_);
+    ar.end_section();
+    if constexpr (Ar::kLoading) {
+      index_.clear();
+      used_ = 0;
+      for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+        used_ += it->bytes;
+        index_.emplace(it->id.digest, it);
+      }
     }
-    writer.u64(hits_);
-    writer.u64(misses_);
-    writer.u64(insertions_);
-    writer.u64(evictions_);
-    writer.end_section();
-  }
-  void load_state(snapshot::Reader& reader) {
-    reader.begin_section("image_cache");
-    const std::int64_t capacity = reader.i64();
-    if (reader.ok() && capacity != capacity_) {
-      reader.fail("image cache capacity mismatch");
-      return;
-    }
-    lru_.clear();
-    index_.clear();
-    used_ = 0;
-    const std::uint64_t residents = reader.u64();
-    for (std::uint64_t i = 0; reader.ok() && i < residents; ++i) {
-      Entry entry;
-      entry.id.digest = reader.u64();
-      entry.bytes = reader.i64();
-      used_ += entry.bytes;
-      lru_.push_back(entry);
-      index_.emplace(entry.id.digest, std::prev(lru_.end()));
-    }
-    hits_ = reader.u64();
-    misses_ = reader.u64();
-    insertions_ = reader.u64();
-    evictions_ = reader.u64();
-    reader.end_section();
   }
 
  private:

@@ -2,17 +2,9 @@
 
 #include "image/image.hpp"
 #include "util/contract.hpp"
+#include "util/fnv.hpp"
 
 namespace soda::image {
-
-std::uint64_t fnv1a64(std::string_view bytes) noexcept {
-  std::uint64_t hash = 0xCBF2'9CE4'8422'2325ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x0000'0100'0000'01B3ull;
-  }
-  return hash;
-}
 
 ImageManifest build_manifest(const ServiceImage& image,
                              std::int64_t chunk_bytes) {
@@ -35,7 +27,10 @@ ImageManifest build_manifest(const ServiceImage& image,
     const std::string preimage = manifest.image_key + "#" +
                                  std::to_string(i) + "/" +
                                  std::to_string(total);
-    chunk.id = ChunkId{fnv1a64(preimage)};
+    // FNV-1a stands in for a cryptographic content digest: collision-free
+    // for the handful of distinct images an experiment publishes, and
+    // bit-stable across replicas and platforms.
+    chunk.id = ChunkId{util::fnv1a(util::kFnvBasis, preimage)};
     manifest.chunks.push_back(chunk);
   }
   return manifest;

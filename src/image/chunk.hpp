@@ -15,11 +15,6 @@ namespace soda::image {
 
 struct ServiceImage;
 
-/// FNV-1a over arbitrary bytes; the simulation's stand-in for a cryptographic
-/// content digest (collision-free for the handful of distinct images an
-/// experiment publishes, and bit-stable across replicas and platforms).
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes) noexcept;
-
 /// Content address of one chunk.
 struct ChunkId {
   std::uint64_t digest = 0;

@@ -217,68 +217,4 @@ ServiceImage log_image() {
       .build();
 }
 
-void save_image(snapshot::Writer& writer, const ServiceImage& image) {
-  writer.begin_section("image");
-  writer.str(image.name);
-  writer.str(image.version);
-  image.payload.save_state(writer);
-  writer.str(image.entry_command);
-  writer.i64(image.listen_port);
-  writer.u64(image.required_services.size());
-  for (const std::string& service : image.required_services) writer.str(service);
-  writer.u8(static_cast<std::uint8_t>(image.rootfs_template));
-  writer.f64(image.app_start_ghz_s);
-  writer.i64(image.app_memory_mb);
-  writer.u64(image.components.size());
-  for (const ServiceComponent& component : image.components) {
-    writer.str(component.name);
-    writer.str(component.entry_command);
-    writer.i64(component.listen_port);
-    writer.str(component.route_prefix);
-    writer.u64(component.required_services.size());
-    for (const std::string& service : component.required_services) {
-      writer.str(service);
-    }
-    writer.f64(component.app_start_ghz_s);
-    writer.i64(component.app_memory_mb);
-    writer.i64(component.units);
-  }
-  writer.end_section();
-}
-
-ServiceImage load_image(snapshot::Reader& reader) {
-  ServiceImage image;
-  reader.begin_section("image");
-  image.name = reader.str();
-  image.version = reader.str();
-  image.payload.load_state(reader);
-  image.entry_command = reader.str();
-  image.listen_port = static_cast<int>(reader.i64());
-  const std::uint64_t services = reader.u64();
-  for (std::uint64_t i = 0; reader.ok() && i < services; ++i) {
-    image.required_services.push_back(reader.str());
-  }
-  image.rootfs_template = static_cast<os::RootFsTemplate>(reader.u8());
-  image.app_start_ghz_s = reader.f64();
-  image.app_memory_mb = reader.i64();
-  const std::uint64_t components = reader.u64();
-  for (std::uint64_t i = 0; reader.ok() && i < components; ++i) {
-    ServiceComponent component;
-    component.name = reader.str();
-    component.entry_command = reader.str();
-    component.listen_port = static_cast<int>(reader.i64());
-    component.route_prefix = reader.str();
-    const std::uint64_t needed = reader.u64();
-    for (std::uint64_t j = 0; reader.ok() && j < needed; ++j) {
-      component.required_services.push_back(reader.str());
-    }
-    component.app_start_ghz_s = reader.f64();
-    component.app_memory_mb = reader.i64();
-    component.units = static_cast<int>(reader.i64());
-    image.components.push_back(std::move(component));
-  }
-  reader.end_section();
-  return image;
-}
-
 }  // namespace soda::image

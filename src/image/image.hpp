@@ -9,7 +9,6 @@
 
 #include "os/filesystem.hpp"
 #include "os/rootfs.hpp"
-#include "snapshot/format.hpp"
 #include "util/result.hpp"
 
 namespace soda::image {
@@ -30,6 +29,18 @@ struct ServiceComponent {
 
   friend bool operator==(const ServiceComponent&,
                           const ServiceComponent&) = default;
+
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.str(name);
+    ar.str(entry_command);
+    ar.i64(listen_port);
+    ar.str(route_prefix);
+    ar.seq(required_services, [&ar](auto& service) { ar.str(service); });
+    ar.f64(app_start_ghz_s);
+    ar.i64(app_memory_mb);
+    ar.i64(units);
+  }
 };
 
 /// A packaged application service: the file payload plus everything the
@@ -66,6 +77,25 @@ struct ServiceImage {
   /// Size of the RPM package as transferred over HTTP: payload plus ~2%
   /// metadata/padding overhead and a fixed header block.
   [[nodiscard]] std::int64_t packaged_bytes() const noexcept;
+
+  /// Snapshot walk over the full image, payload tree included: repositories
+  /// hold images published by harness code outside the world, so a restore
+  /// cannot rebuild them and the snapshot must carry them.
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.begin_section("image");
+    ar.str(name);
+    ar.str(version);
+    ar.walk(payload);
+    ar.str(entry_command);
+    ar.i64(listen_port);
+    ar.seq(required_services, [&ar](auto& service) { ar.str(service); });
+    ar.u8(rootfs_template, os::RootFsTemplate::kRh72Server);
+    ar.f64(app_start_ghz_s);
+    ar.i64(app_memory_mb);
+    ar.seq(components, [&ar](auto& component) { ar.walk(component); });
+    ar.end_section();
+  }
 };
 
 /// Fluent builder so examples and tests read declaratively.
@@ -92,12 +122,6 @@ class ServiceImageBuilder {
  private:
   ServiceImage image_;
 };
-
-/// Checkpoints a full ServiceImage (payload tree included) — repositories
-/// hold images published by harness code outside the world, so restore
-/// cannot reconstruct them and must carry them in the snapshot.
-void save_image(snapshot::Writer& writer, const ServiceImage& image);
-ServiceImage load_image(snapshot::Reader& reader);
 
 /// Canned images used across examples, tests, and benches.
 

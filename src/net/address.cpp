@@ -79,31 +79,6 @@ bool IpPool::is_allocated(Ipv4Address address) const noexcept {
   return allocated_[address.value() - first_.value()];
 }
 
-void IpPool::save_state(snapshot::Writer& writer) const {
-  writer.begin_section("ip_pool");
-  writer.u32(first_.value());
-  writer.u64(allocated_.size());
-  for (const bool taken : allocated_) writer.boolean(taken);
-  writer.u64(in_use_);
-  writer.end_section();
-}
-
-void IpPool::load_state(snapshot::Reader& reader) {
-  reader.begin_section("ip_pool");
-  const std::uint32_t first = reader.u32();
-  const std::uint64_t capacity = reader.u64();
-  if (reader.ok() &&
-      (first != first_.value() || capacity != allocated_.size())) {
-    reader.fail("ip pool range mismatch");
-    return;
-  }
-  for (std::size_t i = 0; i < allocated_.size(); ++i) {
-    allocated_[i] = reader.boolean();
-  }
-  in_use_ = reader.u64();
-  reader.end_section();
-}
-
 bool IpPool::disjoint(const IpPool& a, const IpPool& b) noexcept {
   const std::uint64_t a_lo = a.first_.value();
   const std::uint64_t a_hi = a_lo + a.allocated_.size();

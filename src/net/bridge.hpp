@@ -11,7 +11,6 @@
 
 #include "net/address.hpp"
 #include "net/flow_network.hpp"
-#include "snapshot/format.hpp"
 #include "util/result.hpp"
 
 namespace soda::net {
@@ -45,28 +44,16 @@ class Bridge {
   }
   [[nodiscard]] const std::string& host_name() const noexcept { return host_name_; }
 
-  void save_state(snapshot::Writer& writer) const {
-    writer.begin_section("bridge");
-    writer.u64(table_.size());
-    for (const auto& [address, port] : table_) {
-      writer.u32(address.value());
-      writer.u64(port.value);
-    }
-    writer.u64(frames_to_vms_);
-    writer.u64(frames_to_uplink_);
-    writer.end_section();
-  }
-  void load_state(snapshot::Reader& reader) {
-    reader.begin_section("bridge");
-    table_.clear();
-    const std::uint64_t count = reader.u64();
-    for (std::uint64_t i = 0; reader.ok() && i < count; ++i) {
-      const Ipv4Address address{reader.u32()};
-      table_[address] = NodeId{static_cast<std::size_t>(reader.u64())};
-    }
-    frames_to_vms_ = reader.u64();
-    frames_to_uplink_ = reader.u64();
-    reader.end_section();
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.begin_section("bridge");
+    ar.seq(table_, [&ar](auto& entry) {
+      ar.walk(entry.first);
+      ar.u64(entry.second.value);
+    });
+    ar.u64(frames_to_vms_);
+    ar.u64(frames_to_uplink_);
+    ar.end_section();
   }
 
  private:

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 
+#include "snapshot/format.hpp"
 #include "util/contract.hpp"
 
 namespace soda::net {
@@ -304,60 +305,35 @@ void FlowNetwork::on_completion_event() {
   }
 }
 
-void FlowNetwork::save_state(snapshot::Writer& writer) const {
+template <class Ar>
+void FlowNetwork::serialize(Ar& ar) {
   SODA_EXPECTS(flows_.empty());  // quiesce before checkpointing
-  writer.begin_section("flow_network");
-  writer.u64(nodes_.size());
-  for (const std::string& name : nodes_) writer.str(name);
-  writer.u64(links_.size());
-  for (const Link& link : links_) {
-    writer.boolean(link.from.valid());
-    if (link.from.valid()) {
-      writer.u64(link.from.value);
-      writer.u64(link.to.value);
+  ar.begin_section("flow_network");
+  ar.seq(nodes_, [&ar](auto& name) { ar.str(name); });
+  ar.seq(links_, [&](auto& link) {
+    bool physical = link.from.valid();
+    ar.boolean(physical);
+    if (physical) {
+      ar.u64(link.from.value, snapshot::Below{nodes_.size()});
+      ar.u64(link.to.value, snapshot::Below{nodes_.size()});
     }
-    writer.f64(link.capacity_bps);
-    writer.time(link.latency);
-  }
-  writer.u64(next_flow_id_);
-  writer.time(last_settle_);
-  writer.i64(bytes_delivered_);
-  writer.end_section();
-}
-
-void FlowNetwork::load_state(snapshot::Reader& reader) {
-  SODA_EXPECTS(flows_.empty());
-  reader.begin_section("flow_network");
-  nodes_.clear();
-  links_.clear();
-  out_links_.clear();
-  const std::uint64_t node_count = reader.u64();
-  for (std::uint64_t i = 0; reader.ok() && i < node_count; ++i) {
-    nodes_.push_back(reader.str());
-    out_links_.emplace_back();
-  }
-  const std::uint64_t link_count = reader.u64();
-  for (std::uint64_t i = 0; reader.ok() && i < link_count; ++i) {
-    Link link;
-    if (reader.boolean()) {
-      link.from = NodeId{static_cast<std::size_t>(reader.u64())};
-      link.to = NodeId{static_cast<std::size_t>(reader.u64())};
-      if (link.from.value >= nodes_.size() || link.to.value >= nodes_.size()) {
-        reader.fail("link endpoint out of range");
-        return;
-      }
-      out_links_[link.from.value].push_back(links_.size());
+    ar.f64(link.capacity_bps);
+    ar.time(link.latency);
+  });
+  ar.u64(next_flow_id_);
+  ar.time(last_settle_);
+  ar.i64(bytes_delivered_);
+  ar.end_section();
+  if constexpr (Ar::kLoading) {
+    out_links_.assign(nodes_.size(), {});
+    for (std::size_t i = 0; i < links_.size(); ++i) {
+      if (links_[i].from.valid()) out_links_[links_[i].from.value].push_back(i);
     }
-    link.capacity_bps = reader.f64();
-    link.latency = reader.time();
-    links_.push_back(link);
+    event_scheduled_ = false;
+    pending_event_ = {};
   }
-  next_flow_id_ = reader.u64();
-  last_settle_ = reader.time();
-  bytes_delivered_ = reader.i64();
-  event_scheduled_ = false;
-  pending_event_ = {};
-  reader.end_section();
 }
+template void FlowNetwork::serialize(snapshot::Writer&);
+template void FlowNetwork::serialize(snapshot::Reader&);
 
 }  // namespace soda::net

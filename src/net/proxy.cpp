@@ -1,5 +1,8 @@
 #include "net/proxy.hpp"
 
+#include <algorithm>
+
+#include "snapshot/format.hpp"
 #include "util/contract.hpp"
 
 namespace soda::net {
@@ -114,60 +117,41 @@ bool ProxyTable::draining(int public_port) const {
   return entry != nullptr && entry->in_use && entry->draining;
 }
 
-void ProxyTable::save_state(snapshot::Writer& writer) const {
-  writer.begin_section("proxy");
-  writer.u32(public_.value());
-  writer.i64(first_port_);
-  writer.i64(port_count_);
-  writer.i64(next_port_);
-  writer.u64(entries_);
-  std::uint64_t in_use = 0;
-  for (const Entry& entry : slots_) in_use += entry.in_use ? 1 : 0;
-  writer.u64(in_use);
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const Entry& entry = slots_[i];
-    if (!entry.in_use) continue;
-    writer.u64(i);
-    writer.u32(entry.target.private_address.value());
-    writer.i64(entry.target.private_port);
-    writer.u64(entry.active);
-    writer.boolean(entry.draining);
+template <class Ar>
+void ProxyTable::serialize(Ar& ar) {
+  ar.begin_section("proxy");
+  auto&& range = ar.expect("proxy table range mismatch");
+  range.u32(public_.value());
+  range.i64(first_port_);
+  range.i64(port_count_);
+  ar.i64(next_port_);
+  ar.u64(entries_);
+  // Only slots in use travel, each prefixed by its index.
+  if constexpr (Ar::kLoading) {
+    for (Entry& entry : slots_) entry = Entry{};
   }
-  writer.u64(forwarded_);
-  writer.u64(missed_);
-  writer.end_section();
-}
-
-void ProxyTable::load_state(snapshot::Reader& reader) {
-  reader.begin_section("proxy");
-  const std::uint32_t public_address = reader.u32();
-  const std::int64_t first_port = reader.i64();
-  const std::int64_t port_count = reader.i64();
-  if (reader.ok() && (public_address != public_.value() ||
-                      first_port != first_port_ || port_count != port_count_)) {
-    reader.fail("proxy table range mismatch");
-    return;
-  }
-  next_port_ = static_cast<int>(reader.i64());
-  entries_ = reader.u64();
-  for (Entry& entry : slots_) entry = Entry{};
-  const std::uint64_t in_use = reader.u64();
-  for (std::uint64_t i = 0; reader.ok() && i < in_use; ++i) {
-    const std::uint64_t index = reader.u64();
-    if (index >= slots_.size()) {
-      reader.fail("proxy slot index out of range");
-      return;
+  std::size_t in_use = static_cast<std::size_t>(std::count_if(
+      slots_.begin(), slots_.end(), [](const Entry& e) { return e.in_use; }));
+  ar.count(in_use);
+  std::size_t slot = 0;
+  for (std::size_t i = 0; i < in_use && ar.ok(); ++i, ++slot) {
+    if constexpr (!Ar::kLoading) {
+      while (!slots_[slot].in_use) ++slot;
     }
-    Entry& entry = slots_[index];
+    ar.u64(slot, snapshot::Below{slots_.size()});
+    if (!ar.ok()) break;
+    Entry& entry = slots_[slot];
     entry.in_use = true;
-    entry.target.private_address = Ipv4Address{reader.u32()};
-    entry.target.private_port = static_cast<int>(reader.i64());
-    entry.active = reader.u64();
-    entry.draining = reader.boolean();
+    ar.walk(entry.target.private_address);
+    ar.i64(entry.target.private_port);
+    ar.u64(entry.active);
+    ar.boolean(entry.draining);
   }
-  forwarded_ = reader.u64();
-  missed_ = reader.u64();
-  reader.end_section();
+  ar.u64(forwarded_);
+  ar.u64(missed_);
+  ar.end_section();
 }
+template void ProxyTable::serialize(snapshot::Writer&);
+template void ProxyTable::serialize(snapshot::Reader&);
 
 }  // namespace soda::net

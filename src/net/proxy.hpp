@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "net/address.hpp"
-#include "snapshot/format.hpp"
 #include "util/result.hpp"
 
 namespace soda::net {
@@ -77,10 +76,10 @@ class ProxyTable {
   }
   [[nodiscard]] std::uint64_t lookups_missed() const noexcept { return missed_; }
 
-  /// Checkpoints the forwarding slots, the next-port cursor, and the
-  /// counters. load_state expects a table over the same port range.
-  void save_state(snapshot::Writer& writer) const;
-  void load_state(snapshot::Reader& reader);
+  /// Snapshot walk over the forwarding slots, the next-port cursor, and the
+  /// counters. A load needs a table over the same port range.
+  template <class Ar>
+  void serialize(Ar& ar);
 
  private:
   struct Entry {

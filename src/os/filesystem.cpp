@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "snapshot/format.hpp"
 #include "util/contract.hpp"
 #include "util/strings.hpp"
 
@@ -221,39 +222,28 @@ Status FileSystem::copy_from(const FileSystem& src, std::string_view src_path,
   return {};
 }
 
-void FileSystem::save_state(snapshot::Writer& writer) const {
-  writer.begin_section("filesystem");
+template <class Ar>
+void FileSystem::serialize(Ar& ar) {
+  // Deeper trees than any rootfs builds are hostile input: reject them
+  // before the recursion can exhaust the stack.
+  constexpr int kMaxDepth = 256;
+  ar.begin_section("filesystem");
   // Recursive lambda over the node tree; std::map iterates children sorted.
-  auto save_node = [&writer](auto&& self, const Node& node) -> void {
-    writer.u8(static_cast<std::uint8_t>(node.type));
-    writer.i64(node.size_bytes);
-    writer.u64(node.children.size());
-    for (const auto& [name, child] : node.children) {
-      writer.str(name);
-      self(self, *child);
-    }
+  auto walk_node = [&ar](auto&& self, Node& node, int depth) -> void {
+    ar.u8(node.type, FileType::kDirectory);
+    ar.i64(node.size_bytes);
+    ar.check(depth < kMaxDepth, "filesystem tree nested too deep");
+    ar.seq(node.children, [&](auto& child) {
+      ar.str(child.first);
+      if constexpr (Ar::kLoading) child.second = std::make_unique<Node>();
+      self(self, *child.second, depth + 1);
+    });
   };
-  save_node(save_node, *root_);
-  writer.end_section();
+  if constexpr (Ar::kLoading) root_ = std::make_unique<Node>();
+  walk_node(walk_node, *root_, 0);
+  ar.end_section();
 }
-
-void FileSystem::load_state(snapshot::Reader& reader) {
-  reader.begin_section("filesystem");
-  auto load_node = [&reader](auto&& self, Node& node) -> void {
-    node.type = static_cast<FileType>(reader.u8());
-    node.size_bytes = reader.i64();
-    node.children.clear();
-    const std::uint64_t count = reader.u64();
-    for (std::uint64_t i = 0; reader.ok() && i < count; ++i) {
-      std::string name = reader.str();
-      auto child = std::make_unique<Node>();
-      self(self, *child);
-      node.children.emplace(std::move(name), std::move(child));
-    }
-  };
-  root_ = std::make_unique<Node>();
-  load_node(load_node, *root_);
-  reader.end_section();
-}
+template void FileSystem::serialize(snapshot::Writer&);
+template void FileSystem::serialize(snapshot::Reader&);
 
 }  // namespace soda::os

@@ -12,7 +12,6 @@
 #include <string_view>
 #include <vector>
 
-#include "snapshot/format.hpp"
 #include "util/result.hpp"
 
 namespace soda::os {
@@ -78,8 +77,8 @@ class FileSystem {
 
   /// Checkpoints the whole tree (structure + sizes — content is never
   /// stored). Children serialize in map order, so save is deterministic.
-  void save_state(snapshot::Writer& writer) const;
-  void load_state(snapshot::Reader& reader);
+  template <class Ar>
+  void serialize(Ar& ar);
 
  private:
   struct Node {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "sim/time.hpp"
-#include "snapshot/format.hpp"
 #include "util/result.hpp"
 
 namespace soda::os {
@@ -60,34 +59,18 @@ class ProcessTable {
   ///     1 root  S    init
   [[nodiscard]] std::string ps_ef() const;
 
-  void save_state(snapshot::Writer& writer) const {
-    writer.begin_section("processes");
-    writer.u64(processes_.size());
-    for (const Process& process : processes_) {
-      writer.i64(process.pid);
-      writer.str(process.uid);
-      writer.u8(static_cast<std::uint8_t>(process.state));
-      writer.str(process.command);
-      writer.time(process.started_at);
-    }
-    writer.i64(next_pid_);
-    writer.end_section();
-  }
-  void load_state(snapshot::Reader& reader) {
-    reader.begin_section("processes");
-    processes_.clear();
-    const std::uint64_t count = reader.u64();
-    for (std::uint64_t i = 0; reader.ok() && i < count; ++i) {
-      Process process;
-      process.pid = static_cast<std::int32_t>(reader.i64());
-      process.uid = reader.str();
-      process.state = static_cast<ProcessState>(reader.u8());
-      process.command = reader.str();
-      process.started_at = reader.time();
-      processes_.push_back(std::move(process));
-    }
-    next_pid_ = static_cast<std::int32_t>(reader.i64());
-    reader.end_section();
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.begin_section("processes");
+    ar.seq(processes_, [&ar](auto& process) {
+      ar.i64(process.pid);
+      ar.str(process.uid);
+      ar.u8(process.state, ProcessState::kZombie);
+      ar.str(process.command);
+      ar.time(process.started_at);
+    });
+    ar.i64(next_pid_);
+    ar.end_section();
   }
 
  private:

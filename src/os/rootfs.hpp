@@ -16,7 +16,6 @@
 #include "os/filesystem.hpp"
 #include "os/init.hpp"
 #include "os/package.hpp"
-#include "snapshot/format.hpp"
 #include "util/result.hpp"
 
 namespace soda::os {
@@ -41,39 +40,20 @@ struct RootFs {
   std::vector<std::string> installed_packages;  // sorted, unique
 
   [[nodiscard]] std::int64_t image_bytes() const noexcept { return fs.total_size(); }
-};
 
-/// Checkpoints a RootFs verbatim (tree, enabled services, packages). Used
-/// for live guests, whose trees have been customized and mutated since
-/// construction — cheaper and safer than replaying the build pipeline.
-inline void save_rootfs(snapshot::Writer& writer, const RootFs& rootfs) {
-  writer.begin_section("rootfs");
-  writer.str(rootfs.template_name);
-  rootfs.fs.save_state(writer);
-  writer.u64(rootfs.enabled_services.size());
-  for (const std::string& service : rootfs.enabled_services) writer.str(service);
-  writer.u64(rootfs.installed_packages.size());
-  for (const std::string& package : rootfs.installed_packages) {
-    writer.str(package);
+  /// Snapshot walk over the rootfs verbatim (tree, enabled services,
+  /// packages). Live guests' trees have been customized and mutated since
+  /// construction, so this is cheaper and safer than replaying the build.
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.begin_section("rootfs");
+    ar.str(template_name);
+    ar.walk(fs);
+    ar.seq(enabled_services, [&ar](auto& service) { ar.str(service); });
+    ar.seq(installed_packages, [&ar](auto& package) { ar.str(package); });
+    ar.end_section();
   }
-  writer.end_section();
-}
-inline RootFs load_rootfs(snapshot::Reader& reader) {
-  RootFs rootfs;
-  reader.begin_section("rootfs");
-  rootfs.template_name = reader.str();
-  rootfs.fs.load_state(reader);
-  const std::uint64_t services = reader.u64();
-  for (std::uint64_t i = 0; reader.ok() && i < services; ++i) {
-    rootfs.enabled_services.push_back(reader.str());
-  }
-  const std::uint64_t packages = reader.u64();
-  for (std::uint64_t i = 0; reader.ok() && i < packages; ++i) {
-    rootfs.installed_packages.push_back(reader.str());
-  }
-  reader.end_section();
-  return rootfs;
-}
+};
 
 /// The package set backing the standard service catalog (glibc, apache,
 /// sendmail, ...). Sizes are period-plausible; relative magnitudes matter.

@@ -116,56 +116,4 @@ double TimeSeries::max_abs_deviation(double target) const noexcept {
   return worst;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo),
-      hi_(hi),
-      width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  SODA_EXPECTS(hi > lo && buckets > 0);
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  // Floating-point round-off on (x - lo_) / width_ can land exactly on
-  // bucket_count for x just under hi; keep such samples in the top bucket.
-  if (idx >= counts_.size()) idx = counts_.size() - 1;
-  ++counts_[idx];
-}
-
-double Histogram::quantile(double q) const {
-  SODA_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) return 0.0;
-  const double rank = q * static_cast<double>(total_ - 1);
-  if (rank < static_cast<double>(underflow_)) return lo_;
-  double cum = static_cast<double>(underflow_);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double c = static_cast<double>(counts_[i]);
-    if (c > 0 && rank < cum + c) {
-      // Interpolate inside the bucket, treating its mass as uniform.
-      return bucket_low(i) + width_ * ((rank - cum + 0.5) / c);
-    }
-    cum += c;
-  }
-  return hi_;  // rank falls in the overflow mass: only ">= hi" is known
-}
-
-std::uint64_t Histogram::bucket(std::size_t i) const {
-  SODA_EXPECTS(i < counts_.size());
-  return counts_[i];
-}
-
-double Histogram::bucket_low(std::size_t i) const {
-  SODA_EXPECTS(i < counts_.size());
-  return lo_ + width_ * static_cast<double>(i);
-}
-
 }  // namespace soda::sim

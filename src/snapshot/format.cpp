@@ -4,24 +4,18 @@
 #include <cstdio>
 
 #include "util/contract.hpp"
+#include "util/fnv.hpp"
 
 namespace soda::snapshot {
 
 namespace {
 
 constexpr char kMagic[8] = {'S', 'O', 'D', 'A', 'S', 'N', 'A', 'P'};
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
 }  // namespace
 
 std::uint64_t fnv1a(std::string_view bytes) noexcept {
-  std::uint64_t h = kFnvOffset;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
+  return util::fnv1a(util::kFnvBasisSnapshot, bytes);
 }
 
 // --- Writer -----------------------------------------------------------------
@@ -172,6 +166,19 @@ std::string Reader::str() {
   std::string v(bytes_.substr(cursor_, n));
   cursor_ += n;
   return v;
+}
+
+void Reader::count(std::size_t& n) {
+  const std::uint64_t raw = u64();
+  if (!ok()) return;
+  const std::size_t end =
+      open_sections_.empty() ? payload_end_ : open_sections_.back().second;
+  if (raw > end - cursor_) {
+    fail("count " + std::to_string(raw) + " overruns the " +
+         std::to_string(end - cursor_) + " byte(s) left in its section");
+    return;
+  }
+  n = static_cast<std::size_t>(raw);
 }
 
 void Reader::begin_section(std::string_view name) {

@@ -12,7 +12,6 @@
 #include "os/process.hpp"
 #include "os/rootfs.hpp"
 #include "sim/time.hpp"
-#include "snapshot/format.hpp"
 #include "util/result.hpp"
 #include "vm/syscall.hpp"
 
@@ -90,34 +89,28 @@ class UserModeLinux {
   /// Baseline guest memory used by the kernel itself.
   static constexpr std::int64_t kKernelMemoryMb = 16;
 
-  /// Checkpoints VM state, memory accounting, and the guest process table.
-  /// The rootfs is NOT covered here: the owner serializes it separately
-  /// (os::save_rootfs) and constructs the restored UML from it, because the
-  /// rootfs is a constructor argument, not mutable post-construction state.
-  void save_state(snapshot::Writer& writer) const {
-    writer.begin_section("uml");
-    writer.i64(memory_cap_mb_);
-    writer.i64(memory_used_mb_);
-    writer.u8(static_cast<std::uint8_t>(state_));
-    processes_.save_state(writer);
-    writer.end_section();
-  }
-  void load_state(snapshot::Reader& reader) {
-    reader.begin_section("uml");
-    const std::int64_t cap = reader.i64();
-    if (reader.ok() && cap != memory_cap_mb_) {
-      reader.fail("uml memory cap mismatch");
-      return;
-    }
-    memory_used_mb_ = reader.i64();
-    state_ = static_cast<VmState>(reader.u8());
-    processes_.load_state(reader);
-    reader.end_section();
+  /// A blank guest for a snapshot restore to fill through serialize().
+  UserModeLinux() = default;
+
+  /// Snapshot walk: the memory cap and rootfs the guest was built with
+  /// (its tree verbatim, customized and mutated since), then VM state,
+  /// memory accounting, and the guest process table.
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.i64(memory_cap_mb_);
+    ar.check(memory_cap_mb_ > kKernelMemoryMb, "uml memory cap out of range");
+    ar.walk(rootfs_);
+    ar.begin_section("uml");
+    ar.expect("uml memory cap mismatch").i64(memory_cap_mb_);
+    ar.i64(memory_used_mb_);
+    ar.u8(state_, VmState::kCrashed);
+    ar.walk(processes_);
+    ar.end_section();
   }
 
  private:
   os::RootFs rootfs_;
-  std::int64_t memory_cap_mb_;
+  std::int64_t memory_cap_mb_ = 0;
   std::int64_t memory_used_mb_ = 0;
   VmState state_ = VmState::kStopped;
   os::ProcessTable processes_;

@@ -22,6 +22,12 @@ VirtualServiceNode::VirtualServiceNode(NodeName name, std::string service_name,
   SODA_EXPECTS(uml_ != nullptr);
 }
 
+VirtualServiceNode::VirtualServiceNode(NodeName name, std::string host_name)
+    : name_(std::move(name)),
+      host_name_(std::move(host_name)),
+      capacity_units_(1),
+      uml_(std::make_unique<UserModeLinux>()) {}
+
 void VirtualServiceNode::set_capacity_units(int units) {
   SODA_EXPECTS(units >= 1);
   capacity_units_ = units;

@@ -39,6 +39,9 @@ class VirtualServiceNode {
                      std::string host_name, host::SliceId slice,
                      net::Ipv4Address address, net::NodeId net_node,
                      int capacity_units, std::unique_ptr<UserModeLinux> uml);
+  /// A blank node on `host_name` for a snapshot restore to fill through
+  /// serialize().
+  VirtualServiceNode(NodeName name, std::string host_name);
 
   [[nodiscard]] const NodeName& name() const noexcept { return name_; }
   [[nodiscard]] const std::string& service_name() const noexcept {
@@ -76,6 +79,31 @@ class VirtualServiceNode {
   /// Shorthand: is the guest up and serving?
   [[nodiscard]] bool running() const noexcept {
     return uml_->state() == VmState::kRunning;
+  }
+
+  /// Snapshot walk over everything but the name and host, which the owning
+  /// daemon keeps.
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.str(service_name_);
+    ar.u64(slice_.value);
+    ar.walk(address_);
+    ar.u64(net_node_.value);
+    ar.i64(capacity_units_);
+    ar.check(capacity_units_ >= 1, "node capacity out of range");
+    ar.i64(service_port_);
+    ar.str(component_);
+    bool proxied = public_.has_value();
+    ar.boolean(proxied);
+    if constexpr (Ar::kLoading) {
+      public_.reset();
+      if (proxied) public_.emplace();
+    }
+    if (proxied) {
+      ar.walk(public_->address);
+      ar.i64(public_->port);
+    }
+    ar.walk(*uml_);
   }
 
  private:

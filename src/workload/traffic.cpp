@@ -1,27 +1,17 @@
 #include "workload/traffic.hpp"
 
-#include <array>
 #include <cmath>
 #include <fstream>
 #include <numbers>
 
+#include "snapshot/format.hpp"
 #include "util/contract.hpp"
+#include "util/fnv.hpp"
 #include "util/strings.hpp"
 
 namespace soda::workload {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t word) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (word >> (i * 8)) & 0xffU;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 /// Floor on the instantaneous rate while a trace is active: a diurnal
 /// trough or ramp origin at 0 req/s would otherwise draw a gap with
@@ -396,52 +386,37 @@ void TrafficEngine::register_gauges(core::MetricsRegistry& metrics) const {
   }
 }
 
-void TrafficEngine::save_state(snapshot::Writer& writer) const {
-  writer.begin_section("traffic_engine");
-  writer.boolean(started_);
-  writer.u64(streams_.size());
-  for (const Stream& stream : streams_) {
-    writer.str(stream.name);
-    for (const std::uint64_t word : stream.rng.state()) writer.u64(word);
-    writer.time(stream.t0);
-    writer.time(stream.next_arrival);
-    writer.u64(stream.scheduled);
-    writer.u64(stream.resolved);
-    writer.boolean(stream.arrivals_done);
-    stream.stats.save_state(writer);
-  }
-  writer.end_section();
-}
-
-void TrafficEngine::load_state(snapshot::Reader& reader) {
-  reader.begin_section("traffic_engine");
-  started_ = reader.boolean();
-  const std::uint64_t count = reader.u64();
-  if (reader.ok() && count != streams_.size()) {
-    reader.fail("traffic stream count mismatch (register the same streams "
-                "before load)");
-  }
-  for (std::size_t i = 0; reader.ok() && i < streams_.size(); ++i) {
+template <class Ar>
+void TrafficEngine::serialize(Ar& ar) {
+  ar.begin_section("traffic_engine");
+  ar.boolean(started_);
+  ar.expect("traffic stream count mismatch (register the same streams "
+            "before load)")
+      .u64(streams_.size());
+  for (std::size_t i = 0; i < streams_.size() && ar.ok(); ++i) {
     Stream& stream = streams_[i];
-    const std::string name = reader.str();
-    if (reader.ok() && name != stream.name) {
-      reader.fail("traffic stream name mismatch: saved '" + name +
-                  "', registered '" + stream.name + "'");
-      break;
+    std::string name = stream.name;
+    ar.str(name);
+    if constexpr (Ar::kLoading) {
+      ar.check(name == stream.name, "traffic stream name mismatch: saved '" +
+                                        name + "', registered '" +
+                                        stream.name + "'");
     }
-    std::array<std::uint64_t, 4> state{};
-    for (std::uint64_t& word : state) word = reader.u64();
-    stream.rng.set_state(state);
-    stream.t0 = reader.time();
-    stream.next_arrival = reader.time();
-    stream.scheduled = reader.u64();
-    stream.resolved = reader.u64();
-    stream.arrivals_done = reader.boolean();
-    stream.stats.load_state(reader);
-    if (started_) install_observer(i);
+    ar.walk(stream.rng);
+    ar.time(stream.t0);
+    ar.time(stream.next_arrival);
+    ar.u64(stream.scheduled);
+    ar.u64(stream.resolved);
+    ar.boolean(stream.arrivals_done);
+    ar.walk(stream.stats);
+    if constexpr (Ar::kLoading) {
+      if (ar.ok() && started_) install_observer(i);
+    }
   }
-  reader.end_section();
+  ar.end_section();
 }
+template void TrafficEngine::serialize(snapshot::Writer&);
+template void TrafficEngine::serialize(snapshot::Reader&);
 
 void TrafficEngine::rearm_arrivals() {
   SODA_EXPECTS(started_);
@@ -457,11 +432,11 @@ void TrafficEngine::rearm_arrivals() {
 }
 
 std::uint64_t TrafficEngine::digest() const noexcept {
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = util::kFnvBasis;
   for (const Stream& stream : streams_) {
-    hash = fnv_mix(hash, stream.scheduled);
-    hash = fnv_mix(hash, stream.resolved);
-    hash = fnv_mix(hash, stream.stats.digest());
+    hash = util::fnv1a_word(hash, stream.scheduled);
+    hash = util::fnv1a_word(hash, stream.resolved);
+    hash = util::fnv1a_word(hash, stream.stats.digest());
   }
   return hash;
 }

@@ -302,38 +302,5 @@ TEST(TimeSeries, TimeWeightedMeanZeroSpanFallsBack) {
   EXPECT_DOUBLE_EQ(series.time_weighted_mean(), 6.0);
 }
 
-// ---------- Histogram ----------
-
-TEST(Histogram, OutOfRangeCountedNotClamped) {
-  Histogram h(0, 10, 5);
-  h.add(-1);   // below lo: counted as underflow, not folded into bucket 0
-  h.add(0.5);
-  h.add(3.9);
-  h.add(99);   // at/above hi: counted as overflow, not folded into bucket 4
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.in_range(), 2u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(4), 0u);
-  EXPECT_DOUBLE_EQ(h.bucket_low(1), 2.0);
-}
-
-TEST(Histogram, QuantileAccountsForOutOfRange) {
-  Histogram h(0, 10, 10);
-  for (int i = 0; i < 10; ++i) h.add(-5.0);  // 10% underflow
-  for (int i = 0; i < 80; ++i) h.add(5.0);   // 80% in one bucket
-  for (int i = 0; i < 10; ++i) h.add(50.0);  // 10% overflow
-  // Low ranks land in the underflow mass -> only "< lo" is known.
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
-  // High ranks land in the overflow mass -> only ">= hi" is known. The old
-  // clamping behaviour would have reported these as in-range bucket values.
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 10.0);
-  const double mid = h.quantile(0.5);
-  EXPECT_GE(mid, 5.0);
-  EXPECT_LT(mid, 6.0);
-}
-
 }  // namespace
 }  // namespace soda::sim

@@ -414,11 +414,11 @@ TEST(StreamingStats, MidWindowCheckpointContinuesBitIdentical) {
   }
 
   snapshot::Writer writer;
-  original.save_state(writer);
+  original.serialize(writer);
   const std::string bytes = writer.finish();
   sim::StreamingStats restored(config);
   snapshot::Reader reader(bytes);
-  restored.load_state(reader);
+  restored.serialize(reader);
   ASSERT_TRUE(reader.ok()) << reader.error();
   EXPECT_EQ(restored.digest(), original.digest());
   EXPECT_EQ(restored.windows().size(), original.windows().size());
@@ -448,7 +448,7 @@ TEST(TrafficEngine, CheckpointRoundTripContinuesBitIdentical) {
   original.engine.run_until(sim::SimTime::milliseconds(500));
 
   snapshot::Writer writer;
-  original_traffic.save_state(writer);
+  original_traffic.serialize(writer);
   const std::string bytes = writer.finish();
 
   TrafficBed restored;
@@ -457,7 +457,7 @@ TEST(TrafficEngine, CheckpointRoundTripContinuesBitIdentical) {
   TrafficEngine restored_traffic(restored.engine);
   restored_traffic.add_stream("web", restored.siege, trace);
   snapshot::Reader reader(bytes);
-  restored_traffic.load_state(reader);
+  restored_traffic.serialize(reader);
   ASSERT_TRUE(reader.ok()) << reader.error();
   restored_traffic.rearm_arrivals();
 
@@ -475,14 +475,14 @@ TEST(TrafficEngine, LoadRejectsMismatchedStreamSet) {
   TrafficEngine saved(bed.engine);
   saved.add_stream("web", bed.siege, TrafficTrace().constant(10, 0.5));
   snapshot::Writer writer;
-  saved.save_state(writer);
+  saved.serialize(writer);
   const std::string bytes = writer.finish();
 
   TrafficBed other;
   TrafficEngine renamed(other.engine);
   renamed.add_stream("api", other.siege, TrafficTrace().constant(10, 0.5));
   snapshot::Reader reader(bytes);
-  renamed.load_state(reader);
+  renamed.serialize(reader);
   EXPECT_FALSE(reader.ok());
   EXPECT_NE(reader.error().find("name mismatch"), std::string::npos);
 }
@@ -573,7 +573,7 @@ TEST(TrafficEngine, FileTraceCheckpointRoundTripContinuesBitIdentical) {
   EXPECT_EQ(original_traffic.scheduled("web"), 6u);
 
   snapshot::Writer writer;
-  original_traffic.save_state(writer);
+  original_traffic.serialize(writer);
   const std::string bytes = writer.finish();
 
   TrafficBed restored;
@@ -582,7 +582,7 @@ TEST(TrafficEngine, FileTraceCheckpointRoundTripContinuesBitIdentical) {
   TrafficEngine restored_traffic(restored.engine);
   restored_traffic.add_stream("web", restored.siege, parsed.value());
   snapshot::Reader reader(bytes);
-  restored_traffic.load_state(reader);
+  restored_traffic.serialize(reader);
   ASSERT_TRUE(reader.ok()) << reader.error();
   restored_traffic.rearm_arrivals();
 
