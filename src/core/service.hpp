@@ -44,9 +44,12 @@ class ServiceLifecycle {
     return service_name_;
   }
 
-  /// Checkpoint restore: sets the state directly, bypassing transition
+  /// Snapshot walk: a load sets the state directly, bypassing transition
   /// validation (the saved state was legal when captured).
-  void restore_state(ServiceState state) noexcept { state_ = state; }
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar.u8(state_, ServiceState::kFailed);
+  }
 
  private:
   std::string service_name_;
