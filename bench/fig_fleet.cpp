@@ -34,6 +34,7 @@
 #include "seed_planner.hpp"
 #include "sim/parallel_runner.hpp"
 #include "util/contract.hpp"
+#include "util/fnv.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
 
@@ -61,17 +62,13 @@ constexpr double kMinShardedSpeedup = 2.0;
 
 constexpr double kMinPlacementSpeedup = 5.0;
 
-inline std::uint64_t fnv_step(std::uint64_t hash, std::uint64_t value) noexcept {
-  return (hash ^ value) * 1099511628211ULL;
-}
-
 /// Incremental FNV-1a digest of the control-plane decisions a run makes.
 struct Digest {
-  std::uint64_t hash = 1469598103934665603ULL;
-  void add(std::string_view text) noexcept {
-    for (const char c : text) hash = fnv_step(hash, static_cast<unsigned char>(c));
+  std::uint64_t hash = util::kFnvBasis;
+  void add(std::string_view text) noexcept { hash = util::fnv1a(hash, text); }
+  void add(std::uint64_t value) noexcept {
+    hash = util::fnv1a_word(hash, value);
   }
-  void add(std::uint64_t value) noexcept { hash = fnv_step(hash, value); }
 };
 
 host::MachineConfig fleet_unit() {

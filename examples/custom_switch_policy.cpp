@@ -64,7 +64,7 @@ int main() {
 
   for (int i = 0; i < 700; ++i) {
     const auto backend = must(sw->route());
-    sw->on_request_complete(backend.address);
+    sw->on_request_complete(backend.address, backend.port);
   }
   std::printf("\nper-backend mix under sticky-session (700 requests, 7 "
               "clients):\n");

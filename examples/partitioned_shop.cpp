@@ -58,7 +58,7 @@ int main() {
     const auto backend = must(sw->route_target(target));
     std::printf("  %-16s -> %-9s (%s:%d)\n", target, backend.component.c_str(),
                 backend.address.to_string().c_str(), backend.port);
-    sw->on_request_complete(backend.address);
+    sw->on_request_complete(backend.address, backend.port);
   }
 
   // Crash the db component: only /cart traffic is refused.

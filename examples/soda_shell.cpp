@@ -19,7 +19,7 @@
 #include <iostream>
 #include <sstream>
 
-#include "core/scenario.hpp"
+#include "scenario/scenario.hpp"
 #include "util/log.hpp"
 
 int main(int argc, char** argv) {

@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/scenario.hpp"
+#include "scenario/scenario.hpp"
 #include "util/strings.hpp"
 
 namespace soda::chaos {

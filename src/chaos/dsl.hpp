@@ -1,4 +1,4 @@
-// Scenario-DSL bridge: renders a ChaosSpec as a core/scenario script (the
+// Scenario-DSL bridge: renders a ChaosSpec as a scenario/scenario script (the
 // replayable reproducer the Shrinker emits) and parses such a script back
 // into the identical spec. Because the generator only draws quantized
 // numbers (integer rates, quarter-second times, twentieth-step factors),

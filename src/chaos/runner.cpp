@@ -142,7 +142,7 @@ std::uint64_t end_state_digest(core::Hup& hup, const ChaosReport& report,
                                const std::vector<std::unique_ptr<LoadDriver>>&
                                    drivers) {
   std::uint64_t h = util::kFnvBasisSnapshot;
-  for (const core::TraceEvent& event : hup.trace().events()) {
+  for (const core::ControlPlaneEvent& event : hup.trace().events()) {
     mix(h, event.at.to_seconds());
     mix(h, static_cast<std::uint64_t>(event.kind));
     mix(h, event.actor);

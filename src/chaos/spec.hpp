@@ -76,10 +76,10 @@ struct ChaosSpec {
   friend bool operator==(const ChaosSpec&, const ChaosSpec&) = default;
 };
 
-/// The scripted-host naming rule of core/scenario's `host` verb, mirrored so
-/// rendered reproducers name the same hosts the runner builds: host 0 is
-/// named after its class ("seattle"/"tacoma"), later hosts append their
-/// global index ("tacoma-2").
+/// The scripted-host naming rule of scenario/scenario's `host` verb,
+/// mirrored so rendered reproducers name the same hosts the runner builds:
+/// host 0 is named after its class ("seattle"/"tacoma"), later hosts append
+/// their global index ("tacoma-2").
 std::string chaos_host_name(const ChaosSpec& spec, int index);
 
 /// Structural validity: >= 1 host, unique service names, fault host indices

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "util/contract.hpp"
-#include "util/log.hpp"
 #include "util/table.hpp"
 
 namespace soda::core {
@@ -129,17 +128,12 @@ void SodaAgent::service_creation(const ServiceCreationRequest& request,
          engine_.now());
     return;
   }
-  if (trace_) {
-    trace_->record(engine_.now(), TraceKind::kRequestReceived, "agent",
-                   request.service_name,
-                   "creation " + request.requirement.to_string() + " by " +
-                       request.credentials.asp_id);
-  }
-  util::global_logger().info(
-      "agent", "service_creation(" + request.service_name + ", " +
-                   request.image_location.url() + ", " +
-                   request.requirement.to_string() + ") from " +
-                   request.credentials.asp_id);
+  // Trace and log only: metrics, subscribers and the publish counter have
+  // never seen request-received.
+  master_.bus().record({engine_.now(), TraceKind::kRequestReceived, "agent",
+                        request.service_name,
+                        "creation " + request.requirement.to_string() +
+                            " by " + request.credentials.asp_id});
   master_.create_service(
       request, [this, asp = request.credentials.asp_id,
                 n = request.requirement.n, done = std::move(done)](

@@ -109,8 +109,6 @@ class SodaAgent {
       const Credentials& credentials, const std::string& service_name);
 
   [[nodiscard]] const BillingLedger& billing() const noexcept { return billing_; }
-  /// Attaches a trace log (emission is skipped when unset).
-  void set_trace(TraceLog* trace) noexcept { trace_ = trace; }
   [[nodiscard]] std::size_t asp_count() const noexcept { return api_keys_.size(); }
 
   /// The ASP owning `service_name`, if any.
@@ -139,7 +137,6 @@ class SodaAgent {
   std::map<std::string, std::string> api_keys_;  // asp_id -> key
   std::map<std::string, std::string> owners_;    // service -> asp_id
   BillingLedger billing_;
-  TraceLog* trace_ = nullptr;
 };
 
 }  // namespace soda::core

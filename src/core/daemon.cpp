@@ -72,9 +72,6 @@ void SodaDaemon::emit(sim::SimTime at, TraceKind kind,
   if (bus_ != nullptr) {
     bus_->publish(at, kind, "daemon@" + host_.name(), subject,
                   std::move(detail));
-  } else if (trace_ != nullptr) {
-    trace_->record(at, kind, "daemon@" + host_.name(), subject,
-                   std::move(detail));
   }
 }
 
@@ -98,7 +95,6 @@ void SodaDaemon::prime_node(PrimeCommand command, PrimeCallback done) {
   SODA_EXPECTS(done != nullptr);
   SODA_EXPECTS(command.repository != nullptr);
   SODA_EXPECTS(command.capacity_units >= 1);
-  auto& log = util::global_logger();
 
   if (!alive_) {
     done(Error{"daemon@" + host_.name() + ": host is down"}, engine_.now());
@@ -114,11 +110,6 @@ void SodaDaemon::prime_node(PrimeCommand command, PrimeCallback done) {
   if (!slice.ok()) {
     done(slice.error(), engine_.now());
     return;
-  }
-  if (log.enabled(util::LogLevel::kInfo)) {
-    log.info("daemon@" + host_.name(),
-             "reserved slice for " + command.node_name + " (" +
-                 command.reserve.to_string() + ")");
   }
   emit(engine_.now(), TraceKind::kPrimingStarted, command.node_name,
        command.reserve.to_string());

@@ -213,12 +213,9 @@ class SodaDaemon {
   template <class Ar>
   void serialize(Ar& ar);
 
-  /// Attaches a trace log (emission is skipped when unset).
-  void set_trace(TraceLog* trace) noexcept { trace_ = trace; }
-
-  /// Attaches the Master's control-plane bus (done by register_daemon).
-  /// When set, the daemon's events flow through the bus — which feeds the
-  /// trace, metrics, and subscribers — instead of the bare trace log.
+  /// Attaches the Master's control-plane bus (done by register_daemon). The
+  /// daemon's events flow through it into the trace, metrics, and
+  /// subscribers; an unregistered daemon emits nothing.
   void set_bus(ControlPlaneBus* bus) noexcept { bus_ = bus; }
 
  private:
@@ -247,8 +244,7 @@ class SodaDaemon {
 
   void heartbeat_tick();
 
-  /// Emits one control-plane event: through the bus when wired, otherwise
-  /// straight to the trace log (both skipped when unset).
+  /// Publishes one control-plane event on the bus (skipped when unset).
   void emit(sim::SimTime at, TraceKind kind, const std::string& subject,
             std::string detail);
 
@@ -262,7 +258,6 @@ class SodaDaemon {
   std::vector<std::string> node_names_;
   std::vector<std::unique_ptr<NodeRecord>> node_records_;
   HostId host_id_;
-  TraceLog* trace_ = nullptr;
   ControlPlaneBus* bus_ = nullptr;
   bool alive_ = true;
   bool heartbeating_ = false;

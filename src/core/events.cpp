@@ -1,16 +1,43 @@
 #include "core/events.hpp"
 
 #include <algorithm>
+#include <string_view>
+#include <utility>
+
+#include "util/log.hpp"
 
 namespace soda::core {
 
+namespace {
+
+/// The standard counters, each fed by one event kind.
+constexpr std::pair<TraceKind, std::string_view> kCounters[] = {
+    {TraceKind::kAdmitted, "admissions"},
+    {TraceKind::kRejected, "rejections"},
+    {TraceKind::kPrimingStarted, "primings"},
+    {TraceKind::kPrimingFailed, "priming_failures"},
+    {TraceKind::kNodeBooted, "boots"},
+    {TraceKind::kServiceRunning, "services_started"},
+    {TraceKind::kResized, "resizes"},
+    {TraceKind::kTornDown, "teardowns"},
+    {TraceKind::kHostDown, "failures"},
+    {TraceKind::kHostUp, "host_recoveries"},
+    {TraceKind::kNodeLost, "placements_lost"},
+    {TraceKind::kRecovered, "recoveries"},
+};
+
+/// Host-down and health-changed are the facts an operator sees at the
+/// default (warn) level; the rest of the protocol narrates at info.
+util::LogLevel echo_level(TraceKind kind) noexcept {
+  return kind == TraceKind::kHostDown || kind == TraceKind::kHealthChanged
+             ? util::LogLevel::kWarn
+             : util::LogLevel::kInfo;
+}
+
+}  // namespace
+
 MetricsRegistry::MetricsRegistry() {
-  for (const char* name :
-       {"admissions", "rejections", "primings", "priming_failures", "boots",
-        "services_started", "resizes", "teardowns", "failures",
-        "host_recoveries", "placements_lost", "recoveries"}) {
-    counters_[name] = 0;
-  }
+  for (const auto& [kind, name] : kCounters) counters_.emplace(name, 0);
 }
 
 double MetricsRegistry::value(const std::string& name) const {
@@ -37,20 +64,11 @@ std::vector<std::string> MetricsRegistry::names() const {
 }
 
 void MetricsRegistry::observe(const ControlPlaneEvent& event) {
-  switch (event.kind) {
-    case TraceKind::kAdmitted:       increment("admissions"); break;
-    case TraceKind::kRejected:       increment("rejections"); break;
-    case TraceKind::kPrimingStarted: increment("primings"); break;
-    case TraceKind::kPrimingFailed:  increment("priming_failures"); break;
-    case TraceKind::kNodeBooted:     increment("boots"); break;
-    case TraceKind::kServiceRunning: increment("services_started"); break;
-    case TraceKind::kResized:        increment("resizes"); break;
-    case TraceKind::kTornDown:       increment("teardowns"); break;
-    case TraceKind::kHostDown:       increment("failures"); break;
-    case TraceKind::kHostUp:         increment("host_recoveries"); break;
-    case TraceKind::kNodeLost:       increment("placements_lost"); break;
-    case TraceKind::kRecovered:      increment("recoveries"); break;
-    default: break;
+  for (const auto& [kind, name] : kCounters) {
+    if (kind == event.kind) {
+      increment(std::string(name));
+      return;
+    }
   }
 }
 
@@ -67,14 +85,21 @@ void ControlPlaneBus::unsubscribe(std::size_t id) {
       subscribers_.end());
 }
 
+void ControlPlaneBus::record(ControlPlaneEvent event) {
+  const util::LogLevel level = echo_level(event.kind);
+  if (util::Logger& log = util::global_logger(); log.enabled(level)) {
+    log.log(level, event.actor, event.render());
+  }
+  trace_.record(std::move(event));
+}
+
 void ControlPlaneBus::publish(sim::SimTime at, TraceKind kind,
                               std::string actor, std::string subject,
                               std::string detail) {
   ++published_;
   ControlPlaneEvent event{at, kind, std::move(actor), std::move(subject),
                           std::move(detail)};
-  if (trace_) trace_->record(event.at, event.kind, event.actor, event.subject,
-                             event.detail);
+  record(event);
   metrics_.observe(event);
   for (const auto& [id, subscriber] : subscribers_) subscriber(event);
 }

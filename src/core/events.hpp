@@ -1,11 +1,14 @@
-// The control-plane event bus: the observability seam of the HUP. The
-// Master's subsystems (planner admission, priming, recovery) and the
-// daemons publish typed events into one ControlPlaneBus; the TraceLog (the
-// operator-facing record tests assert sequences on), the MetricsRegistry
-// (named counters/gauges), and any ad-hoc subscriber (HealthMonitor, tests)
-// observe them. Publishing is synchronous and deterministic: the trace
-// records first, then metrics, then subscribers in subscription order — so
-// replica runs see identical event streams.
+// The control-plane event bus: the observability seam of the HUP and the
+// one place a control-plane record enters. The Master's subsystems (planner
+// admission, priming, recovery), the daemons and the HealthMonitor publish
+// typed events into one ControlPlaneBus; the agent records its
+// request-received there too. The bus owns the TraceLog (the
+// operator-facing record tests assert sequences on) and echoes each record
+// to the global logger; the MetricsRegistry (named counters/gauges) and any
+// ad-hoc subscriber (HealthMonitor, tests) observe published events.
+// Publishing is synchronous and deterministic: the trace records first,
+// then metrics, then subscribers in subscription order — so replica runs
+// see identical event streams.
 #pragma once
 
 #include <cstdint>
@@ -18,15 +21,6 @@
 #include "sim/time.hpp"
 
 namespace soda::core {
-
-/// One typed control-plane event (the bus-level view of a TraceEvent).
-struct ControlPlaneEvent {
-  sim::SimTime at;
-  TraceKind kind;
-  std::string actor;    // "master", "daemon@seattle", "monitor", ...
-  std::string subject;  // service or node name
-  std::string detail;   // free-form specifics
-};
 
 /// Named counters and gauges fed by the bus. Counters accumulate from
 /// events (admissions, rejections, primings, failures, recoveries, ...);
@@ -74,7 +68,7 @@ class MetricsRegistry {
 };
 
 /// The bus itself. Not thread-safe (the simulation is single-threaded);
-/// cheap enough to stay on everywhere, like the TraceLog it feeds.
+/// cheap enough to stay on everywhere, like the TraceLog it owns.
 class ControlPlaneBus {
  public:
   using Subscriber = std::function<void(const ControlPlaneEvent&)>;
@@ -83,16 +77,22 @@ class ControlPlaneBus {
   std::size_t subscribe(Subscriber subscriber);
   void unsubscribe(std::size_t id);
 
-  /// Attaches the operator trace (emission is skipped when unset).
-  void set_trace(TraceLog* trace) noexcept { trace_ = trace; }
-  [[nodiscard]] TraceLog* trace() const noexcept { return trace_; }
+  /// The operator trace: every record, in order (bounded).
+  [[nodiscard]] TraceLog& trace() noexcept { return trace_; }
+  [[nodiscard]] const TraceLog& trace() const noexcept { return trace_; }
 
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const noexcept {
     return metrics_;
   }
 
-  /// Publishes one event: trace, then metrics, then subscribers in
+  /// Enters one record: appends it to the trace and, when the global
+  /// logger's level allows, echoes its render() line there — host-down and
+  /// health-changed at warn, every other kind at info. Metrics, subscribers
+  /// and the publish counter see only what publish() carries.
+  void record(ControlPlaneEvent event);
+
+  /// Publishes one event: record(), then metrics, then subscribers in
   /// subscription order.
   void publish(sim::SimTime at, TraceKind kind, std::string actor,
                std::string subject, std::string detail = {});
@@ -102,8 +102,9 @@ class ControlPlaneBus {
     return subscribers_.size();
   }
 
-  /// Checkpoints the metrics and the publish counter. Subscribers and the
-  /// trace pointer are wiring, re-established during reconstruction.
+  /// Checkpoints the metrics and the publish counter. Subscribers are
+  /// wiring, re-established during reconstruction; the Hup walks the trace
+  /// in a section of its own.
   template <class Ar>
   void serialize(Ar& ar) {
     ar.begin_section("bus");
@@ -114,7 +115,7 @@ class ControlPlaneBus {
   }
 
  private:
-  TraceLog* trace_ = nullptr;
+  TraceLog trace_;
   MetricsRegistry metrics_;
   std::vector<std::pair<std::size_t, Subscriber>> subscribers_;
   std::size_t next_id_ = 0;

@@ -14,22 +14,16 @@ Hup::Hup(MasterConfig master_config, LanConfig lan)
       network_(owned_network_.get()),
       lan_(lan) {
   lan_switch_ = network_->add_node("lan-switch");
-  trace_ = std::make_unique<TraceLog>();
   master_ = std::make_unique<SodaMaster>(*engine_, master_config);
   agent_ = std::make_unique<SodaAgent>(*engine_, *master_);
-  master_->set_trace(trace_.get());
-  agent_->set_trace(trace_.get());
 }
 
 Hup::Hup(sim::Engine& engine, net::FlowNetwork& network, std::string site_name,
          MasterConfig master_config, LanConfig lan)
     : engine_(&engine), network_(&network), lan_(lan) {
   lan_switch_ = network_->add_node(site_name + "/lan-switch");
-  trace_ = std::make_unique<TraceLog>();
   master_ = std::make_unique<SodaMaster>(*engine_, master_config);
   agent_ = std::make_unique<SodaAgent>(*engine_, *master_);
-  master_->set_trace(trace_.get());
-  agent_->set_trace(trace_.get());
 }
 
 host::HupHost& Hup::add_host(host::HostSpec spec, net::Ipv4Address pool_start,
@@ -47,7 +41,6 @@ host::HupHost& Hup::add_host(host::HostSpec spec, net::Ipv4Address pool_start,
   bundle.shaper = std::make_unique<net::TrafficShaper>(*network_);
   bundle.daemon = std::make_unique<SodaDaemon>(*engine_, *network_, *bundle.host,
                                                *bundle.shaper);
-  bundle.daemon->set_trace(trace_.get());
   must(master_->register_daemon(bundle.daemon.get()));
   auto [it, inserted] = hosts_.emplace(spec.name, std::move(bundle));
   SODA_ENSURES(inserted);
@@ -171,7 +164,7 @@ void Hup::serialize(Ar& ar, std::vector<TimerRecord>& timers) {
   }
   ar.walk(*network_);
   ar.u64(lan_switch_.value);
-  ar.walk(*trace_);
+  ar.walk(trace());
   // Hosts in daemon-registration order, so restore re-attaches them into
   // the same dense HostId space.
   std::size_t host_count = master_->daemons().size();
@@ -210,7 +203,6 @@ void Hup::serialize(Ar& ar, std::vector<TimerRecord>& timers) {
       bundle->shaper = std::make_unique<net::TrafficShaper>(*network_);
       bundle->daemon = std::make_unique<SodaDaemon>(
           *engine_, *network_, *bundle->host, *bundle->shaper);
-      bundle->daemon->set_trace(trace_.get());
     }
     ar.walk(*bundle->host);
     ar.walk(*bundle->shaper);

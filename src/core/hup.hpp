@@ -62,8 +62,9 @@ class Hup {
   /// periodic probing loop).
   [[nodiscard]] HealthMonitor& health_monitor();
 
-  /// The control-plane event trace (always on; bounded).
-  [[nodiscard]] TraceLog& trace() noexcept { return *trace_; }
+  /// The control-plane event trace (always on; bounded), owned by the
+  /// Master's bus.
+  [[nodiscard]] TraceLog& trace() noexcept { return master_->bus().trace(); }
 
   [[nodiscard]] host::HupHost* find_host(const std::string& name);
   [[nodiscard]] SodaDaemon* find_daemon(const std::string& host_name);
@@ -165,7 +166,6 @@ class Hup {
   net::NodeId lan_switch_;
   std::map<std::string, HostBundle> hosts_;
   std::vector<std::unique_ptr<image::ImageRepository>> repositories_;
-  std::unique_ptr<TraceLog> trace_;
   std::unique_ptr<SodaMaster> master_;
   std::unique_ptr<SodaAgent> agent_;
   std::unique_ptr<HealthMonitor> monitor_;

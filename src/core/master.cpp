@@ -6,7 +6,6 @@
 
 #include "snapshot/format.hpp"
 #include "util/contract.hpp"
-#include "util/log.hpp"
 
 namespace soda::core {
 
@@ -186,7 +185,6 @@ host::ResourceVector SodaMaster::hup_available() const {
 void SodaMaster::create_service(const ServiceCreationRequest& request,
                                 CreateCallback done) {
   SODA_EXPECTS(done != nullptr);
-  auto& log = util::global_logger();
 
   if (request.service_name.empty()) {
     done(ApiError{ApiErrorCode::kInvalidRequest, "service name must not be empty"},
@@ -264,9 +262,6 @@ void SodaMaster::create_service(const ServiceCreationRequest& request,
     placement.node_name =
         request.service_name + "/" + std::to_string(live.next_ordinal++);
   }
-  log.info("master", "admitted " + request.service_name + " " +
-                         request.requirement.to_string() + " onto " +
-                         std::to_string(live.placements.size()) + " node(s)");
   bus_.publish(engine_.now(), TraceKind::kAdmitted, "master",
                request.service_name,
                request.requirement.to_string() + " -> " +
@@ -335,11 +330,6 @@ void SodaMaster::finish_creation(ServiceRecord& record, CreateCallback done) {
   bus_.publish(engine_.now(), TraceKind::kServiceRunning, "master",
                record.service_name,
                std::to_string(record.nodes.size()) + " node(s)");
-  util::global_logger().info(
-      "master", record.service_name + " running; switch at " +
-                    front.address.to_string() + ":" +
-                    std::to_string(record.listen_port) + "\n" +
-                    record.service_switch->config_text());
 
   ServiceCreationReply reply;
   reply.service_name = record.service_name;
@@ -376,7 +366,6 @@ Result<void, ApiError> SodaMaster::teardown_service(const std::string& name) {
   must(record->lifecycle.transition(ServiceState::kGone));
   services_.erase(name);
   bus_.publish(engine_.now(), TraceKind::kTornDown, "master", name);
-  util::global_logger().info("master", "tore down " + name);
   return {};
 }
 

@@ -138,12 +138,8 @@ class SodaMaster {
   /// O(1) host lookup through the intern table; nullptr when unknown.
   [[nodiscard]] SodaDaemon* daemon_for(std::string_view host_name) const;
 
-  /// Attaches a trace log: the bus routes every published event into it
-  /// (emission is skipped when unset).
-  void set_trace(TraceLog* trace) noexcept { bus_.set_trace(trace); }
-  [[nodiscard]] TraceLog* trace() const noexcept { return bus_.trace(); }
-
-  /// The control-plane event bus (publish/subscribe; owns the metrics).
+  /// The control-plane event bus (publish/subscribe; owns the trace and the
+  /// metrics).
   [[nodiscard]] ControlPlaneBus& bus() noexcept { return bus_; }
   [[nodiscard]] const ControlPlaneBus& bus() const noexcept { return bus_; }
   /// Named control-plane counters/gauges (admissions, rejections, primings,

@@ -1,7 +1,6 @@
 #include "core/monitor.hpp"
 
 #include "util/contract.hpp"
-#include "util/log.hpp"
 
 namespace soda::core {
 
@@ -121,9 +120,6 @@ std::size_t HealthMonitor::probe_once() {
         master_.bus().publish(engine_.now(), TraceKind::kHealthChanged,
                               "monitor", descriptor.node_name,
                               alive ? "healthy" : "unhealthy");
-        util::global_logger().warn(
-            "monitor", descriptor.node_name + " marked " +
-                           (alive ? "healthy" : "unhealthy") + " in switch");
       }
     }
   });

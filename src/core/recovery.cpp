@@ -202,7 +202,6 @@ void RecoveryManager::handle_host_failure(SodaDaemon& daemon) {
   view_.down_hosts.set(id);
   const std::string& host = daemon.host_name();
   ++host_failures_;
-  util::global_logger().warn("master", "host " + host + " declared dead");
   bus_.publish(engine_.now(), TraceKind::kHostDown, "master", host);
   // The crashed host's chunks are unreachable: purge them from the registry
   // so peers stop selecting it and fail over their in-flight transfers.
@@ -256,8 +255,6 @@ void RecoveryManager::handle_host_recovery(SodaDaemon& daemon) {
   if (!view_.down_hosts.test(id)) return;
   view_.down_hosts.reset(id);
   if (enabled_) arm_host(id, engine_.now());
-  util::global_logger().info("master",
-                             "host " + daemon.host_name() + " is back");
   bus_.publish(engine_.now(), TraceKind::kHostUp, "master", daemon.host_name());
   // The returned capacity may complete recoveries that were stuck short.
   std::vector<std::string> degraded;
@@ -336,8 +333,6 @@ void RecoveryManager::finish_if_restored(ServiceRecord& record) {
     bus_.publish(engine_.now(), TraceKind::kRecovered, "master",
                  record.service_name,
                  std::to_string(record.nodes.size()) + " node(s)");
-    util::global_logger().info(
-        "master", record.service_name + " recovered to full capacity");
   }
 }
 

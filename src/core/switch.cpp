@@ -259,14 +259,6 @@ ServiceSwitch::ServiceSwitch(std::string service_name, net::Ipv4Address listen,
   SODA_EXPECTS(port_ > 0);
 }
 
-BackEndState* ServiceSwitch::find(net::Ipv4Address address) {
-  auto it = std::find_if(backends_.begin(), backends_.end(),
-                         [&](const BackEndState& b) {
-                           return b.entry.address == address;
-                         });
-  return it == backends_.end() ? nullptr : &*it;
-}
-
 BackEndState* ServiceSwitch::find(net::Ipv4Address address, int port) {
   auto it = std::find_if(backends_.begin(), backends_.end(),
                          [&](const BackEndState& b) {
@@ -274,37 +266,6 @@ BackEndState* ServiceSwitch::find(net::Ipv4Address address, int port) {
                                   b.entry.port == port;
                          });
   return it == backends_.end() ? nullptr : &*it;
-}
-
-BackEndState* ServiceSwitch::resolve_unique(net::Ipv4Address address) {
-  BackEndState* match = nullptr;
-  for (auto& backend : backends_) {
-    if (backend.entry.address != address) continue;
-    if (match) return nullptr;  // shared address: not attributable
-    match = &backend;
-  }
-  return match;
-}
-
-BackEndState* ServiceSwitch::resolve_completion(net::Ipv4Address address) {
-  BackEndState* match = nullptr;
-  BackEndState* active = nullptr;
-  bool shared = false;
-  bool active_shared = false;
-  for (auto& backend : backends_) {
-    if (backend.entry.address != address) continue;
-    if (match) shared = true;
-    match = &backend;
-    if (backend.active_connections > 0) {
-      if (active) active_shared = true;
-      active = &backend;
-    }
-  }
-  if (!shared) return match;
-  // Several backends share the address: only one with an in-flight
-  // connection can be the one completing. Two or more active stays
-  // ambiguous — drop rather than guess wrong.
-  return active_shared ? nullptr : active;
 }
 
 void ServiceSwitch::on_membership_changed() {
@@ -322,40 +283,22 @@ Status ServiceSwitch::add_backend(const BackEndEntry& entry) {
   return {};
 }
 
-Status ServiceSwitch::remove_backend(net::Ipv4Address address) {
-  BackEndState* backend = find(address);
-  if (!backend) return Error{"no backend " + address.to_string()};
-  return remove_backend(backend->entry.address, backend->entry.port);
-}
-
 Status ServiceSwitch::remove_backend(net::Ipv4Address address, int port) {
-  auto it = std::find_if(backends_.begin(), backends_.end(),
-                         [&](const BackEndState& b) {
-                           return b.entry.address == address &&
-                                  b.entry.port == port;
-                         });
-  if (it == backends_.end()) {
+  BackEndState* backend = find(address, port);
+  if (!backend) {
     return Error{"no backend " + address.to_string() + ":" +
                  std::to_string(port)};
   }
-  if (it->active_connections > 0) {
+  if (backend->active_connections > 0) {
     // In-flight requests keep the backend alive; the routable snapshot
     // hides draining entries, so no new requests arrive, and the last
     // on_request_complete() erases it.
-    it->draining = true;
-    on_membership_changed();
-    return {};
+    backend->draining = true;
+  } else {
+    backends_.erase(backends_.begin() + (backend - backends_.data()));
   }
-  backends_.erase(it);
   on_membership_changed();
   return {};
-}
-
-Status ServiceSwitch::set_backend_capacity(net::Ipv4Address address, int capacity) {
-  BackEndState* backend = find(address);
-  if (!backend) return Error{"no backend " + address.to_string()};
-  return set_backend_capacity(backend->entry.address, backend->entry.port,
-                              capacity);
 }
 
 Status ServiceSwitch::set_backend_capacity(net::Ipv4Address address, int port,
@@ -379,16 +322,6 @@ void ServiceSwitch::load_config(const ServiceConfigFile& file) {
   on_membership_changed();
 }
 
-Status ServiceSwitch::set_backend_health(net::Ipv4Address address, bool healthy) {
-  BackEndState* backend = find(address);
-  if (!backend) return Error{"no backend " + address.to_string()};
-  if (backend->healthy != healthy) {
-    backend->healthy = healthy;
-    touch();  // routable set changed; policy state survives health flips
-  }
-  return {};
-}
-
 Status ServiceSwitch::set_backend_health(net::Ipv4Address address, int port,
                                          bool healthy) {
   BackEndState* backend = find(address, port);
@@ -398,7 +331,7 @@ Status ServiceSwitch::set_backend_health(net::Ipv4Address address, int port,
   }
   if (backend->healthy != healthy) {
     backend->healthy = healthy;
-    touch();
+    touch();  // routable set changed; policy state survives health flips
   }
   return {};
 }
@@ -510,13 +443,6 @@ Result<BackEndEntry> ServiceSwitch::route(std::string_view component) {
   return backend.entry;
 }
 
-void ServiceSwitch::on_request_complete(net::Ipv4Address backend_address) {
-  BackEndState* backend = resolve_completion(backend_address);
-  if (backend) {
-    on_request_complete(backend->entry.address, backend->entry.port);
-  }
-}
-
 void ServiceSwitch::on_request_complete(net::Ipv4Address backend_address,
                                         int port) {
   BackEndState* backend = find(backend_address, port);
@@ -525,14 +451,6 @@ void ServiceSwitch::on_request_complete(net::Ipv4Address backend_address,
   if (backend->draining && backend->active_connections == 0) {
     backends_.erase(backends_.begin() + (backend - backends_.data()));
     on_membership_changed();
-  }
-}
-
-void ServiceSwitch::report_response_time(net::Ipv4Address backend_address,
-                                         double seconds) {
-  BackEndState* backend = resolve_unique(backend_address);
-  if (backend) {
-    report_response_time(backend->entry.address, backend->entry.port, seconds);
   }
 }
 
@@ -567,14 +485,6 @@ std::string ServiceSwitch::config_text() const {
   ServiceConfigFile file;
   for (const auto& backend : backends_) must(file.add(backend.entry));
   return file.serialize();
-}
-
-std::uint64_t ServiceSwitch::routed_to(net::Ipv4Address backend_address) const {
-  std::uint64_t total = 0;
-  for (const auto& backend : backends_) {
-    if (backend.entry.address == backend_address) total += backend.requests_routed;
-  }
-  return total;
 }
 
 std::uint64_t ServiceSwitch::routed_to(net::Ipv4Address backend_address,

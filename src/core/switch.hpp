@@ -163,25 +163,18 @@ class ServiceSwitch {
 
   /// Master-side maintenance of the configuration file. Backends are keyed
   /// by (address, port): proxied components of one partitioned service may
-  /// share their host's public address on different ports. The port-aware
-  /// overloads are canonical; the address-only ones act on the first
-  /// matching backend and exist for callers that predate shared addresses.
+  /// share their host's public address on different ports.
   Status add_backend(const BackEndEntry& entry);
-  Status remove_backend(net::Ipv4Address address);
   /// Removes (address, port). When requests are still in flight the backend
   /// drains instead: it stops receiving new requests immediately and is
   /// erased once its last active connection completes.
   Status remove_backend(net::Ipv4Address address, int port);
-  Status set_backend_capacity(net::Ipv4Address address, int capacity);
   Status set_backend_capacity(net::Ipv4Address address, int port, int capacity);
   /// Replaces the whole file (resize bulk update).
   void load_config(const ServiceConfigFile& file);
 
   /// Marks a backend unhealthy/healthy (failure handling; crashed guests
-  /// stop receiving requests). The address-only overload flips the first
-  /// matching backend; the port-qualified one disambiguates shared
-  /// addresses.
-  Status set_backend_health(net::Ipv4Address address, bool healthy);
+  /// stop receiving requests).
   Status set_backend_health(net::Ipv4Address address, int port, bool healthy);
 
   /// ASP hook: replaces the request-switching policy.
@@ -214,22 +207,12 @@ class ServiceSwitch {
   /// the next set_component_route().
   [[nodiscard]] std::string_view component_for(std::string_view target) const;
 
-  /// Connection lifecycle for least-connections-style policies. The
-  /// port-aware overload is canonical. The address-only one resolves the
-  /// full endpoint: the unique backend with that address, or — when several
-  /// backends share the address on different ports — the unique one with an
-  /// active connection (the only one that can be completing). A completion
-  /// that stays ambiguous is dropped rather than credited to the wrong
-  /// backend.
-  void on_request_complete(net::Ipv4Address backend);
+  /// Connection lifecycle for least-connections-style policies: a request
+  /// routed to (backend, port) finished (no-op for unknown backends).
   void on_request_complete(net::Ipv4Address backend, int port);
 
   /// Feedback for response-time-aware policies: the request sent to
-  /// `backend` completed in `seconds` (no-op for unknown backends). The
-  /// address-only overload attributes the sample only when the address maps
-  /// to a single backend; ambiguous samples are dropped so one component's
-  /// latency can never poison a sibling's estimate.
-  void report_response_time(net::Ipv4Address backend, double seconds);
+  /// (backend, port) completed in `seconds` (no-op for unknown backends).
   void report_response_time(net::Ipv4Address backend, int port, double seconds);
 
   /// Data-path failure feedback: the routed backend turned out dead before
@@ -267,10 +250,7 @@ class ServiceSwitch {
   /// Renders the current configuration file (Table 3 format).
   [[nodiscard]] std::string config_text() const;
 
-  /// Requests routed to `backend` so far (0 if unknown). The address-only
-  /// overload sums across every port sharing the address; the port-aware
-  /// one counts a single backend.
-  [[nodiscard]] std::uint64_t routed_to(net::Ipv4Address backend) const;
+  /// Requests routed to (backend, port) so far (0 if unknown).
   [[nodiscard]] std::uint64_t routed_to(net::Ipv4Address backend,
                                         int port) const;
 
@@ -299,14 +279,7 @@ class ServiceSwitch {
   /// nullptr when the component has no routable backends.
   const ComponentSnapshot* routable_snapshot(std::string_view component);
 
-  BackEndState* find(net::Ipv4Address address);
   BackEndState* find(net::Ipv4Address address, int port);
-  /// Resolves an address-only completion to a full endpoint (see
-  /// on_request_complete above); nullptr when ambiguous or unknown.
-  BackEndState* resolve_completion(net::Ipv4Address address);
-  /// Resolves an address-only sample: the single backend with `address`,
-  /// nullptr when shared or unknown.
-  BackEndState* resolve_unique(net::Ipv4Address address);
 
   std::string service_name_;
   net::Ipv4Address listen_;

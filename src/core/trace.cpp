@@ -33,14 +33,23 @@ TraceLog::TraceLog(std::size_t capacity) : capacity_(capacity) {
   SODA_EXPECTS(capacity >= 1);
 }
 
-void TraceLog::record(sim::SimTime at, TraceKind kind, std::string actor,
-                      std::string subject, std::string detail) {
+std::string ControlPlaneEvent::render() const {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "t=%.3fs", at.to_seconds());
+  std::string out = buf;
+  out += " [" + actor + "] ";
+  out += trace_kind_name(kind);
+  out += " " + subject;
+  if (!detail.empty()) out += ": " + detail;
+  return out;
+}
+
+void TraceLog::record(ControlPlaneEvent event) {
   if (events_.size() == capacity_) {
     events_.pop_front();
     ++dropped_;
   }
-  events_.push_back(TraceEvent{at, kind, std::move(actor), std::move(subject),
-                               std::move(detail)});
+  events_.push_back(std::move(event));
 }
 
 void TraceLog::clear() {
@@ -48,8 +57,9 @@ void TraceLog::clear() {
   dropped_ = 0;
 }
 
-std::vector<TraceEvent> TraceLog::for_subject(const std::string& subject) const {
-  std::vector<TraceEvent> out;
+std::vector<ControlPlaneEvent> TraceLog::for_subject(
+    const std::string& subject) const {
+  std::vector<ControlPlaneEvent> out;
   for (const auto& event : events_) {
     // A node subject like "web/0" also matches its service "web".
     if (event.subject == subject ||
@@ -70,14 +80,8 @@ std::vector<TraceKind> TraceLog::kinds_for(const std::string& subject) const {
 
 std::string TraceLog::render() const {
   std::string out;
-  char buf[64];
   for (const auto& event : events_) {
-    std::snprintf(buf, sizeof buf, "t=%.3fs", event.at.to_seconds());
-    out += buf;
-    out += " [" + event.actor + "] ";
-    out += trace_kind_name(event.kind);
-    out += " " + event.subject;
-    if (!event.detail.empty()) out += ": " + event.detail;
+    out += event.render();
     out += '\n';
   }
   return out;

@@ -1,8 +1,9 @@
-// Structured control-plane tracing. Every SODA entity emits typed events
+// Structured control-plane tracing. Every SODA entity records typed events
 // (admission, priming stages, boot, switch creation, resize, teardown,
-// health transitions) into a bounded in-memory trace. Operators read it as
-// text; tests assert on exact event sequences — which freezes the
-// control-plane protocol far more precisely than log-string matching.
+// health transitions) through the ControlPlaneBus into a bounded in-memory
+// trace. Operators read it as text; tests assert on exact event sequences —
+// which freezes the control-plane protocol far more precisely than
+// log-string matching.
 #pragma once
 
 #include <cstdint>
@@ -36,25 +37,31 @@ enum class TraceKind {
 
 std::string_view trace_kind_name(TraceKind kind) noexcept;
 
-/// One trace record.
-struct TraceEvent {
+/// The one control-plane record: what the bus publishes, the trace keeps,
+/// and the log echoes.
+struct ControlPlaneEvent {
   sim::SimTime at;
   TraceKind kind;
   std::string actor;    // "master", "daemon@seattle", "agent", "monitor"
   std::string subject;  // service or node name
   std::string detail;   // free-form specifics
+
+  /// "t=1.234s [daemon@seattle] node-booted web/0: ..." without a newline:
+  /// one line of TraceLog::render(), and the message of the log echo.
+  [[nodiscard]] std::string render() const;
 };
 
-/// Bounded FIFO of control-plane events. Not thread-safe (simulation is
-/// single-threaded); cheap enough to stay enabled everywhere.
+/// Bounded FIFO of control-plane events, owned by the ControlPlaneBus. Not
+/// thread-safe (simulation is single-threaded); cheap enough to stay
+/// enabled everywhere.
 class TraceLog {
  public:
   explicit TraceLog(std::size_t capacity = 4096);
 
-  void record(sim::SimTime at, TraceKind kind, std::string actor,
-              std::string subject, std::string detail = {});
+  /// Appends `event`, dropping the oldest one when full.
+  void record(ControlPlaneEvent event);
 
-  [[nodiscard]] const std::deque<TraceEvent>& events() const noexcept {
+  [[nodiscard]] const std::deque<ControlPlaneEvent>& events() const noexcept {
     return events_;
   }
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
@@ -62,13 +69,13 @@ class TraceLog {
   void clear();
 
   /// Events about `subject` (service or node), in order.
-  [[nodiscard]] std::vector<TraceEvent> for_subject(
+  [[nodiscard]] std::vector<ControlPlaneEvent> for_subject(
       const std::string& subject) const;
 
   /// The ordered kinds observed for `subject` — what sequence tests check.
   [[nodiscard]] std::vector<TraceKind> kinds_for(const std::string& subject) const;
 
-  /// Renders "t=1.234s [daemon@seattle] node-booted web/0: ..." lines.
+  /// Every event's render() line, each ending in a newline.
   [[nodiscard]] std::string render() const;
 
   /// Checkpoints the retained window and the dropped counter; chaos digests
@@ -90,7 +97,7 @@ class TraceLog {
 
  private:
   std::size_t capacity_;
-  std::deque<TraceEvent> events_;
+  std::deque<ControlPlaneEvent> events_;
   std::uint64_t dropped_ = 0;
 };
 

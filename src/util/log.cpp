@@ -22,19 +22,13 @@ std::string_view log_level_name(LogLevel level) noexcept {
 
 Logger::Logger() : level_(LogLevel::kWarn) { sinks_.push_back(stderr_sink()); }
 
-void Logger::set_level(LogLevel level) {
-  std::lock_guard lock(mutex_);
-  level_ = level;
-}
+void Logger::set_level(LogLevel level) { level_.store(level); }
 
-LogLevel Logger::level() const {
-  std::lock_guard lock(mutex_);
-  return level_;
-}
+LogLevel Logger::level() const { return level_.load(); }
 
 bool Logger::enabled(LogLevel level) const {
-  std::lock_guard lock(mutex_);
-  return level >= level_ && level_ != LogLevel::kOff;
+  const LogLevel threshold = level_.load();
+  return level >= threshold && threshold != LogLevel::kOff;
 }
 
 void Logger::set_sink(Sink sink) {
@@ -50,8 +44,8 @@ void Logger::add_sink(Sink sink) {
 
 void Logger::log(LogLevel level, std::string_view component,
                  std::string_view message) {
+  if (!enabled(level)) return;
   std::lock_guard lock(mutex_);
-  if (level < level_ || level_ == LogLevel::kOff) return;
   LogRecord record{level, std::string(component), std::string(message)};
   for (const auto& sink : sinks_) sink(record);
 }

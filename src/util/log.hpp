@@ -3,6 +3,7 @@
 // benches can silence priming chatter.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <mutex>
 #include <sstream>
@@ -24,9 +25,10 @@ struct LogRecord {
   std::string message;
 };
 
-/// Thread-safe leveled logger. Records below the threshold are dropped.
-/// By default records go to stderr; sinks can be replaced (e.g. captured in
-/// tests) or disabled entirely.
+/// Thread-safe leveled logger. Records below the threshold are dropped
+/// without taking the lock: the level is atomic, and only emission and sink
+/// changes serialize. By default records go to stderr; sinks can be
+/// replaced (e.g. captured in tests) or disabled entirely.
 class Logger {
  public:
   using Sink = std::function<void(const LogRecord&)>;
@@ -37,9 +39,9 @@ class Logger {
   void set_level(LogLevel level);
   [[nodiscard]] LogLevel level() const;
 
-  /// True when a record at `level` would be emitted. Hot paths check this
-  /// before concatenating a message so a silenced logger costs no
-  /// allocations.
+  /// True when a record at `level` would be emitted. Lock-free; hot paths
+  /// check this before concatenating a message so a silenced logger costs
+  /// no allocations.
   [[nodiscard]] bool enabled(LogLevel level) const;
 
   /// Replaces all sinks with `sink`. Passing nullptr silences the logger.
@@ -63,8 +65,8 @@ class Logger {
   }
 
  private:
-  mutable std::mutex mutex_;
-  LogLevel level_;
+  std::atomic<LogLevel> level_;
+  std::mutex mutex_;  // guards sinks_ and emission
   std::vector<Sink> sinks_;
 };
 

@@ -85,7 +85,7 @@ std::map<std::uint32_t, int> route_n(ServiceSwitch& sw, int n) {
   for (int i = 0; i < n; ++i) {
     const auto backend = must(sw.route());
     ++counts[backend.address.value()];
-    sw.on_request_complete(backend.address);
+    sw.on_request_complete(backend.address, backend.port);
   }
   return counts;
 }
@@ -114,7 +114,7 @@ TEST(Switch, SmoothWrrInterleavesInsteadOfBursting) {
     } else {
       consecutive_node1 = 0;
     }
-    sw.on_request_complete(backend.address);
+    sw.on_request_complete(backend.address, backend.port);
   }
   EXPECT_LE(worst, 2);
 }
@@ -159,18 +159,18 @@ TEST(Switch, FastestResponseExploresThenPrefersFaster) {
   EXPECT_EQ(sw.policy().name(), "fastest-response");
   // Exploration: the first two picks cover both backends.
   const auto first = must(sw.route());
-  sw.report_response_time(first.address, 0.100);
-  sw.on_request_complete(first.address);
+  sw.report_response_time(first.address, first.port, 0.100);
+  sw.on_request_complete(first.address, first.port);
   const auto second = must(sw.route());
   EXPECT_NE(second.address, first.address);
-  sw.report_response_time(second.address, 0.005);
-  sw.on_request_complete(second.address);
+  sw.report_response_time(second.address, second.port, 0.005);
+  sw.on_request_complete(second.address, second.port);
   // Exploitation: the fast backend now wins repeatedly.
   for (int i = 0; i < 10; ++i) {
     const auto pick = must(sw.route());
     EXPECT_EQ(pick.address, second.address);
-    sw.report_response_time(pick.address, 0.005);
-    sw.on_request_complete(pick.address);
+    sw.report_response_time(pick.address, pick.port, 0.005);
+    sw.on_request_complete(pick.address, pick.port);
   }
 }
 
@@ -179,11 +179,11 @@ TEST(Switch, FastestResponseAdaptsWhenSpeedsFlip) {
   sw.set_policy(make_fastest_response(0.5));
   // Prime both estimates: node1 fast, node2 slow.
   must(sw.route());
-  sw.report_response_time(kNode1, 0.010);
+  sw.report_response_time(kNode1, 8080, 0.010);
   must(sw.route());
-  sw.report_response_time(kNode2, 0.200);
+  sw.report_response_time(kNode2, 8080, 0.200);
   // node1 degrades; the EWMA crosses over after a few bad samples.
-  for (int i = 0; i < 6; ++i) sw.report_response_time(kNode1, 0.500);
+  for (int i = 0; i < 6; ++i) sw.report_response_time(kNode1, 8080, 0.500);
   EXPECT_EQ(must(sw.route()).address, kNode2);
 }
 
@@ -191,9 +191,9 @@ TEST(Switch, FastestResponseCapacityPreference) {
   auto sw = make_switch(4, 1);  // node1 has 4x capacity
   sw.set_policy(make_fastest_response(0.5));
   must(sw.route());
-  sw.report_response_time(kNode1, 0.300);
+  sw.report_response_time(kNode1, 8080, 0.300);
   must(sw.route());
-  sw.report_response_time(kNode2, 0.100);
+  sw.report_response_time(kNode2, 8080, 0.100);
   // Scores: node1 0.300/4 = 0.075 vs node2 0.100/1 = 0.10 -> node1 wins
   // despite the slower raw time: at comparable latency the larger node has
   // more headroom for the next request.
@@ -202,7 +202,7 @@ TEST(Switch, FastestResponseCapacityPreference) {
 
 TEST(Switch, ReportResponseTimeForUnknownBackendIsNoOp) {
   auto sw = make_switch();
-  sw.report_response_time(kNode3, 1.0);  // must not crash or throw
+  sw.report_response_time(kNode3, 8080, 1.0);  // must not crash or throw
   EXPECT_TRUE(sw.route().ok());
 }
 
@@ -237,19 +237,19 @@ TEST(Switch, IllBehavedCustomPolicyOnlyRefuses) {
 
 TEST(Switch, UnhealthyBackendSkipped) {
   auto sw = make_switch(1, 1);
-  must(sw.set_backend_health(kNode1, false));
+  must(sw.set_backend_health(kNode1, 8080, false));
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(must(sw.route()).address, kNode2);
   }
-  must(sw.set_backend_health(kNode1, true));
+  must(sw.set_backend_health(kNode1, 8080, true));
   const auto counts = route_n(sw, 10);
   EXPECT_TRUE(counts.count(kNode1.value()));
 }
 
 TEST(Switch, AllUnhealthyRefuses) {
   auto sw = make_switch();
-  must(sw.set_backend_health(kNode1, false));
-  must(sw.set_backend_health(kNode2, false));
+  must(sw.set_backend_health(kNode1, 8080, false));
+  must(sw.set_backend_health(kNode2, 8080, false));
   EXPECT_FALSE(sw.route().ok());
 }
 
@@ -257,15 +257,15 @@ TEST(Switch, AddRemoveBackendsAtRuntime) {
   auto sw = make_switch();
   must(sw.add_backend(BackEndEntry{kNode3, 8080, 1, {}}));
   EXPECT_EQ(sw.backends().size(), 3u);
-  must(sw.remove_backend(kNode3));
+  must(sw.remove_backend(kNode3, 8080));
   EXPECT_EQ(sw.backends().size(), 2u);
-  EXPECT_FALSE(sw.remove_backend(kNode3).ok());
+  EXPECT_FALSE(sw.remove_backend(kNode3, 8080).ok());
   EXPECT_FALSE(sw.add_backend(BackEndEntry{kNode1, 8080, 1, {}}).ok());
 }
 
 TEST(Switch, SetBackendCapacityChangesMix) {
   auto sw = make_switch(1, 1);
-  must(sw.set_backend_capacity(kNode1, 3));
+  must(sw.set_backend_capacity(kNode1, 8080, 3));
   const auto counts = route_n(sw, 400);
   EXPECT_EQ(counts.at(kNode1.value()), 300);
   EXPECT_EQ(counts.at(kNode2.value()), 100);
@@ -293,14 +293,10 @@ TEST(Switch, CountsRoutedAndPerBackend) {
   EXPECT_EQ(sw.routed_to(kNode1, 8080), 20u);
   EXPECT_EQ(sw.routed_to(kNode2, 8080), 10u);
   EXPECT_EQ(sw.routed_to(kNode3, 8080), 0u);
-  // The address-only form sums across the host's ports (here: just one).
-  EXPECT_EQ(sw.routed_to(kNode1), 20u);
-  EXPECT_EQ(sw.routed_to(kNode2), 10u);
 }
 
-// routed_to(address) silently sums across every port on that host; per-
-// backend assertions about same-address components need the port-aware
-// overload.
+// Components of one partitioned service may share their host's address on
+// different ports; each backend keeps its own routed count.
 TEST(Switch, RoutedToDistinguishesPortsOnOneAddress) {
   ServiceSwitch sw("shop", kNode1, 8080);
   must(sw.add_backend(BackEndEntry{kNode1, 8080, 2, {}}));
@@ -311,7 +307,6 @@ TEST(Switch, RoutedToDistinguishesPortsOnOneAddress) {
   }
   EXPECT_EQ(sw.routed_to(kNode1, 8080), 20u);
   EXPECT_EQ(sw.routed_to(kNode1, 9090), 10u);
-  EXPECT_EQ(sw.routed_to(kNode1), 30u);  // address-only: the host total
   EXPECT_EQ(sw.routed_to(kNode1, 7070), 0u);
 }
 
@@ -321,7 +316,7 @@ TEST(Switch, ActiveConnectionsTracked) {
   std::uint64_t active = 0;
   for (const auto& b : sw.backends()) active += b.active_connections;
   EXPECT_EQ(active, 1u);
-  sw.on_request_complete(backend.address);
+  sw.on_request_complete(backend.address, backend.port);
   active = 0;
   for (const auto& b : sw.backends()) active += b.active_connections;
   EXPECT_EQ(active, 0u);
@@ -367,61 +362,6 @@ TEST(Switch, FastestResponseKeysEwmaByAddressAndPort) {
   }
   EXPECT_EQ(by_port[9090], 20);
   EXPECT_EQ(by_port[8080], 0);
-}
-
-// Regression: the address-only on_request_complete(address) used to credit
-// the FIRST backend with that address, so with two components on one host
-// (ports 8080/9090) a completion on 9090 decremented 8080's connection
-// count — least-connections then saw phantom idle capacity on 8080 and
-// negative pressure on 9090. The overload now resolves the full endpoint:
-// unambiguous completions (only one sibling has an active connection) are
-// credited correctly, ambiguous ones are dropped.
-TEST(Switch, AddressOnlyCompletionResolvesThePortThatIsActive) {
-  ServiceSwitch sw("shop", kNode1, 8080);
-  must(sw.add_backend(BackEndEntry{kNode1, 8080, 1, {}}));
-  must(sw.add_backend(BackEndEntry{kNode1, 9090, 1, {}}));
-  const auto first = must(sw.route());  // exactly one sibling active
-  sw.on_request_complete(kNode1);       // address-only: must hit `first`
-  for (const auto& backend : sw.backends()) {
-    EXPECT_EQ(backend.active_connections, 0)
-        << "port " << backend.entry.port;
-  }
-  // Both siblings active: the completion is ambiguous and must be dropped,
-  // not guessed — active counts stay as they are.
-  const auto a = must(sw.route());
-  const auto b = must(sw.route());
-  ASSERT_NE(a.port, b.port);
-  sw.on_request_complete(kNode1);
-  std::uint64_t active = 0;
-  for (const auto& backend : sw.backends()) active += backend.active_connections;
-  EXPECT_EQ(active, 2u);
-  // Port-qualified completions still drain them.
-  sw.on_request_complete(kNode1, a.port);
-  sw.on_request_complete(kNode1, b.port);
-  for (const auto& backend : sw.backends()) {
-    EXPECT_EQ(backend.active_connections, 0);
-  }
-}
-
-// Same aliasing bug for response-time samples: an address-only report used
-// to update the first matching backend, poisoning a sibling's EWMA. With a
-// shared address the sample is now dropped (there is no right answer);
-// port-qualified reports remain exact.
-TEST(Switch, AddressOnlyResponseTimeDroppedWhenAddressIsShared) {
-  ServiceSwitch sw("shop", kNode1, 8080);
-  must(sw.add_backend(BackEndEntry{kNode1, 8080, 1, {}}));
-  must(sw.add_backend(BackEndEntry{kNode1, 9090, 1, {}}));
-  sw.set_policy(make_fastest_response(1.0));  // alpha 1: last sample wins
-  sw.report_response_time(kNode1, 8080, 0.500);
-  sw.report_response_time(kNode1, 9090, 0.001);
-  // Would previously have overwritten port 8080's estimate — and a huge
-  // sample on the shared address must not poison either sibling.
-  sw.report_response_time(kNode1, 9.0);
-  for (int i = 0; i < 10; ++i) {
-    const auto backend = must(sw.route());
-    EXPECT_EQ(backend.port, 9090);
-    sw.on_request_complete(backend.address, backend.port);
-  }
 }
 
 // Smooth WRR accumulated the per-pick weight total in `int`; two backends

@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "core/hup.hpp"
-#include "core/scenario.hpp"
 #include "image/chunk.hpp"
 #include "image/image.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/parallel_runner.hpp"
 #include "util/log.hpp"
 
@@ -105,8 +105,7 @@ TEST(ControlPlaneBus, PublishFeedsTraceMetricsAndSubscribers) {
             seen.end());
   EXPECT_NE(std::find(seen.begin(), seen.end(), TraceKind::kServiceRunning),
             seen.end());
-  // ...while the trace log (a bus sink since the decomposition) still holds
-  // the sequence older tests assert on.
+  // ...while the bus's trace still holds the sequence older tests assert on.
   const auto kinds = t.hup.trace().kinds_for("web");
   EXPECT_NE(std::find(kinds.begin(), kinds.end(), TraceKind::kServiceRunning),
             kinds.end());
@@ -122,6 +121,24 @@ TEST(ControlPlaneBus, PublishFeedsTraceMetricsAndSubscribers) {
   must(t.hup.master().teardown_service("web"));
   EXPECT_EQ(seen.size(), events_before);  // unsubscribed: no more deliveries
   EXPECT_EQ(metrics.value("teardowns"), 1.0);
+
+  // The agent records request-received without publishing it, so the trace
+  // holds every published event plus exactly those records.
+  ServiceCreationRequest request;
+  request.credentials = {"asp", "key"};
+  request.service_name = "via-agent";
+  request.image_location = t.location;
+  request.requirement = {1, one_per_host_unit()};
+  t.hup.agent().service_creation(
+      request, [](auto reply, sim::SimTime) { must(std::move(reply)); });
+  t.hup.engine().run();
+  const auto& records = t.hup.trace().events();
+  const auto requests = static_cast<std::size_t>(
+      std::count_if(records.begin(), records.end(), [](const auto& event) {
+        return event.kind == TraceKind::kRequestReceived;
+      }));
+  EXPECT_EQ(requests, 1u);
+  EXPECT_EQ(bus.published(), records.size() - requests);
 }
 
 TEST(ControlPlaneBus, RejectionAndGaugesAreObservable) {

@@ -9,11 +9,11 @@
 #include <vector>
 
 #include "core/hup.hpp"
-#include "core/scenario.hpp"
 #include "image/cache.hpp"
 #include "image/chunk.hpp"
 #include "image/distributor.hpp"
 #include "image/image.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/parallel_runner.hpp"
 #include "util/log.hpp"
 

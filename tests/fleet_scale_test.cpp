@@ -16,6 +16,7 @@
 #include "host/host.hpp"
 #include "image/image.hpp"
 #include "sim/parallel_runner.hpp"
+#include "util/fnv.hpp"
 #include "util/log.hpp"
 
 namespace soda::core {
@@ -153,14 +154,6 @@ TEST(HostSlices, ManyChurnCyclesKeepAggregatesExact) {
 // ---------------------------------------------------------------------------
 // Golden-trace determinism pin.
 
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const char c : text) {
-    hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-  }
-  return hash;
-}
-
 host::MachineConfig pin_unit() {
   host::MachineConfig m;
   m.cpu_mhz = 860;
@@ -226,7 +219,7 @@ std::uint64_t run_pinned_scenario() {
   // run(), not run_until: heartbeats self-reschedule forever once detection
   // is on, so drain a bounded window instead.
   hup.engine().run_until(hup.engine().now() + sim::SimTime::seconds(1));
-  return fnv1a(hup.trace().render());
+  return util::fnv1a(util::kFnvBasisSnapshot, hup.trace().render());
 }
 
 // Captured from the pre-refactor string-keyed control plane (std::map
@@ -295,7 +288,7 @@ std::uint64_t fleet_digest(std::size_t replica) {
     hup.engine().run();
   }
   digest += hup.trace().render();
-  return fnv1a(digest);
+  return util::fnv1a(util::kFnvBasisSnapshot, digest);
 }
 
 TEST(FleetDeterminism, ParallelRunnerMatchesSerialAt1kHosts) {

@@ -146,7 +146,7 @@ TEST(AgentStatus, CountsRoutedRequests) {
   ServiceSwitch* sw = bed.hup.master().find_switch("web-content");
   for (int i = 0; i < 7; ++i) {
     const auto backend = must(sw->route());
-    sw->on_request_complete(backend.address);
+    sw->on_request_complete(backend.address, backend.port);
   }
   const auto report = must(bed.hup.agent().service_status({"asp", "key"},
                                                           "web-content"));

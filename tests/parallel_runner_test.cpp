@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/scenario.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel_runner.hpp"
 #include "sim/random.hpp"

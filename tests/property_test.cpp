@@ -237,11 +237,11 @@ TEST_P(WrrProperty, LongRunMixMatchesCapacities) {
   const int rounds = 60 * total_capacity;
   for (int i = 0; i < rounds; ++i) {
     const auto backend = must(sw.route());
-    sw.on_request_complete(backend.address);
+    sw.on_request_complete(backend.address, backend.port);
   }
   for (const auto& [addr, cap] : capacity) {
     // Smooth WRR is exact over full cycles.
-    EXPECT_EQ(sw.routed_to(net::Ipv4Address(addr)),
+    EXPECT_EQ(sw.routed_to(net::Ipv4Address(addr), 80),
               static_cast<std::uint64_t>(60 * cap));
   }
 }

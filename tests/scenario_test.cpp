@@ -2,7 +2,7 @@
 // and expectation verbs.
 #include <gtest/gtest.h>
 
-#include "core/scenario.hpp"
+#include "scenario/scenario.hpp"
 
 namespace soda::core {
 namespace {

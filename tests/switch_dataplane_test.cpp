@@ -10,6 +10,7 @@
 
 #include "core/switch.hpp"
 #include "sim/parallel_runner.hpp"
+#include "util/fnv.hpp"
 
 namespace soda::core {
 namespace {
@@ -65,7 +66,7 @@ TEST(SwitchDataPlane, EpochBumpsOnControlPlaneChanges) {
   EXPECT_GT(sw.epoch(), epoch);
   epoch = sw.epoch();
 
-  must(sw.set_backend_capacity(kA, 3));
+  must(sw.set_backend_capacity(kA, 8080, 3));
   EXPECT_GT(sw.epoch(), epoch);
 }
 
@@ -153,13 +154,13 @@ std::uint64_t scenario_hash() {
   must(sw.add_backend(BackEndEntry{kB, 8080, 1, {}}));
   must(sw.add_backend(BackEndEntry{kC, 8080, 3, {}}));
   sw.set_policy(make_random_policy(7));
-  std::uint64_t hash = 1469598103934665603ULL;
+  std::uint64_t hash = util::kFnvBasis;
   for (int i = 0; i < 5000; ++i) {
     if (i == 1500) must(sw.set_backend_health(kB, 8080, false));
     if (i == 3000) must(sw.set_backend_health(kB, 8080, true));
     const auto backend = must(sw.route());
-    hash = (hash ^ backend.address.value()) * 1099511628211ULL;
-    hash = (hash ^ static_cast<std::uint64_t>(backend.port)) * 1099511628211ULL;
+    hash = util::fnv1a_word(hash, backend.address.value());
+    hash = util::fnv1a_word(hash, static_cast<std::uint64_t>(backend.port));
     sw.report_response_time(backend.address, backend.port, 1e-4 * (i % 7 + 1));
     sw.on_request_complete(backend.address, backend.port);
   }

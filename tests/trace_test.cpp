@@ -1,10 +1,14 @@
-// Tests for the control-plane trace: the TraceLog container itself and the
-// exact event sequences the SODA entities emit during service lifecycles.
+// Tests for the control-plane trace: the TraceLog container itself, the
+// exact event sequences the SODA entities emit during service lifecycles,
+// and the bus's echo of every record to the log.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "core/hup.hpp"
 #include "core/trace.hpp"
 #include "image/image.hpp"
+#include "util/log.hpp"
 
 namespace soda::core {
 namespace {
@@ -13,9 +17,10 @@ namespace {
 
 TEST(TraceLog, RecordsInOrder) {
   TraceLog log;
-  log.record(sim::SimTime::seconds(1), TraceKind::kAdmitted, "master", "svc");
-  log.record(sim::SimTime::seconds(2), TraceKind::kServiceRunning, "master",
-             "svc");
+  log.record({sim::SimTime::seconds(1), TraceKind::kAdmitted, "master", "svc",
+              {}});
+  log.record({sim::SimTime::seconds(2), TraceKind::kServiceRunning, "master",
+              "svc", {}});
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log.events()[0].kind, TraceKind::kAdmitted);
   EXPECT_EQ(log.events()[1].kind, TraceKind::kServiceRunning);
@@ -25,8 +30,8 @@ TEST(TraceLog, RecordsInOrder) {
 TEST(TraceLog, BoundedWithDropAccounting) {
   TraceLog log(3);
   for (int i = 0; i < 5; ++i) {
-    log.record(sim::SimTime::seconds(i), TraceKind::kAdmitted, "m",
-               "svc" + std::to_string(i));
+    log.record({sim::SimTime::seconds(i), TraceKind::kAdmitted, "m",
+                "svc" + std::to_string(i), {}});
   }
   EXPECT_EQ(log.size(), 3u);
   EXPECT_EQ(log.dropped(), 2u);
@@ -35,9 +40,10 @@ TEST(TraceLog, BoundedWithDropAccounting) {
 
 TEST(TraceLog, SubjectFilterMatchesServiceAndItsNodes) {
   TraceLog log;
-  log.record(sim::SimTime::zero(), TraceKind::kAdmitted, "master", "web");
-  log.record(sim::SimTime::zero(), TraceKind::kNodeBooted, "daemon@s", "web/0");
-  log.record(sim::SimTime::zero(), TraceKind::kAdmitted, "master", "webby");
+  log.record({sim::SimTime::zero(), TraceKind::kAdmitted, "master", "web", {}});
+  log.record(
+      {sim::SimTime::zero(), TraceKind::kNodeBooted, "daemon@s", "web/0", {}});
+  log.record({sim::SimTime::zero(), TraceKind::kAdmitted, "master", "webby", {}});
   const auto events = log.for_subject("web");
   ASSERT_EQ(events.size(), 2u);  // "webby" must not match "web"
   EXPECT_EQ(events[1].subject, "web/0");
@@ -45,8 +51,8 @@ TEST(TraceLog, SubjectFilterMatchesServiceAndItsNodes) {
 
 TEST(TraceLog, RenderIsHumanReadable) {
   TraceLog log;
-  log.record(sim::SimTime::seconds(1.5), TraceKind::kNodeBooted,
-             "daemon@seattle", "web/0", "ip 10.0.0.1");
+  log.record({sim::SimTime::seconds(1.5), TraceKind::kNodeBooted,
+              "daemon@seattle", "web/0", "ip 10.0.0.1"});
   const std::string text = log.render();
   EXPECT_NE(text.find("t=1.500s"), std::string::npos);
   EXPECT_NE(text.find("[daemon@seattle]"), std::string::npos);
@@ -55,9 +61,9 @@ TEST(TraceLog, RenderIsHumanReadable) {
 
 TEST(TraceLog, ClearResets) {
   TraceLog log(2);
-  log.record(sim::SimTime::zero(), TraceKind::kAdmitted, "m", "s");
-  log.record(sim::SimTime::zero(), TraceKind::kAdmitted, "m", "s");
-  log.record(sim::SimTime::zero(), TraceKind::kAdmitted, "m", "s");
+  for (int i = 0; i < 3; ++i) {
+    log.record({sim::SimTime::zero(), TraceKind::kAdmitted, "m", "s", {}});
+  }
   log.clear();
   EXPECT_EQ(log.size(), 0u);
   EXPECT_EQ(log.dropped(), 0u);
@@ -177,6 +183,76 @@ TEST(TraceSequence, MultiNodeCreationTracesEveryNode) {
     if (event.kind == TraceKind::kNodeBooted) ++boots;
   }
   EXPECT_EQ(boots, 2);  // seattle 2M node + tacoma 1M node
+}
+
+// ---------- The log echo ----------
+
+/// Captures the global logger at `level` for one scope, then restores the
+/// default stderr sink and the previous level.
+class LogCapture {
+ public:
+  explicit LogCapture(util::LogLevel level)
+      : saved_level_(util::global_logger().level()) {
+    util::global_logger().set_sink(util::capture_sink(records));
+    util::global_logger().set_level(level);
+  }
+  LogCapture(const LogCapture&) = delete;
+  LogCapture& operator=(const LogCapture&) = delete;
+  ~LogCapture() {
+    util::global_logger().set_level(saved_level_);
+    util::global_logger().set_sink(util::stderr_sink());
+  }
+
+  std::vector<util::LogRecord> records;
+
+ private:
+  util::LogLevel saved_level_;
+};
+
+TEST(TraceEcho, EveryRecordReachesTheLogInOrderAtInfo) {
+  LogCapture capture(util::LogLevel::kInfo);
+  TraceBed bed;
+  ASSERT_TRUE(bed.create("svc"));
+  const auto& events = bed.hup.trace().events();
+  ASSERT_FALSE(events.empty());
+  // request-received is recorded without being published; it echoes too.
+  EXPECT_EQ(events.front().kind, TraceKind::kRequestReceived);
+  std::size_t matched = 0;
+  for (const util::LogRecord& record : capture.records) {
+    if (matched < events.size() && record.message == events[matched].render()) {
+      EXPECT_EQ(record.component, events[matched].actor);
+      EXPECT_EQ(record.level, util::LogLevel::kInfo);
+      ++matched;
+    }
+  }
+  EXPECT_EQ(matched, events.size());
+}
+
+TEST(TraceEcho, NothingReachesTheLogWhenItIsOff) {
+  LogCapture capture(util::LogLevel::kOff);
+  TraceBed bed;
+  ASSERT_TRUE(bed.create("svc"));
+  EXPECT_FALSE(bed.hup.trace().events().empty());
+  EXPECT_TRUE(capture.records.empty());
+}
+
+TEST(TraceEcho, HealthFlipArrivesAtWarn) {
+  LogCapture capture(util::LogLevel::kWarn);
+  TraceBed bed;
+  ASSERT_TRUE(bed.create("svc"));
+  EXPECT_TRUE(capture.records.empty());  // creation narrates at info
+  const auto* record = bed.hup.master().find_service("svc");
+  bed.hup.find_daemon(record->nodes[0].host_name)
+      ->find_node(record->nodes[0].node_name)
+      ->uml()
+      .crash();
+  bed.hup.health_monitor().probe_once();
+  const ControlPlaneEvent& flip = bed.hup.trace().events().back();
+  ASSERT_EQ(flip.kind, TraceKind::kHealthChanged);
+  ASSERT_EQ(capture.records.size(), 1u);
+  EXPECT_EQ(capture.records[0].level, util::LogLevel::kWarn);
+  EXPECT_EQ(capture.records[0].component, "monitor");
+  EXPECT_EQ(capture.records[0].message, flip.render());
 }
 
 }  // namespace

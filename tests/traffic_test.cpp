@@ -217,7 +217,7 @@ TEST(Siege, RefusalsLeaveTimestampedSeries) {
   const net::Ipv4Address ip(10, 0, 0, 1);
   core::ServiceSwitch sw("web", ip, 8080);
   must(sw.add_backend(core::BackEndEntry{ip, 8080, 1, {}}));
-  must(sw.set_backend_health(ip, false));
+  must(sw.set_backend_health(ip, 8080, false));
   SiegeConfig cfg;
   cfg.concurrency = 2;
   cfg.max_requests = 10;
@@ -374,7 +374,7 @@ TEST(TrafficEngine, MultiTenantStreamsAreIndependent) {
 TEST(TrafficEngine, RefusalsLandInErrorStats) {
   TrafficBed bed;
   must(bed.service_switch.set_backend_health(net::Ipv4Address(10, 0, 0, 1),
-                                             false));
+                                             8080, false));
   TrafficEngine traffic(bed.engine);
   traffic.add_stream("web", bed.siege, TrafficTrace().constant(100, 1.0));
   traffic.start();
@@ -441,7 +441,7 @@ TEST(TrafficEngine, CheckpointRoundTripContinuesBitIdentical) {
   const TrafficTrace trace = TrafficTrace().constant(80, 2.0);
   TrafficBed original;
   must(original.service_switch.set_backend_health(net::Ipv4Address(10, 0, 0, 1),
-                                                  false));
+                                                  8080, false));
   TrafficEngine original_traffic(original.engine);
   original_traffic.add_stream("web", original.siege, trace);
   original_traffic.start();
@@ -453,7 +453,7 @@ TEST(TrafficEngine, CheckpointRoundTripContinuesBitIdentical) {
 
   TrafficBed restored;
   must(restored.service_switch.set_backend_health(net::Ipv4Address(10, 0, 0, 1),
-                                                  false));
+                                                  8080, false));
   TrafficEngine restored_traffic(restored.engine);
   restored_traffic.add_stream("web", restored.siege, trace);
   snapshot::Reader reader(bytes);
@@ -565,7 +565,7 @@ TEST(TrafficEngine, FileTraceCheckpointRoundTripContinuesBitIdentical) {
 
   TrafficBed original;
   must(original.service_switch.set_backend_health(net::Ipv4Address(10, 0, 0, 1),
-                                                  false));
+                                                  8080, false));
   TrafficEngine original_traffic(original.engine);
   original_traffic.add_stream("web", original.siege, parsed.value());
   original_traffic.start();
@@ -578,7 +578,7 @@ TEST(TrafficEngine, FileTraceCheckpointRoundTripContinuesBitIdentical) {
 
   TrafficBed restored;
   must(restored.service_switch.set_backend_health(net::Ipv4Address(10, 0, 0, 1),
-                                                  false));
+                                                  8080, false));
   TrafficEngine restored_traffic(restored.engine);
   restored_traffic.add_stream("web", restored.siege, parsed.value());
   snapshot::Reader reader(bytes);

@@ -1,6 +1,9 @@
 // Unit tests for soda::util — string helpers, Result, tables, CSV, logging.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "util/csv.hpp"
 #include "util/log.hpp"
 #include "util/result.hpp"
@@ -201,6 +204,36 @@ TEST(Logger, MultipleSinksAllReceive) {
   logger.warn("w", "msg");
   EXPECT_EQ(a.size(), 1u);
   EXPECT_EQ(b.size(), 1u);
+}
+
+// The level is read without the lock: workers logging while another thread
+// flips the level must neither race nor lose a record emitted while enabled.
+TEST(Logger, LevelFlipsWhileWorkersLog) {
+  Logger logger;
+  std::vector<LogRecord> records;
+  logger.set_sink(capture_sink(records));
+  logger.set_level(LogLevel::kOff);
+  constexpr int kWorkers = 4;
+  constexpr int kPerWorker = 2000;
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&logger] {
+      for (int i = 0; i < kPerWorker; ++i) {
+        if (logger.enabled(LogLevel::kInfo)) logger.info("w", "on");
+        logger.warn("w", "maybe");
+      }
+    });
+  }
+  for (int i = 0; i < 1000; ++i) {
+    logger.set_level(i % 2 == 0 ? LogLevel::kInfo : LogLevel::kOff);
+  }
+  for (auto& worker : workers) worker.join();
+  EXPECT_LE(records.size(), static_cast<std::size_t>(2 * kWorkers * kPerWorker));
+  for (const LogRecord& record : records) EXPECT_GE(record.level, LogLevel::kInfo);
+  logger.set_level(LogLevel::kWarn);
+  logger.warn("w", "after");
+  ASSERT_FALSE(records.empty());
+  EXPECT_EQ(records.back().message, "after");
 }
 
 TEST(Logger, LevelNames) {

@@ -184,7 +184,7 @@ TEST(Siege, RefusedWhenNoHealthyBackend) {
   const net::Ipv4Address ip(10, 0, 0, 1);
   core::ServiceSwitch sw("web", ip, 8080);
   must(sw.add_backend(core::BackEndEntry{ip, 8080, 1, {}}));
-  must(sw.set_backend_health(ip, false));
+  must(sw.set_backend_health(ip, 8080, false));
   SiegeConfig cfg;
   cfg.concurrency = 2;
   cfg.max_requests = 10;
