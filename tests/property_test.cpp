@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
+#include "util/fnv.hpp"
 
 namespace soda {
 namespace {
@@ -137,6 +140,144 @@ TEST_P(FlowFairnessProperty, EqualFlowsGetEqualRates) {
   for (const auto id : ids) {
     EXPECT_NEAR(network.flow_rate_mbps(id), 100.0 / n, 1e-6);
   }
+}
+
+// Drives a seeded world through every public entry point of the network and
+// folds into one digest the bit pattern of each live flow's rate after every
+// operation and every completion (flow and time). The values are pinned, so
+// a change to the allocator or the router that moves any rate in its last
+// bit, or any completion by a nanosecond, fails here.
+TEST_P(FlowFairnessProperty, CompletionAndRateDigestIsPinned) {
+  sim::Rng rng(GetParam());
+  sim::Engine engine;
+  net::FlowNetwork network(engine);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+
+  // Two or three LAN switches in a ring (two make a pair of parallel links),
+  // and hosts homed on one switch or on two neighbours, so equal-length
+  // alternative routes exist. Each host has guests behind it.
+  const std::size_t lan = pick(2) + 2;
+  std::vector<net::NodeId> switches;
+  for (std::size_t i = 0; i < lan; ++i) {
+    switches.push_back(network.add_node("sw" + std::to_string(i)));
+  }
+  for (std::size_t i = 0; i < lan; ++i) {
+    network.add_duplex_link(switches[i], switches[(i + 1) % lan],
+                            rng.bernoulli(0.5) ? 100 : rng.uniform(50, 400),
+                            sim::SimTime::microseconds(rng.uniform_int(50, 200)));
+  }
+  std::vector<net::NodeId> hosts;
+  std::vector<net::NodeId> endpoints;
+  const auto host_count = static_cast<int>(rng.uniform_int(4, 6));
+  for (int h = 0; h < host_count; ++h) {
+    const auto host = network.add_node("h" + std::to_string(h));
+    const std::size_t home = pick(lan);
+    network.add_duplex_link(host, switches[home], 100,
+                            sim::SimTime::microseconds(100));
+    if (rng.bernoulli(0.4)) {
+      network.add_duplex_link(host, switches[(home + 1) % lan], 100,
+                              sim::SimTime::microseconds(100));
+    }
+    hosts.push_back(host);
+    endpoints.push_back(host);
+    const auto guests = static_cast<int>(rng.uniform_int(1, 3));
+    for (int g = 0; g < guests; ++g) {
+      const auto guest =
+          network.add_node("h" + std::to_string(h) + "g" + std::to_string(g));
+      network.add_duplex_link(guest, host,
+                              rng.bernoulli(0.5) ? 50 : rng.uniform(20, 100),
+                              sim::SimTime::microseconds(10));
+      endpoints.push_back(guest);
+    }
+  }
+  // Per-IP shaper links, each shared by several flows.
+  std::vector<net::LinkId> shapers;
+  for (int i = 0; i < 3; ++i) {
+    shapers.push_back(network.add_virtual_link(rng.uniform(5, 40)));
+  }
+
+  std::uint64_t digest = util::kFnvBasis;
+  std::vector<net::FlowId> started;  // every flow, in start order
+  std::vector<std::size_t> live;     // indices into started, in start order
+  std::size_t completions = 0;
+  std::size_t peak_live = 0;
+  const auto fold_rates = [&] {
+    peak_live = std::max(peak_live, live.size());
+    for (const std::size_t i : live) {
+      digest = util::fnv1a_word(
+          digest, std::bit_cast<std::uint64_t>(network.flow_rate_mbps(started[i])));
+    }
+  };
+  const auto forget = [&live](std::size_t index) {
+    live.erase(std::find(live.begin(), live.end(), index));
+  };
+
+  // A completion folds its flow and time and may start a follow-up flow,
+  // up to `chain` generations deep.
+  std::function<void(int)> start = [&](int chain) {
+    const net::NodeId src = endpoints[pick(endpoints.size())];
+    const net::NodeId dst =
+        rng.bernoulli(0.05) ? src : endpoints[pick(endpoints.size())];
+    const std::int64_t bytes =
+        rng.bernoulli(0.1) ? 0 : rng.uniform_int(10'000, 4'000'000);
+    const double cap = rng.bernoulli(0.3) ? rng.uniform(2, 60) : net::kUncapped;
+    std::vector<net::LinkId> extra;
+    if (rng.bernoulli(0.5)) {
+      extra.push_back(shapers[pick(shapers.size())]);
+      if (rng.bernoulli(0.1)) extra.push_back(extra.front());  // counts twice
+    }
+    const std::size_t index = started.size();
+    started.emplace_back();
+    live.push_back(index);
+    started[index] = must(network.start_flow(
+        src, dst, bytes,
+        [&, index, chain](sim::SimTime at) {
+          ++completions;
+          digest = util::fnv1a_word(digest, started[index].value);
+          digest = util::fnv1a_word(digest, static_cast<std::uint64_t>(at.ns()));
+          forget(index);
+          if (chain > 0 && rng.bernoulli(0.5)) start(chain - 1);
+          fold_rates();
+        },
+        cap, extra));
+  };
+
+  for (int step = 0; step < 240; ++step) {
+    const double op = rng.uniform();
+    if (step == 120) {
+      // A new direct path between two hosts shortens routes mid-run.
+      network.add_duplex_link(hosts.front(), hosts.back(), 100,
+                              sim::SimTime::microseconds(100));
+    } else if (op < 0.45) {
+      start(2);
+    } else if (op < 0.6) {
+      network.set_link_capacity(net::LinkId{pick(network.link_count())},
+                                rng.bernoulli(0.3) ? 100 : rng.uniform(5, 200));
+    } else if (op < 0.7 && !live.empty()) {
+      const std::size_t index = live[pick(live.size())];
+      EXPECT_TRUE(network.cancel_flow(started[index]));
+      forget(index);
+    } else {
+      engine.run_until(engine.now() +
+                       sim::SimTime::milliseconds(rng.uniform_int(1, 40)));
+    }
+    fold_rates();
+  }
+  engine.run();
+  EXPECT_TRUE(live.empty());
+  EXPECT_EQ(network.active_flows(), 0u);
+  EXPECT_GT(completions, 100u);
+  EXPECT_GT(peak_live, 20u);
+
+  const std::map<std::uint64_t, std::uint64_t> pinned = {
+      {7, 0xab6f8e61d87d7aa1}, {8, 0xa70104eba4394e80},
+      {9, 0x56d37e590af72a39}, {10, 0x176c02d4a9d53389}};
+  EXPECT_EQ(digest, pinned.at(GetParam()))
+      << "digest 0x" << std::hex << digest << " after " << std::dec
+      << completions << " completions, at most " << peak_live << " live";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowFairnessProperty,
