@@ -2,6 +2,8 @@
 // (token bucket + per-IP flow-network shaping).
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "net/bridge.hpp"
 #include "net/shaper.hpp"
 #include "sim/engine.hpp"
@@ -167,10 +169,11 @@ TEST(TrafficShaper, ShapedFlowIsRateLimited) {
   network.add_duplex_link(a, b, 100, sim::SimTime::zero());
   TrafficShaper shaper(network);
   shaper.configure(kVm1, 10);
+  const std::array<LinkId, 1> via_shaper{*shaper.link_for(kVm1)};
   double done = -1;
   must(network.start_flow(a, b, 1'250'000,
                           [&](sim::SimTime t) { done = t.to_seconds(); },
-                          kUncapped, {*shaper.link_for(kVm1)}));
+                          kUncapped, via_shaper));
   engine.run();
   EXPECT_NEAR(done, 1.0, 1e-6);  // 1.25 MB at 10 Mbps
 }
