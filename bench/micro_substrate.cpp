@@ -6,8 +6,9 @@
 // experiments unpleasant to run.
 //
 // After the google-benchmark pass, main() runs a hand-timed head-to-head of
-// the two queue designs (with allocation counts from alloc_counter.cpp) and
-// records the results in BENCH_sim_core.json via BenchReport.
+// the two queue designs and a fleet-size flow-network reallocation (with
+// allocation counts from alloc_counter.cpp) and records the results in
+// BENCH_sim_core.json via BenchReport.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <ctime>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -104,28 +106,47 @@ void BM_SeedEventQueueCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SeedEventQueueCancelChurn)->Arg(1 << 10);
 
+// A LAN star: `hosts` hosts on 100 Mbps duplex links to one switch.
+struct Star {
+  sim::Engine engine;
+  net::FlowNetwork network{engine};
+  std::vector<net::NodeId> hosts;
+  std::vector<net::LinkId> uplinks;
+
+  explicit Star(int host_count) {
+    const auto sw = network.add_node("sw");
+    for (int i = 0; i < host_count; ++i) {
+      hosts.push_back(network.add_node("h"));
+      uplinks.push_back(
+          network.add_duplex_link(hosts.back(), sw, 100, sim::SimTime::zero())
+              .first);
+    }
+  }
+  // Flow i runs from host i to host i + 3 (mod hosts).
+  void start(std::size_t i, std::int64_t bytes) {
+    benchmark::DoNotOptimize(network.start_flow(
+        hosts[i % hosts.size()], hosts[(i + 3) % hosts.size()], bytes,
+        [](sim::SimTime) {}));
+  }
+};
+
 void BM_FlowNetworkReallocate(benchmark::State& state) {
-  const auto flows = static_cast<int>(state.range(0));
+  const auto host_count = static_cast<int>(state.range(0));
+  const auto flows = static_cast<std::size_t>(state.range(1));
   for (auto _ : state) {
     state.PauseTiming();
-    sim::Engine engine;
-    net::FlowNetwork network(engine);
-    const auto sw = network.add_node("sw");
-    std::vector<net::NodeId> hosts;
-    for (int i = 0; i < 8; ++i) {
-      hosts.push_back(network.add_node("h"));
-      network.add_duplex_link(hosts.back(), sw, 100, sim::SimTime::zero());
-    }
+    Star star(host_count);
     state.ResumeTiming();
-    for (int i = 0; i < flows; ++i) {
-      // Every start_flow triggers a full max-min reallocation.
-      benchmark::DoNotOptimize(network.start_flow(
-          hosts[i % 8], hosts[(i + 3) % 8], 1'000'000, [](sim::SimTime) {}));
-    }
+    // Every start_flow triggers a full max-min reallocation.
+    for (std::size_t i = 0; i < flows; ++i) star.start(i, 1'000'000);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(flows) * state.iterations());
 }
-BENCHMARK(BM_FlowNetworkReallocate)->Arg(16)->Arg(64);
+BENCHMARK(BM_FlowNetworkReallocate)
+    ->ArgNames({"hosts", "flows"})
+    ->Args({8, 16})
+    ->Args({8, 64})
+    ->Args({300, 64});
 
 void BM_SwitchRouteWrr(benchmark::State& state) {
   core::ServiceSwitch sw("svc", net::Ipv4Address(10, 0, 0, 1), 80);
@@ -325,6 +346,32 @@ void write_sim_core_report(const CaptureReporter& captured) {
                    {"cpu_s", cpu},
                    {"footprint_bytes", static_cast<double>(
                         queue.footprint_bytes())}});
+  }
+
+  // Flow-network reallocation at fleet size: 64 long flows in flight on a
+  // 300-host star (600 links). Each set_link_capacity runs exactly one
+  // settle (at an unchanged clock) and one reallocation; flipping one
+  // crossed uplink between 100 and 50 Mbps makes the filling take two
+  // rounds. After the warm-up, the reused buffers must absorb everything.
+  {
+    Star star(300);
+    for (std::size_t i = 0; i < 64; ++i) star.start(i, std::int64_t{1} << 50);
+    const auto reallocate = [&star](int i) {
+      star.network.set_link_capacity(star.uplinks[0], i % 2 == 0 ? 50 : 100);
+    };
+    for (int i = 0; i < 1'000; ++i) reallocate(i);
+    constexpr int kReallocations = 10'000;
+    const std::uint64_t allocs_before = bench::allocation_count();
+    const double start = cpu_seconds();
+    for (int i = 0; i < kReallocations; ++i) reallocate(i);
+    const double cpu = cpu_seconds() - start;
+    const std::uint64_t allocs = bench::allocation_count() - allocs_before;
+    report.record("flow_reallocate_h300_f64",
+                  {{"ns_per_reallocation", cpu * 1e9 / kReallocations},
+                   {"allocs_per_reallocation",
+                    static_cast<double>(allocs) / kReallocations},
+                   {"cores", static_cast<double>(
+                                 std::thread::hardware_concurrency())}});
   }
 
   if (report.write()) {
