@@ -24,19 +24,31 @@ ChunkRegistry::~ChunkRegistry() {
 
 void ChunkRegistry::attach(ImageDistributor* distributor) {
   SODA_EXPECTS(distributor != nullptr);
-  members_[distributor->host_name()] = distributor;
+  auto [it, fresh] =
+      members_.try_emplace(distributor->host_name(), distributor);
+  if (fresh) {
+    strays_ -= held_by(it->first);
+    return;
+  }
+  // The displaced distributor may outlive this registry: it must not
+  // detach from it later.
+  if (it->second != distributor) it->second->registry_ = nullptr;
+  it->second = distributor;
 }
 
 void ChunkRegistry::detach(const ImageDistributor* distributor) {
   if (distributor == nullptr) return;
   auto it = members_.find(distributor->host_name());
-  if (it != members_.end() && it->second == distributor) members_.erase(it);
+  if (it == members_.end() || it->second != distributor) return;
+  members_.erase(it);
+  strays_ += held_by(distributor->host_name());
 }
 
 void ChunkRegistry::report_chunk(const std::string& host, ChunkId chunk) {
   auto& hosts = holders_[chunk.digest];
   auto it = std::lower_bound(hosts.begin(), hosts.end(), host);
   if (it != hosts.end() && *it == host) return;
+  if (!is_member(host)) ++strays_;
   hosts.insert(it, host);
   ++reports_;
 }
@@ -47,23 +59,26 @@ void ChunkRegistry::drop_chunk(const std::string& host, ChunkId chunk) {
   auto& hosts = holder_it->second;
   auto it = std::lower_bound(hosts.begin(), hosts.end(), host);
   if (it == hosts.end() || *it != host) return;
+  if (!is_member(host)) --strays_;
   hosts.erase(it);
   ++drops_;
   if (hosts.empty()) holders_.erase(holder_it);
 }
 
 void ChunkRegistry::remove_host(const std::string& host) {
-  bool held_any = false;
+  const bool attached = is_member(host);
+  std::size_t held = 0;
   for (auto it = holders_.begin(); it != holders_.end();) {
     auto& hosts = it->second;
     auto pos = std::lower_bound(hosts.begin(), hosts.end(), host);
     if (pos != hosts.end() && *pos == host) {
       hosts.erase(pos);
-      held_any = true;
+      ++held;
     }
     it = hosts.empty() ? holders_.erase(it) : std::next(it);
   }
-  if (held_any) ++removals_;
+  if (!attached) strays_ -= held;
+  if (held > 0) ++removals_;
   // Tell the survivors even if the host held nothing: they may have flows
   // in flight from it that were dispatched before its last drop.
   for (auto& [name, member] : members_) {
@@ -73,26 +88,60 @@ void ChunkRegistry::remove_host(const std::string& host) {
 
 std::optional<ChunkRegistry::Peer> ChunkRegistry::locate(
     ChunkId chunk, const std::string& requester) const {
-  auto it = holders_.find(chunk.digest);
+  const auto it = holders_.find(chunk.digest);
   if (it == holders_.end()) return std::nullopt;
-  std::vector<const std::string*> candidates;
-  candidates.reserve(it->second.size());
-  for (const std::string& host : it->second) {
-    if (host == requester) continue;
-    if (members_.count(host) == 0) continue;
-    candidates.push_back(&host);
+  const std::vector<std::string>& hosts = it->second;
+  const std::uint64_t key =
+      util::fnv1a(util::kFnvBasis, requester) ^ chunk.digest;
+  const auto peer = [this](const std::string& host) {
+    return Peer{host, members_.at(host)->node()};
+  };
+  if (strays_ == 0) {
+    // Every holder is a member, so the candidates are the holders less the
+    // requester: index them as if the requester's slot were not there.
+    const auto self = std::lower_bound(hosts.begin(), hosts.end(), requester);
+    const bool holds = self != hosts.end() && *self == requester;
+    const std::size_t count = hosts.size() - (holds ? 1 : 0);
+    if (count == 0) return std::nullopt;
+    auto index = static_cast<std::size_t>(key % count);
+    if (holds && index >= static_cast<std::size_t>(self - hosts.begin())) {
+      ++index;
+    }
+    return peer(hosts[index]);
   }
-  if (candidates.empty()) return std::nullopt;
-  const std::uint64_t key = util::fnv1a(util::kFnvBasis, requester);
-  const std::size_t index =
-      static_cast<std::size_t>((key ^ chunk.digest) % candidates.size());
-  const std::string& host = *candidates[index];
-  return Peer{host, members_.at(host)->node()};
+  const auto eligible = [&](const std::string& host) {
+    return host != requester && is_member(host);
+  };
+  const auto count = static_cast<std::size_t>(
+      std::count_if(hosts.begin(), hosts.end(), eligible));
+  if (count == 0) return std::nullopt;
+  auto index = static_cast<std::size_t>(key % count);
+  for (const std::string& host : hosts) {
+    if (eligible(host) && index-- == 0) return peer(host);
+  }
+  return std::nullopt;  // unreachable: `count` hosts are eligible
 }
 
 std::size_t ChunkRegistry::holder_count(ChunkId chunk) const {
   auto it = holders_.find(chunk.digest);
   return it == holders_.end() ? 0 : it->second.size();
+}
+
+std::size_t ChunkRegistry::held_by(const std::string& host) const {
+  std::size_t held = 0;
+  for (const auto& [digest, hosts] : holders_) {
+    if (std::binary_search(hosts.begin(), hosts.end(), host)) ++held;
+  }
+  return held;
+}
+
+void ChunkRegistry::count_strays() {
+  strays_ = 0;
+  for (const auto& [digest, hosts] : holders_) {
+    for (const std::string& host : hosts) {
+      if (!is_member(host)) ++strays_;
+    }
+  }
 }
 
 // --- ImageDistributor -------------------------------------------------------

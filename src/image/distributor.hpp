@@ -21,6 +21,7 @@
 // re-dispatch (another peer if one holds the chunk, else the origin).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -29,6 +30,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "image/cache.hpp"
@@ -67,8 +69,10 @@ struct DistributionConfig {
 /// in-flight transfers from it.
 class ChunkRegistry {
  public:
+  /// `host` views the registry's own copy of the name: valid until the
+  /// registry next changes.
   struct Peer {
-    std::string host;
+    std::string_view host;
     net::NodeId node;
   };
 
@@ -80,7 +84,8 @@ class ChunkRegistry {
   ~ChunkRegistry();
 
   /// Adds a host's distributor as a registry member (idempotent per host;
-  /// the latest distributor under a name wins).
+  /// the latest distributor under a name wins, and the one it displaces
+  /// forgets the registry).
   void attach(ImageDistributor* distributor);
   void detach(const ImageDistributor* distributor);
 
@@ -93,8 +98,10 @@ class ChunkRegistry {
   void remove_host(const std::string& host);
 
   /// A live holder of `chunk` other than `requester`, or nullopt. The
-  /// choice spreads load deterministically: a hash of (requester, chunk)
-  /// indexes the sorted holder list.
+  /// choice spreads load deterministically: of the chunk's holders sorted
+  /// by name, less the requester and every host that is not a member,
+  /// the one at (fnv1a(requester) ^ digest) % count. Allocates nothing;
+  /// while every holder is a member it costs one binary search.
   [[nodiscard]] std::optional<Peer> locate(ChunkId chunk,
                                            const std::string& requester) const;
 
@@ -107,25 +114,47 @@ class ChunkRegistry {
   [[nodiscard]] std::uint64_t hosts_removed() const noexcept {
     return removals_;
   }
+  /// Holder entries whose host is not an attached member.
+  [[nodiscard]] std::size_t strays() const noexcept { return strays_; }
 
   /// Checkpoints chunk holdings and counters. Membership is wiring, not
-  /// state: restore re-attaches each distributor as its host is rebuilt.
+  /// state: restore re-attaches each distributor as its host is rebuilt,
+  /// and a load counts the strays afresh against those members.
   template <class Ar>
   void serialize(Ar& ar) {
     ar.begin_section("chunk_registry");
     ar.seq(holders_, [&ar](auto& chunk) {
       ar.u64(chunk.first);
       ar.seq(chunk.second, [&ar](auto& host) { ar.str(host); });
+      if constexpr (Ar::kLoading) {
+        // locate() and the holder updates binary-search each list.
+        const auto& hosts = chunk.second;
+        ar.check(std::adjacent_find(hosts.begin(), hosts.end(),
+                                    std::greater_equal<>{}) == hosts.end(),
+                 "chunk holders not in strictly ascending order");
+      }
     });
     ar.u64(reports_);
     ar.u64(drops_);
     ar.u64(removals_);
     ar.end_section();
+    if constexpr (Ar::kLoading) count_strays();
   }
 
  private:
+  [[nodiscard]] bool is_member(const std::string& host) const {
+    return members_.count(host) != 0;
+  }
+  /// Holder entries under `host`, one per chunk it holds.
+  [[nodiscard]] std::size_t held_by(const std::string& host) const;
+  void count_strays();
+
   std::map<std::uint64_t, std::vector<std::string>> holders_;  // sorted hosts
   std::map<std::string, ImageDistributor*> members_;
+  /// Only direct use of the API makes a stray (a report from a host that
+  /// never attached, or holdings left by a detached member); while there is
+  /// none, locate() need not test the holders for membership.
+  std::size_t strays_ = 0;
   std::uint64_t reports_ = 0;
   std::uint64_t drops_ = 0;
   std::uint64_t removals_ = 0;

@@ -4,8 +4,12 @@
 // replica determinism of the whole stack under the parallel runner.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hup.hpp"
@@ -15,6 +19,9 @@
 #include "image/image.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/parallel_runner.hpp"
+#include "sim/random.hpp"
+#include "snapshot/format.hpp"
+#include "util/fnv.hpp"
 #include "util/log.hpp"
 
 namespace soda::core {
@@ -118,6 +125,233 @@ TEST(ChunkRegistry, LocatesSpreadsAndForgetsCrashedHosts) {
   registry.drop_chunk("host-1", chunk);
   EXPECT_EQ(registry.holder_count(chunk), 0u);
   EXPECT_EQ(registry.tracked_chunks(), 0u);
+}
+
+/// A distributor displaced by a later one under its name must forget the
+/// registry: here the registry dies first, as a Hup's does before its
+/// daemons, and the displaced distributor's destructor must not reach it.
+TEST(ChunkRegistry, DisplacedMemberMayOutliveRegistry) {
+  sim::Engine engine;
+  net::FlowNetwork network(engine);
+  const net::NodeId node = network.add_node("h");
+  auto first =
+      std::make_unique<image::ImageDistributor>(engine, network, node, "h");
+  {
+    image::ChunkRegistry registry;
+    first->set_registry(&registry);
+    image::ImageDistributor second(engine, network, node, "h");
+    second.set_registry(&registry);
+  }
+  first.reset();
+}
+
+/// The stray count (holder entries whose host is not a member) decides
+/// how locate() picks; every change to holdings or membership keeps it,
+/// and a load recounts it against the members attached before the load.
+TEST(ChunkRegistry, CountsStraysThroughEveryChange) {
+  util::global_logger().set_level(util::LogLevel::kOff);
+  sim::Engine engine;
+  net::FlowNetwork network(engine);
+  image::ChunkRegistry registry;
+  image::ImageDistributor a(engine, network, network.add_node("a"), "a");
+  image::ImageDistributor b(engine, network, network.add_node("b"), "b");
+  a.set_registry(&registry);
+  registry.report_chunk("a", image::ChunkId{1});
+  registry.report_chunk("b", image::ChunkId{1});  // b has not attached
+  registry.report_chunk("b", image::ChunkId{2});
+  EXPECT_EQ(registry.strays(), 2u);
+  b.set_registry(&registry);
+  EXPECT_EQ(registry.strays(), 0u);
+  a.set_registry(nullptr);  // a leaves holding chunk 1
+  EXPECT_EQ(registry.strays(), 1u);
+  registry.drop_chunk("a", image::ChunkId{1});
+  EXPECT_EQ(registry.strays(), 0u);
+  registry.report_chunk("c", image::ChunkId{2});
+  registry.report_chunk("c", image::ChunkId{3});
+  EXPECT_EQ(registry.strays(), 2u);
+  registry.remove_host("c");
+  EXPECT_EQ(registry.strays(), 0u);
+  registry.remove_host("b");  // a member's holdings were never strays
+  EXPECT_EQ(registry.strays(), 0u);
+
+  registry.report_chunk("a", image::ChunkId{4});
+  registry.report_chunk("b", image::ChunkId{4});
+  EXPECT_EQ(registry.strays(), 1u);
+  snapshot::Writer writer;
+  registry.serialize(writer);
+  const std::string bytes = writer.finish();
+  image::ChunkRegistry loaded;
+  image::ImageDistributor a2(engine, network, network.add_node("a"), "a");
+  a2.set_registry(&loaded);
+  snapshot::Reader reader(bytes);
+  loaded.serialize(reader);
+  ASSERT_TRUE(reader.ok()) << reader.error();
+  EXPECT_EQ(loaded.strays(), 1u);  // only a is a member of `loaded`
+  EXPECT_EQ(loaded.locate(image::ChunkId{4}, "z")->host, "a");
+}
+
+/// locate() binary-searches each holder list, so a load refuses one that
+/// is out of order.
+TEST(ChunkRegistry, LoadRejectsUnsortedHolders) {
+  image::ChunkRegistry registry;
+  registry.report_chunk("host-b", image::ChunkId{1});
+  registry.report_chunk("host-c", image::ChunkId{1});
+  snapshot::Writer writer;
+  registry.serialize(writer);
+  std::string bytes = writer.finish();
+  // A name of the same length keeps the layout: holders become {z, c}.
+  bytes.replace(bytes.find("host-b"), 6, "host-z");
+  const std::uint64_t sum =
+      snapshot::fnv1a(std::string_view(bytes).substr(0, bytes.size() - 8));
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[bytes.size() - 8 + i] = static_cast<char>((sum >> (8 * i)) & 0xFF);
+  }
+  image::ChunkRegistry loaded;
+  snapshot::Reader reader(bytes);
+  loaded.serialize(reader);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_NE(reader.error().find("ascending"), std::string::npos)
+      << reader.error();
+}
+
+/// locate() against the rule applied literally: of the chunk's holders in
+/// name order, drop the requester and every host that is not an attached
+/// member, then index the rest by (fnv1a(requester) ^ digest) % count.
+/// A seeded walk attaches, detaches and replaces members, reports from
+/// hosts that never attach, and reports, drops and removes holdings; after
+/// every step every chunk is located for every requester.
+TEST(ChunkRegistry, LocateMatchesTheFilterThenIndexRule) {
+  util::global_logger().set_level(util::LogLevel::kOff);
+  sim::Engine engine;
+  net::FlowNetwork network(engine);
+  image::ChunkRegistry registry;  // outlives every distributor below
+
+  constexpr int kSlots = 6;
+  const std::vector<std::string> strays = {"stray-0", "stray-1"};
+  std::vector<std::string> names;
+  for (int i = 0; i < kSlots; ++i) names.push_back("host-" + std::to_string(i));
+  std::vector<std::unique_ptr<image::ImageDistributor>> slots(kSlots);
+  std::vector<bool> attached(kSlots, false);
+  // The reference state: members by name, and holders by chunk.
+  std::map<std::string, net::NodeId> members;
+  std::map<std::uint64_t, std::set<std::string>> holders;
+  const std::vector<std::uint64_t> chunks = {11, 12, 13, 0x5eedULL << 40};
+
+  const auto set_attached = [&](int i, bool attach) {
+    slots[i]->set_registry(attach ? &registry : nullptr);
+    if (attach) {
+      members[names[i]] = slots[i]->node();
+    } else {
+      members.erase(names[i]);
+    }
+    attached[i] = attach;
+  };
+  // A fresh distributor for slot `i` replaces (and destroys) the old one,
+  // joining the registry when `attach` says so.
+  const auto replace = [&](int i, bool attach) {
+    auto fresh = std::make_unique<image::ImageDistributor>(
+        engine, network, network.add_node(names[i]), names[i]);
+    if (attach) fresh->set_registry(&registry);
+    std::swap(slots[i], fresh);
+    if (attach) {
+      members[names[i]] = slots[i]->node();
+    } else {
+      members.erase(names[i]);
+    }
+    attached[i] = attach;
+  };
+  const auto remove_host = [&](const std::string& host) {
+    registry.remove_host(host);
+    for (auto it = holders.begin(); it != holders.end();) {
+      it->second.erase(host);
+      it = it->second.empty() ? holders.erase(it) : std::next(it);
+    }
+  };
+  const auto reference = [&](std::uint64_t digest, const std::string& requester)
+      -> std::optional<std::pair<std::string, net::NodeId>> {
+    const auto it = holders.find(digest);
+    if (it == holders.end()) return std::nullopt;
+    std::vector<std::string> candidates;
+    for (const std::string& host : it->second) {
+      if (host != requester && members.count(host) != 0) {
+        candidates.push_back(host);
+      }
+    }
+    if (candidates.empty()) return std::nullopt;
+    const std::uint64_t key = util::fnv1a(util::kFnvBasis, requester);
+    const std::string& host = candidates[(key ^ digest) % candidates.size()];
+    return std::make_pair(host, members.at(host));
+  };
+  for (int i = 0; i < kSlots; ++i) replace(i, i % 2 == 0);
+
+  std::vector<std::string> requesters = names;
+  requesters.insert(requesters.end(), strays.begin(), strays.end());
+  requesters.push_back("nobody");
+  sim::Rng rng(15);
+  int steps_with_strays = 0;
+  int steps_without_strays = 0;
+  for (int step = 0; step < 600; ++step) {
+    // Phases of 100 steps alternate. A clean phase starts with every slot
+    // attached and no stray holdings, and keeps it so; a mixed phase also
+    // detaches members that hold chunks and takes reports from strays.
+    const bool mixed = (step / 100) % 2 == 1;
+    if (step % 100 == 0 && !mixed) {
+      for (int i = 0; i < kSlots; ++i) {
+        if (!attached[i]) set_attached(i, true);
+      }
+      for (const std::string& stray : strays) remove_host(stray);
+    }
+    const int slot = static_cast<int>(rng.uniform_int(0, kSlots - 1));
+    const std::uint64_t chunk =
+        chunks[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+    const std::string& host =
+        mixed && rng.uniform_int(0, 4) == 0 ? strays[step % 2] : names[slot];
+    const auto roll = rng.uniform_int(0, 99);
+    if (mixed && roll < 8) {
+      set_attached(slot, !attached[slot]);
+    } else if (roll < 14) {
+      replace(slot, !mixed || rng.uniform_int(0, 3) != 0);
+    } else if (roll < 64) {
+      registry.report_chunk(host, image::ChunkId{chunk});
+      holders[chunk].insert(host);
+    } else if (roll < 92) {
+      registry.drop_chunk(host, image::ChunkId{chunk});
+      if (auto it = holders.find(chunk); it != holders.end()) {
+        it->second.erase(host);
+        if (it->second.empty()) holders.erase(it);
+      }
+    } else {
+      remove_host(host);
+    }
+
+    bool any_stray = false;
+    for (const auto& [digest, hosts] : holders) {
+      for (const std::string& holder : hosts) {
+        any_stray |= members.count(holder) == 0;
+      }
+    }
+    ++(any_stray ? steps_with_strays : steps_without_strays);
+    for (const std::uint64_t digest : chunks) {
+      const image::ChunkId id{digest};
+      const auto held = holders.find(digest);
+      ASSERT_EQ(registry.holder_count(id),
+                held == holders.end() ? 0u : held->second.size())
+          << "step " << step;
+      for (const std::string& requester : requesters) {
+        const auto got = registry.locate(id, requester);
+        const auto want = reference(digest, requester);
+        ASSERT_EQ(got.has_value(), want.has_value())
+            << "step " << step << ", chunk " << digest << ", " << requester;
+        if (!got) continue;
+        ASSERT_EQ(std::string(got->host), want->first)
+            << "step " << step << ", chunk " << digest << ", " << requester;
+        ASSERT_EQ(got->node, want->second) << "step " << step;
+      }
+    }
+  }
+  // The walk spends real time on both sides of "every holder is a member".
+  EXPECT_GT(steps_with_strays, 150);
+  EXPECT_GT(steps_without_strays, 250);
 }
 
 /// Two concurrent fetches of the same image on one host must share one
