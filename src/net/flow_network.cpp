@@ -17,6 +17,7 @@ constexpr double kEpsilonBytes = 0.5;
 NodeId FlowNetwork::add_node(std::string name) {
   nodes_.push_back(std::move(name));
   out_links_.emplace_back();
+  tree_.emplace_back();
   return NodeId{nodes_.size() - 1};
 }
 
@@ -25,8 +26,7 @@ LinkId FlowNetwork::add_link(NodeId from, NodeId to, double capacity_mbps,
   SODA_EXPECTS(from.value < nodes_.size() && to.value < nodes_.size());
   SODA_EXPECTS(capacity_mbps > 0);
   links_.push_back(Link{from, to, mbps_to_bytes_per_sec(capacity_mbps), latency});
-  out_links_[from.value].push_back(links_.size() - 1);
-  routes_.clear();
+  index_link(links_.size() - 1);
   return LinkId{links_.size() - 1};
 }
 
@@ -62,36 +62,102 @@ const std::string& FlowNetwork::node_name(NodeId node) const {
   return nodes_[node.value];
 }
 
-const std::vector<std::size_t>* FlowNetwork::route(NodeId src, NodeId dst) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(src.value) << 32) | dst.value;
-  if (const auto it = routes_.find(key); it != routes_.end()) return &it->second;
-  if (src == dst) return &routes_[key];  // zero hops
-  // BFS by hop count over topology links.
-  seen_stamp_.resize(nodes_.size());
-  via_link_.resize(nodes_.size());
-  const std::uint64_t stamp = ++bfs_stamp_;
-  frontier_.assign(1, src.value);
-  seen_stamp_[src.value] = stamp;
-  for (std::size_t head = 0; head < frontier_.size(); ++head) {
-    for (std::size_t link_idx : out_links_[frontier_[head]]) {
-      const std::size_t next = links_[link_idx].to.value;
-      if (seen_stamp_[next] == stamp) continue;
-      seen_stamp_[next] = stamp;
-      via_link_[next] = link_idx;
-      if (next == dst.value) {
-        std::vector<std::size_t>& path = routes_[key];
-        for (std::size_t at = dst.value; at != src.value;
-             at = links_[via_link_[at]].from.value) {
-          path.push_back(via_link_[at]);
-        }
-        std::reverse(path.begin(), path.end());
-        return &path;
+void FlowNetwork::index_link(std::size_t l) {
+  const Link& link = links_[l];
+  if (!link.from.valid()) return;  // virtual: outside the topology
+  const std::size_t from = link.from.value;
+  const std::size_t to = link.to.value;
+  if (forest_ && half_ != kNoLink) {
+    // An attachment's second link reverses its first; it gives the fresh
+    // end the link its first did not.
+    const Link& first = links_[half_];
+    forest_ = link.from == first.to && link.to == first.from;
+    if (forest_) {
+      if (tree_[to].up == half_) {
+        tree_[to].down = l;
+      } else {
+        tree_[from].up = l;
       }
-      frontier_.push_back(next);
+    }
+    half_ = kNoLink;
+  } else if (forest_) {
+    // Outside a pending attachment every linked node has an out-link, so a
+    // node without one has no links at all.
+    if (from != to && out_links_[from].empty()) {
+      tree_[from].up = l;
+      tree_[from].depth = tree_[to].depth + 1;
+      half_ = l;
+    } else if (from != to && out_links_[to].empty()) {
+      tree_[to].down = l;
+      tree_[to].depth = tree_[from].depth + 1;
+      half_ = l;
+    } else {
+      forest_ = false;
     }
   }
-  return nullptr;
+  out_links_[from].push_back(l);
+}
+
+bool FlowNetwork::route(NodeId src, NodeId dst, std::size_t extra,
+                        std::vector<std::size_t>& path) const {
+  if (src == dst) {  // zero hops
+    path.reserve(extra);
+    return true;
+  }
+  if (forest_ && half_ == kNoLink) {
+    // A tree has one path between two nodes: up from src to the lowest
+    // common ancestor, then down to dst.
+    const auto parent = [this](std::size_t node) {
+      return links_[tree_[node].up].to.value;
+    };
+    std::size_t s = src.value;
+    std::size_t d = dst.value;
+    std::size_t up = 0;
+    std::size_t down = 0;
+    for (; tree_[s].depth > tree_[d].depth; ++up) s = parent(s);
+    for (; tree_[d].depth > tree_[s].depth; ++down) d = parent(d);
+    for (; s != d; ++up, ++down) {
+      if (tree_[s].up == kNoLink) return false;  // the roots of two trees
+      s = parent(s);
+      d = parent(d);
+    }
+    path.reserve(up + down + extra);
+    path.resize(up + down);
+    s = src.value;
+    for (std::size_t i = 0; i < up; ++i, s = parent(s)) path[i] = tree_[s].up;
+    d = dst.value;
+    for (std::size_t i = up + down; i > up; --i, d = parent(d)) {
+      path[i - 1] = tree_[d].down;
+    }
+    return true;
+  }
+  // Any other topology: BFS by hop count, visiting each node's links in id
+  // order.
+  std::vector<std::size_t> via(nodes_.size(), kNoLink);  // link that reached
+  std::vector<std::size_t> frontier{src.value};
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    for (std::size_t link_idx : out_links_[frontier[head]]) {
+      const std::size_t next = links_[link_idx].to.value;
+      if (next == src.value || via[next] != kNoLink) continue;
+      via[next] = link_idx;
+      if (next == dst.value) {
+        std::size_t hops = 0;
+        for (std::size_t at = dst.value; at != src.value;
+             at = links_[via[at]].from.value) {
+          ++hops;
+        }
+        path.reserve(hops + extra);
+        path.resize(hops);
+        for (std::size_t at = dst.value; at != src.value;
+             at = links_[via[at]].from.value) {
+          path[--hops] = via[at];
+        }
+        return true;
+      }
+      frontier.push_back(next);
+    }
+  }
+  return false;
 }
 
 Result<FlowId> FlowNetwork::start_flow(NodeId src, NodeId dst,
@@ -104,13 +170,10 @@ Result<FlowId> FlowNetwork::start_flow(NodeId src, NodeId dst,
   SODA_EXPECTS(on_complete != nullptr);
   SODA_EXPECTS(rate_cap_mbps > 0);
 
-  const std::vector<std::size_t>* routed = route(src, dst);
-  if (routed == nullptr) {
+  Flow flow;
+  if (!route(src, dst, extra_links.size(), flow.path)) {
     return Error{"no route from " + nodes_[src.value] + " to " + nodes_[dst.value]};
   }
-  Flow flow;
-  flow.path.reserve(routed->size() + extra_links.size());
-  flow.path.assign(routed->begin(), routed->end());
   sim::SimTime latency = sim::SimTime::zero();
   for (std::size_t link_idx : flow.path) latency += links_[link_idx].latency;
   for (LinkId extra : extra_links) {
@@ -360,12 +423,12 @@ void FlowNetwork::serialize(Ar& ar) {
   ar.end_section();
   if constexpr (Ar::kLoading) {
     out_links_.assign(nodes_.size(), {});
-    for (std::size_t i = 0; i < links_.size(); ++i) {
-      if (links_[i].from.valid()) out_links_[links_[i].from.value].push_back(i);
-    }
+    tree_.assign(nodes_.size(), {});
+    forest_ = true;
+    half_ = kNoLink;
+    for (std::size_t i = 0; i < links_.size(); ++i) index_link(i);
     event_scheduled_ = false;
     pending_event_ = {};
-    routes_.clear();
   }
 }
 template void FlowNetwork::serialize(snapshot::Writer&);
