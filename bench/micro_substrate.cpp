@@ -6,15 +6,17 @@
 // experiments unpleasant to run.
 //
 // After the google-benchmark pass, main() runs a hand-timed head-to-head of
-// the two queue designs and a fleet-size flow-network reallocation (with
-// allocation counts from alloc_counter.cpp) and records the results in
-// BENCH_sim_core.json via BenchReport.
+// the two queue designs, a fleet-size flow-network reallocation and a
+// fleet-size chunk peer choice (with allocation counts from
+// alloc_counter.cpp) and records the results in BENCH_sim_core.json via
+// BenchReport.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <ctime>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "bench_report.hpp"
 #include "core/hup.hpp"
 #include "core/switch.hpp"
+#include "image/distributor.hpp"
 #include "image/image.hpp"
 #include "net/flow_network.hpp"
 #include "os/rootfs.hpp"
@@ -146,7 +149,8 @@ BENCHMARK(BM_FlowNetworkReallocate)
     ->ArgNames({"hosts", "flows"})
     ->Args({8, 16})
     ->Args({8, 64})
-    ->Args({300, 64});
+    ->Args({300, 64})
+    ->Args({2500, 64});
 
 void BM_SwitchRouteWrr(benchmark::State& state) {
   core::ServiceSwitch sw("svc", net::Ipv4Address(10, 0, 0, 1), 80);
@@ -370,6 +374,60 @@ void write_sim_core_report(const CaptureReporter& captured) {
                   {{"ns_per_reallocation", cpu * 1e9 / kReallocations},
                    {"allocs_per_reallocation",
                     static_cast<double>(allocs) / kReallocations},
+                   {"cores", static_cast<double>(
+                                 std::thread::hardware_concurrency())}});
+  }
+
+  // A chunk's peer choice at fleet size: 2,500 attached members, each chunk
+  // held by 700 of them, as once priming has spread an image across a
+  // fleet. Requesters cycle through every host, holders and not. Batches
+  // run until 0.2 s of CPU time is spent.
+  {
+    constexpr int kHosts = 2'500;
+    constexpr int kHolders = 700;
+    constexpr std::uint64_t kChunks = 16;
+    sim::Engine engine;
+    net::FlowNetwork network(engine);
+    image::ChunkRegistry registry;  // outlives the distributors below
+    std::vector<std::string> names;
+    std::vector<std::unique_ptr<image::ImageDistributor>> members;
+    for (int i = 0; i < kHosts; ++i) {
+      names.push_back("host-" + std::to_string(i));
+      members.push_back(std::make_unique<image::ImageDistributor>(
+          engine, network, network.add_node(names.back()), names.back()));
+      members.back()->set_registry(&registry);
+    }
+    for (std::uint64_t c = 0; c < kChunks; ++c) {
+      for (int h = 0; h < kHolders; ++h) {
+        registry.report_chunk(names[(c * 151 + h) % kHosts],
+                              image::ChunkId{c + 1});
+      }
+    }
+    std::size_t sink = 0;
+    const auto locate_batch = [&](std::size_t first, std::size_t count) {
+      for (std::size_t i = first; i < first + count; ++i) {
+        const auto peer = registry.locate(image::ChunkId{i % kChunks + 1},
+                                          names[(i * 7) % kHosts]);
+        sink += peer ? peer->node.value : 0;
+      }
+    };
+    constexpr std::size_t kBatch = 10'000;
+    locate_batch(0, kBatch);  // warm-up
+    std::size_t located = 0;
+    const std::uint64_t allocs_before = bench::allocation_count();
+    const double start = cpu_seconds();
+    double cpu = 0;
+    do {
+      locate_batch(located, kBatch);
+      located += kBatch;
+      cpu = cpu_seconds() - start;
+    } while (cpu < 0.2);
+    const std::uint64_t allocs = bench::allocation_count() - allocs_before;
+    benchmark::DoNotOptimize(sink);
+    report.record("chunk_locate_h2500",
+                  {{"ns_per_locate", cpu * 1e9 / static_cast<double>(located)},
+                   {"allocs_per_locate", static_cast<double>(allocs) /
+                                             static_cast<double>(located)},
                    {"cores", static_cast<double>(
                                  std::thread::hardware_concurrency())}});
   }
