@@ -40,7 +40,7 @@ std::string layout_for(core::PlacementPolicy policy, int n) {
   core::MasterConfig config;
   config.placement = policy;
   auto tb = core::Hup::paper_testbed(config);
-  const auto plan = tb.hup->master().plan_allocation(
+  const auto plan = tb.hup->master().planner().plan_allocation(
       "svc", {n, host::MachineConfig::table1_example()});
   if (!plan.ok()) return "rejected";
   std::string out;

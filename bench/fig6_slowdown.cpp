@@ -63,7 +63,7 @@ double mean_rt_ms(const Scenario& scenario, std::int64_t bytes,
 
   const net::Ipv4Address ip(128, 10, 9, 125);
   core::ServiceSwitch sw("web-content", ip, 8080);
-  must(sw.add_backend(core::BackEndEntry{ip, 8080, 1}));
+  must(sw.add_backend(core::BackEndEntry{ip, 8080, 1, ""}));
 
   workload::SiegeClient siege(
       engine, network, client, scenario.with_switch ? &sw : nullptr,

@@ -360,13 +360,13 @@ PlacementBench run_placement_bench(const Scale& scale) {
     const auto& planner = hup.master().planner();
     std::vector<core::Placement> plan;
     for (int warm = 0; warm < 16; ++warm) {
-      must(planner.plan_allocation_into(probe, req, {}, plan));
+      must(planner.plan_allocation_into(probe, req, nullptr, plan));
     }
     constexpr int kDecisions = 200;
     const std::uint64_t allocs_before = bench::allocation_count();
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < kDecisions; ++i) {
-      must(planner.plan_allocation_into(probe, req, {}, plan));
+      must(planner.plan_allocation_into(probe, req, nullptr, plan));
     }
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

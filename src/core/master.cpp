@@ -12,14 +12,13 @@ namespace soda::core {
 SodaMaster::SodaMaster(sim::Engine& engine, MasterConfig config)
     : engine_(engine),
       config_(config),
-      planner_(daemons_, down_hosts_),
+      planner_(daemons_, down_hosts_, config_.placement,
+               config_.slowdown_factor, config_.max_nodes_per_service),
       priming_(engine, directory_, daemons_),
       recovery_(engine,
                 ControlPlaneView{services_, daemons_, down_hosts_,
                                  chunk_registry_},
                 planner_, priming_, bus_) {
-  planner_.configure(config_.placement, config_.slowdown_factor,
-                     config_.max_nodes_per_service);
   // HUP-wide distribution byte totals, read on demand. With distribution
   // enabled the chunk layer accounts origin bytes itself; the legacy
   // whole-image path is counted by each host's downloader.
@@ -224,19 +223,20 @@ void SodaMaster::create_service(const ServiceCreationRequest& request,
     return;
   }
   // Cache-affinity placement consults per-host chunk caches through the
-  // image's manifest; the other policies ignore the query.
+  // image's manifest; the other policies ignore it.
   image::ImageManifest manifest;
-  PlacementQuery query;
+  const image::ImageManifest* affinity = nullptr;
   if (config_.placement == PlacementPolicy::kCacheAffinity) {
     manifest = image::build_manifest(*image.value(),
                                      config_.distribution.chunk_bytes);
-    query.manifest = &manifest;
+    affinity = &manifest;
   }
   auto plan = partitioned
                   ? planner_.plan_components(request.requirement.m,
-                                             image.value()->components, query)
+                                             image.value()->components,
+                                             affinity)
                   : planner_.plan_allocation(request.service_name,
-                                             request.requirement, query);
+                                             request.requirement, affinity);
   if (!plan.ok()) {
     bus_.publish(engine_.now(), TraceKind::kRejected, "master",
                  request.service_name, plan.error().to_string());
@@ -268,17 +268,9 @@ void SodaMaster::create_service(const ServiceCreationRequest& request,
                    std::to_string(live.placements.size()) + " node(s)");
 
   // Prime every node; the coordinator joins on the last completion.
-  PrimeSpec spec;
-  spec.service_name = live.service_name;
-  spec.location = live.image_location;
-  spec.unit = live.requirement.m;
-  spec.inflated_unit = planner_.inflated_unit(live.requirement.m);
-  spec.listen_port = live.listen_port;
-  spec.components = &live.components;
-  spec.customize_rootfs = live.customize_rootfs;
-  spec.address_mode = live.address_mode;
   priming_.prime(
-      live.placements, spec,
+      live.placements,
+      make_prime_spec(live, planner_.inflated_unit(live.requirement.m)),
       [this, name = live.service_name](vm::VirtualServiceNode& node,
                                        sim::SimTime) {
         ServiceRecord* rec = services_.find(name);
@@ -487,18 +479,7 @@ void SodaMaster::resize_service(const std::string& name, int n_new,
   }
   std::vector<Placement> new_nodes;
   if (to_add > 0) {
-    for (SodaDaemon* daemon : planner_.ordered_daemons()) {
-      if (to_add == 0) break;
-      const bool already_used = std::any_of(
-          record.placements.begin(), record.placements.end(),
-          [&](const Placement& p) { return p.daemon == daemon; });
-      if (already_used) continue;
-      const int k = std::min(units_that_fit(daemon->available(), unit), to_add);
-      if (k >= 1) {
-        new_nodes.push_back(Placement{daemon, "", k});
-        to_add -= k;
-      }
-    }
+    to_add = planner_.plan_growth(unit, to_add, record.placements, new_nodes);
   }
   if (to_add > 0) {
     must(record.lifecycle.transition(ServiceState::kRunning));
@@ -539,22 +520,15 @@ void SodaMaster::resize_service(const std::string& name, int n_new,
     batch.push_back(placement.node_name);
     record.placements.push_back(placement);
   }
-  PrimeSpec spec;
-  spec.service_name = name;
-  spec.location = record.image_location;
-  spec.unit = record.requirement.m;
-  spec.inflated_unit = unit;
-  spec.listen_port = record.listen_port;
-  spec.customize_rootfs = record.customize_rootfs;
-  spec.address_mode = record.address_mode;
   priming_.prime(
-      std::move(new_nodes), spec,
+      std::move(new_nodes), make_prime_spec(record, unit),
       [this, name](vm::VirtualServiceNode& node, sim::SimTime) {
         ServiceRecord* rec = services_.find(name);
         SODA_ENSURES(rec != nullptr);
         const NodeDescriptor descriptor = describe_node(node, rec->listen_port);
         must(rec->service_switch->add_backend(BackEndEntry{
-            descriptor.address, descriptor.port, descriptor.capacity_units}));
+            descriptor.address, descriptor.port, descriptor.capacity_units,
+            descriptor.component}));
         rec->nodes.push_back(descriptor);
       },
       [this, name, n_new, done, batch = std::move(batch)](

@@ -8,7 +8,8 @@
 // executes resizing and tear-down.
 //
 // The class itself is a thin façade over four composable subsystems:
-//   * PlacementPlanner (core/placement) — strategy-ordered host selection;
+//   * PlacementPlanner (core/placement) — one placement order over the live
+//     hosts and the packing loop every consumer shares;
 //   * PrimingCoordinator (core/priming) — the prime fan-out/join shared by
 //     creation, resize growth, and recovery;
 //   * RecoveryManager (core/recovery) — failure detection and the recovery
@@ -153,7 +154,8 @@ class SodaMaster {
   [[nodiscard]] const std::vector<SodaDaemon*>& daemons() const noexcept {
     return daemons_;
   }
-  /// The placement subsystem (exposed for tests and benches).
+  /// The placement subsystem (pure planning, exposed for tests and
+  /// benches): how would <n, M> land on the current HUP?
   [[nodiscard]] const PlacementPlanner& planner() const noexcept {
     return planner_;
   }
@@ -165,31 +167,6 @@ class SodaMaster {
   /// The inflated per-unit reservation for `m` under this config.
   [[nodiscard]] host::ResourceVector inflated_unit(const host::MachineConfig& m) const {
     return planner_.inflated_unit(m);
-  }
-
-  /// Pure planning (exposed for tests and the allocation ablation bench):
-  /// how would <n, M> land on the current HUP? Error when it cannot. The
-  /// manifest overload lets cache-affinity placement consult per-host chunk
-  /// caches; without one the policy degrades to worst-fit ordering.
-  ApiResult<std::vector<Placement>> plan_allocation(
-      const std::string& service_name,
-      const host::ResourceRequirement& req) const {
-    return planner_.plan_allocation(service_name, req);
-  }
-  ApiResult<std::vector<Placement>> plan_allocation(
-      const std::string& service_name, const host::ResourceRequirement& req,
-      const image::ImageManifest* manifest) const {
-    return planner_.plan_allocation(service_name, req,
-                                    PlacementQuery{manifest});
-  }
-
-  /// Planning for a partitioned image: one node per component, each sized
-  /// component.units x M; a host may carry several components. Error when
-  /// the HUP cannot fit them all.
-  ApiResult<std::vector<Placement>> plan_components(
-      const host::MachineConfig& m,
-      const std::vector<image::ServiceComponent>& components) const {
-    return planner_.plan_components(m, components);
   }
 
   // --- Failure detection & recovery (forwarded to the RecoveryManager) ----

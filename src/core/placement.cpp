@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/daemon.hpp"
 #include "util/contract.hpp"
@@ -10,89 +11,37 @@ namespace soda::core {
 
 namespace {
 
-class FirstFitStrategy final : public PlacementStrategy {
- public:
-  [[nodiscard]] PlacementPolicy policy() const noexcept override {
-    return PlacementPolicy::kFirstFit;
+/// The one placement order: more cached chunks first, then lower spare
+/// key, then registration order. Under each policy this is exactly that
+/// policy's preference (negating a finite double is exact), tie for tie.
+bool ranks_before(const PlacementCandidate& a,
+                  const PlacementCandidate& b) noexcept {
+  if (a.cached_chunks != b.cached_chunks) {
+    return a.cached_chunks > b.cached_chunks;
   }
-  [[nodiscard]] bool ordered_before(
-      const PlacementCandidate& a,
-      const PlacementCandidate& b) const noexcept override {
-    // Registration order is the first-fit order.
-    return a.index < b.index;
+  if (a.spare_key != b.spare_key) return a.spare_key < b.spare_key;
+  return a.index < b.index;
+}
+
+/// Max-heap on preference: the heap's top is the most preferred host.
+struct HeapAfter {
+  bool operator()(const PlacementCandidate& a,
+                  const PlacementCandidate& b) const noexcept {
+    return ranks_before(b, a);
   }
 };
 
-class BestFitStrategy final : public PlacementStrategy {
- public:
-  [[nodiscard]] PlacementPolicy policy() const noexcept override {
-    return PlacementPolicy::kBestFit;
+double spare_key_for(PlacementPolicy policy, double spare_cpu) noexcept {
+  switch (policy) {
+    case PlacementPolicy::kFirstFit: return 0.0;
+    case PlacementPolicy::kBestFit: return spare_cpu;
+    case PlacementPolicy::kWorstFit:
+    case PlacementPolicy::kCacheAffinity: return -spare_cpu;
   }
-  [[nodiscard]] bool ordered_before(
-      const PlacementCandidate& a,
-      const PlacementCandidate& b) const noexcept override {
-    if (a.spare_cpu != b.spare_cpu) return a.spare_cpu < b.spare_cpu;
-    return a.index < b.index;
-  }
-};
-
-class WorstFitStrategy final : public PlacementStrategy {
- public:
-  [[nodiscard]] PlacementPolicy policy() const noexcept override {
-    return PlacementPolicy::kWorstFit;
-  }
-  [[nodiscard]] bool ordered_before(
-      const PlacementCandidate& a,
-      const PlacementCandidate& b) const noexcept override {
-    if (a.spare_cpu != b.spare_cpu) return a.spare_cpu > b.spare_cpu;
-    return a.index < b.index;
-  }
-};
-
-/// Prefers hosts that already hold the image's chunks in their distribution
-/// cache (the Nth creation of a popular image lands where priming is nearly
-/// free); ties break worst-fit-style on spare CPU, then registration order.
-/// Without a manifest (image unknown, distribution disabled) it degrades to
-/// worst-fit. The chunk counts land in each candidate's cached_chunks key
-/// in prepare() — one pass per host, none per comparison.
-class CacheAffinityStrategy final : public PlacementStrategy {
- public:
-  [[nodiscard]] PlacementPolicy policy() const noexcept override {
-    return PlacementPolicy::kCacheAffinity;
-  }
-  void prepare(std::vector<PlacementCandidate>& candidates,
-               const PlacementQuery& query) const override {
-    if (query.manifest == nullptr) return;
-    for (PlacementCandidate& candidate : candidates) {
-      std::uint32_t held = 0;
-      const auto& cache = candidate.daemon->distributor().cache();
-      for (const auto& chunk : query.manifest->chunks) {
-        if (cache.contains(chunk.id)) ++held;
-      }
-      candidate.cached_chunks = held;
-    }
-  }
-  [[nodiscard]] bool ordered_before(
-      const PlacementCandidate& a,
-      const PlacementCandidate& b) const noexcept override {
-    if (a.cached_chunks != b.cached_chunks) {
-      return a.cached_chunks > b.cached_chunks;
-    }
-    if (a.spare_cpu != b.spare_cpu) return a.spare_cpu > b.spare_cpu;
-    return a.index < b.index;
-  }
-};
+  return 0.0;
+}
 
 }  // namespace
-
-void PlacementStrategy::order(std::vector<PlacementCandidate>& candidates,
-                              const PlacementQuery& query) const {
-  prepare(candidates, query);
-  std::sort(candidates.begin(), candidates.end(),
-            [this](const PlacementCandidate& a, const PlacementCandidate& b) {
-              return ordered_before(a, b);
-            });
-}
 
 std::string_view placement_policy_name(PlacementPolicy policy) noexcept {
   switch (policy) {
@@ -121,35 +70,18 @@ int units_that_fit(const host::ResourceVector& avail,
   return std::max(0, static_cast<int>(k));
 }
 
-std::unique_ptr<PlacementStrategy> make_placement_strategy(
-    PlacementPolicy policy) {
-  switch (policy) {
-    case PlacementPolicy::kFirstFit:
-      return std::make_unique<FirstFitStrategy>();
-    case PlacementPolicy::kBestFit:
-      return std::make_unique<BestFitStrategy>();
-    case PlacementPolicy::kWorstFit:
-      return std::make_unique<WorstFitStrategy>();
-    case PlacementPolicy::kCacheAffinity:
-      return std::make_unique<CacheAffinityStrategy>();
-  }
-  return std::make_unique<FirstFitStrategy>();
-}
-
 PlacementPlanner::PlacementPlanner(const std::vector<SodaDaemon*>& daemons,
-                                   const HostSet& down_hosts)
+                                   const HostSet& down_hosts,
+                                   PlacementPolicy policy,
+                                   double slowdown_factor,
+                                   int max_nodes_per_service)
     : daemons_(daemons),
       down_hosts_(down_hosts),
-      strategy_(make_placement_strategy(PlacementPolicy::kWorstFit)) {}
-
-void PlacementPlanner::configure(PlacementPolicy policy,
-                                 double slowdown_factor,
-                                 int max_nodes_per_service) {
+      policy_(policy),
+      slowdown_factor_(slowdown_factor),
+      max_nodes_per_service_(max_nodes_per_service) {
   SODA_EXPECTS(slowdown_factor >= 1.0);
   SODA_EXPECTS(max_nodes_per_service >= 1);
-  strategy_ = make_placement_strategy(policy);
-  slowdown_factor_ = slowdown_factor;
-  max_nodes_per_service_ = max_nodes_per_service;
 }
 
 host::ResourceVector PlacementPlanner::inflated_unit(
@@ -162,118 +94,134 @@ host::ResourceVector PlacementPlanner::inflated_unit(
   return unit;
 }
 
-void PlacementPlanner::collect_candidates(const PlacementQuery& query) const {
+void PlacementPlanner::rank_hosts(const image::ImageManifest* manifest) const {
   // Hosts the failure detector has declared dead receive no placements
   // until their heartbeats resume. available() is an O(1) cached aggregate,
-  // read once per host here rather than once per comparison.
+  // read once per host here rather than once per comparison. Cache-affinity
+  // prefers hosts that already hold the image's chunks (the Nth creation of
+  // a popular image lands where priming is nearly free).
+  const bool count_chunks =
+      policy_ == PlacementPolicy::kCacheAffinity && manifest != nullptr;
   candidates_.clear();
   for (SodaDaemon* daemon : daemons_) {
     if (down_hosts_.test(daemon->host_id())) continue;
     PlacementCandidate candidate;
     candidate.daemon = daemon;
+    candidate.spare_key = spare_key_for(policy_, daemon->available().cpu_mhz);
     candidate.index = static_cast<std::uint32_t>(candidates_.size());
-    candidate.spare_cpu = daemon->available().cpu_mhz;
+    if (count_chunks) {
+      const auto& cache = daemon->distributor().cache();
+      for (const auto& chunk : manifest->chunks) {
+        if (cache.contains(chunk.id)) ++candidate.cached_chunks;
+      }
+    }
     candidates_.push_back(candidate);
   }
-  strategy_->prepare(candidates_, query);
+  // Lazy selection: a full sort orders all 10k hosts when a decision
+  // usually consumes two or three. Popping the heap yields hosts in exactly
+  // the sorted order, because the order is total.
+  std::make_heap(candidates_.begin(), candidates_.end(), HeapAfter{});
+  popped_ = 0;
 }
 
-void PlacementPlanner::order_candidates(const PlacementQuery& query) const {
-  collect_candidates(query);
-  std::sort(candidates_.begin(), candidates_.end(),
-            [this](const PlacementCandidate& a, const PlacementCandidate& b) {
-              return strategy_->ordered_before(a, b);
-            });
-}
-
-std::vector<SodaDaemon*> PlacementPlanner::ordered_daemons(
-    const PlacementQuery& query) const {
-  order_candidates(query);
-  std::vector<SodaDaemon*> ordered;
-  ordered.reserve(candidates_.size());
-  for (const PlacementCandidate& candidate : candidates_) {
-    ordered.push_back(candidate.daemon);
+SodaDaemon* PlacementPlanner::walk(std::size_t rank) const {
+  const std::size_t size = candidates_.size();
+  while (popped_ <= rank && popped_ < size) {
+    std::pop_heap(candidates_.begin(),
+                  candidates_.end() - static_cast<std::ptrdiff_t>(popped_),
+                  HeapAfter{});
+    ++popped_;
   }
-  return ordered;
+  return rank < popped_ ? candidates_[size - 1 - rank].daemon : nullptr;
+}
+
+template <typename Skip>
+int PlacementPlanner::pack(const host::ResourceVector& unit, int n,
+                           int max_nodes, Skip skip,
+                           std::vector<Placement>& out) const {
+  int nodes = 0;
+  for (std::size_t rank = 0; n > 0 && nodes < max_nodes; ++rank) {
+    SodaDaemon* daemon = walk(rank);
+    if (daemon == nullptr) break;
+    if (skip(*daemon)) continue;
+    const int k = std::min(units_that_fit(daemon->available(), unit), n);
+    if (k >= 1) {
+      out.push_back(Placement{daemon, "", k, {}});
+      ++nodes;
+      n -= k;
+    }
+  }
+  return n;
 }
 
 ApiResult<int> PlacementPlanner::plan_allocation_into(
     std::string_view service_name, const host::ResourceRequirement& req,
-    const PlacementQuery& query, std::vector<Placement>& out) const {
+    const image::ImageManifest* manifest, std::vector<Placement>& out) const {
   out.clear();
   if (req.n < 1) {
     return ApiError{ApiErrorCode::kInvalidRequest, "requirement n must be >= 1"};
   }
-  const host::ResourceVector unit = inflated_unit(req.m);
-  // Lazy selection: a full sort orders all 10k hosts when a decision
-  // usually consumes two or three. Heapify is O(hosts); popping the heap
-  // yields candidates in exactly the strategy's total order (ties broken
-  // on index), so the plan is identical to the sorted path's.
-  collect_candidates(query);
-  const auto heap_after = [this](const PlacementCandidate& a,
-                                 const PlacementCandidate& b) {
-    return strategy_->ordered_before(b, a);  // max-heap on preference
-  };
-  std::make_heap(candidates_.begin(), candidates_.end(), heap_after);
-  auto heap_end = candidates_.end();
-  int remaining = req.n;
-  int planned = 0;
-  while (heap_end != candidates_.begin()) {
-    if (planned >= max_nodes_per_service_) break;
-    if (remaining == 0) break;
-    std::pop_heap(candidates_.begin(), heap_end, heap_after);
-    --heap_end;
-    SodaDaemon* daemon = heap_end->daemon;
-    // One node per host per service: replicas on the same host would share
-    // the same failure domain and buy nothing.
-    if (daemon->serves_service(service_name)) continue;
-    const int k = std::min(units_that_fit(daemon->available(), unit), remaining);
-    if (k >= 1) {
-      out.push_back(Placement{daemon, "", k});
-      ++planned;
-      remaining -= k;
-    }
-  }
-  if (remaining > 0) {
+  rank_hosts(manifest);
+  // One node per host per service: replicas on the same host would share
+  // the same failure domain and buy nothing.
+  const int short_by = pack(
+      inflated_unit(req.m), req.n, max_nodes_per_service_,
+      [service_name](const SodaDaemon& daemon) {
+        return daemon.serves_service(service_name);
+      },
+      out);
+  if (short_by > 0) {
     return ApiError{ApiErrorCode::kInsufficientResources,
                     "HUP cannot satisfy " + req.to_string() + " (short by " +
-                        std::to_string(remaining) + " instance(s) of M)"};
+                        std::to_string(short_by) + " instance(s) of M)"};
   }
-  return planned;
+  return static_cast<int>(out.size());
 }
 
 ApiResult<std::vector<Placement>> PlacementPlanner::plan_allocation(
-    const std::string& service_name, const host::ResourceRequirement& req,
-    const PlacementQuery& query) const {
+    std::string_view service_name, const host::ResourceRequirement& req,
+    const image::ImageManifest* manifest) const {
   std::vector<Placement> plan;
-  if (auto planned = plan_allocation_into(service_name, req, query, plan);
+  if (auto planned = plan_allocation_into(service_name, req, manifest, plan);
       !planned.ok()) {
     return planned.error();
   }
   return plan;
 }
 
+int PlacementPlanner::plan_growth(const host::ResourceVector& unit, int n,
+                                  const std::vector<Placement>& current,
+                                  std::vector<Placement>& out) const {
+  rank_hosts(nullptr);
+  return pack(
+      unit, n, std::numeric_limits<int>::max(),
+      [&current](const SodaDaemon& daemon) {
+        return std::any_of(
+            current.begin(), current.end(),
+            [&daemon](const Placement& p) { return p.daemon == &daemon; });
+      },
+      out);
+}
+
 ApiResult<std::vector<Placement>> PlacementPlanner::plan_components(
     const host::MachineConfig& m,
     const std::vector<image::ServiceComponent>& components,
-    const PlacementQuery& query) const {
+    const image::ImageManifest* manifest) const {
   SODA_EXPECTS(!components.empty());
   // available() is constant while planning (nothing is reserved), so one
-  // candidate ordering serves every component; hypothetical usage
-  // accumulates per candidate in the planned_ scratch.
-  order_candidates(query);
+  // ranking serves every component: each re-reads the order from rank 0,
+  // and hypothetical usage accumulates per rank in the planned_ scratch.
+  rank_hosts(manifest);
   planned_.clear();
-  planned_.resize(candidates_.size());
   std::vector<Placement> plan;
   for (const auto& component : components) {
     const host::ResourceVector need = inflated_unit(m).scaled(component.units);
     bool placed = false;
-    for (std::size_t i = 0; i < candidates_.size(); ++i) {
-      SodaDaemon* daemon = candidates_[i].daemon;
-      const host::ResourceVector avail = daemon->available() - planned_[i];
-      if (avail.fits(need)) {
+    for (std::size_t rank = 0; SodaDaemon* daemon = walk(rank); ++rank) {
+      if (rank == planned_.size()) planned_.emplace_back();
+      if ((daemon->available() - planned_[rank]).fits(need)) {
         plan.push_back(Placement{daemon, "", component.units, component.name});
-        planned_[i] += need;
+        planned_[rank] += need;
         placed = true;
         break;
       }

@@ -1,24 +1,22 @@
 // Placement planning (paper §3.2's mapping of <n, M> onto n' <= n virtual
-// service nodes), extracted from the Master into a strategy-driven planner.
-// A PlacementStrategy orders candidate hosts; the planner then packs units
-// host by host. Every ordering is explicitly deterministic: ties (equal
-// spare CPU, equal cache affinity) break on daemon registration order, so
-// two equal hosts place identically across repeated runs and under the
-// parallel experiment runner.
+// service nodes), extracted from the Master into one planner. Every policy
+// is one strict total order over the live hosts: each host gets three keys
+// per decision (cached chunks of the image, a policy-signed spare-CPU key,
+// registration index) and one comparator ranks them. Ties break on
+// registration order, so two equal hosts place identically across repeated
+// runs and under the parallel experiment runner.
 //
-// Fleet-scale layout (DESIGN.md §11): strategies expose a strict total
-// order over Candidate records whose sort keys (spare CPU, cached chunks)
-// are computed once per host — never inside a comparator — and the planner
-// reuses its candidate scratch buffer across calls. The admission hot path
-// consumes the order lazily through a binary heap (O(hosts) to build, one
-// O(log hosts) pop per host actually considered), so a steady-state
-// placement decision over 10k hosts is one linear key pass plus a handful
-// of heap pops with zero heap allocations (see plan_allocation_into and
-// bench/fig_fleet).
+// Fleet-scale layout (DESIGN.md §11): the keys are computed once per host —
+// never inside a comparator — into a candidate scratch buffer reused across
+// calls, and every consumer (admission, partitioned admission, resize
+// growth, recovery) reads the order through one lazy walk over a binary
+// heap: O(hosts) to build, one O(log hosts) pop per host actually
+// considered. A steady-state placement decision over 10k hosts is one
+// linear key pass plus a handful of heap pops with zero heap allocations
+// (see plan_allocation_into and bench/fig_fleet).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,50 +57,16 @@ using ApiResult = Result<T, ApiError>;
 [[nodiscard]] int units_that_fit(const host::ResourceVector& avail,
                                  const host::ResourceVector& unit) noexcept;
 
-/// Context a strategy may consult when ordering hosts. All fields optional:
-/// a query without a manifest degrades cache-affinity to worst-fit.
-struct PlacementQuery {
-  const image::ImageManifest* manifest = nullptr;
-};
-
-/// One live host under consideration, with its sort keys precomputed so
-/// comparators are pure arithmetic (the seed re-summed every host's slices
-/// inside each comparison — O(slices log hosts) per decision).
+/// One live host under consideration. Its sort keys are computed once per
+/// decision, so the comparator is pure arithmetic over them.
 struct PlacementCandidate {
   SodaDaemon* daemon = nullptr;
-  std::uint32_t index = 0;        // position among live hosts (tie-break)
-  double spare_cpu = 0.0;         // available().cpu_mhz snapshot
-  std::uint32_t cached_chunks = 0;  // cache-affinity key
+  /// Spare CPU signed by policy: itself for best-fit, negated for worst-fit
+  /// and cache-affinity, 0 for first-fit. Lower ranks first.
+  double spare_key = 0.0;
+  std::uint32_t cached_chunks = 0;  // cache-affinity with a manifest, else 0
+  std::uint32_t index = 0;          // position among live hosts (tie-break)
 };
-
-/// Strategy object: defines a strict total order (most-preferred first)
-/// over candidates. The input vector arrives in daemon registration order
-/// with spare_cpu filled in; `prepare` computes any query-dependent keys
-/// once per decision, and `ordered_before` must be pure arithmetic over
-/// the precomputed keys — deterministic (ties broken on `index`) and
-/// allocation-free. The planner consumes the order either by full sort
-/// (ordered_daemons, plan_components) or by lazy heap selection (the
-/// admission hot path, which rarely needs more than the top few hosts).
-class PlacementStrategy {
- public:
-  virtual ~PlacementStrategy() = default;
-  [[nodiscard]] virtual PlacementPolicy policy() const noexcept = 0;
-  /// Computes per-candidate keys that need the query (e.g. cached-chunk
-  /// counts). Called once per decision, before any comparison.
-  virtual void prepare(std::vector<PlacementCandidate>&,
-                       const PlacementQuery&) const {}
-  [[nodiscard]] virtual bool ordered_before(
-      const PlacementCandidate& a,
-      const PlacementCandidate& b) const noexcept = 0;
-
-  /// Full strategy ordering: prepare, then sort by ordered_before.
-  void order(std::vector<PlacementCandidate>& candidates,
-             const PlacementQuery& query) const;
-};
-
-/// Builds the strategy object for a policy.
-[[nodiscard]] std::unique_ptr<PlacementStrategy> make_placement_strategy(
-    PlacementPolicy policy);
 
 /// The planner: pure planning over the registered daemons (nothing is
 /// reserved), shared by creation, resizing, and recovery. It reads the
@@ -111,29 +75,20 @@ class PlacementStrategy {
 class PlacementPlanner {
  public:
   PlacementPlanner(const std::vector<SodaDaemon*>& daemons,
-                   const HostSet& down_hosts);
-
-  /// Applies the Master's tuning (policy, slow-down inflation, node cap).
-  void configure(PlacementPolicy policy, double slowdown_factor,
-                 int max_nodes_per_service);
-
-  [[nodiscard]] PlacementPolicy policy() const noexcept {
-    return strategy_->policy();
-  }
+                   const HostSet& down_hosts, PlacementPolicy policy,
+                   double slowdown_factor, int max_nodes_per_service);
 
   /// The inflated per-unit reservation for `m` (paper footnote 2: CPU and
   /// bandwidth only; memory and disk footprints are unchanged).
   [[nodiscard]] host::ResourceVector inflated_unit(
       const host::MachineConfig& m) const;
 
-  /// Live hosts in strategy preference order (dead hosts excluded).
-  [[nodiscard]] std::vector<SodaDaemon*> ordered_daemons(
-      const PlacementQuery& query = {}) const;
-
-  /// How would <n, M> land on the current HUP? Error when it cannot.
+  /// How would <n, M> land on the current HUP? Error when it cannot. The
+  /// manifest lets cache-affinity consult per-host chunk caches; without
+  /// one that policy orders hosts as worst-fit does.
   [[nodiscard]] ApiResult<std::vector<Placement>> plan_allocation(
-      const std::string& service_name, const host::ResourceRequirement& req,
-      const PlacementQuery& query = {}) const;
+      std::string_view service_name, const host::ResourceRequirement& req,
+      const image::ImageManifest* manifest = nullptr) const;
 
   /// Allocation-free variant for the admission hot path: appends the plan
   /// to `out` (cleared first; its capacity is reused) and returns the node
@@ -141,30 +96,45 @@ class PlacementPlanner {
   /// successful call performs zero heap allocations.
   [[nodiscard]] ApiResult<int> plan_allocation_into(
       std::string_view service_name, const host::ResourceRequirement& req,
-      const PlacementQuery& query, std::vector<Placement>& out) const;
+      const image::ImageManifest* manifest, std::vector<Placement>& out) const;
 
   /// Planning for a partitioned image: one node per component, each sized
   /// component.units x M; a host may carry several components.
   [[nodiscard]] ApiResult<std::vector<Placement>> plan_components(
       const host::MachineConfig& m,
       const std::vector<image::ServiceComponent>& components,
-      const PlacementQuery& query = {}) const;
+      const image::ImageManifest* manifest = nullptr) const;
+
+  /// New nodes for resize growth and recovery: packs up to `n` units of the
+  /// inflated `unit` onto live hosts that hold none of `current`, appending
+  /// to `out`. No node cap. Returns the units that did not fit.
+  int plan_growth(const host::ResourceVector& unit, int n,
+                  const std::vector<Placement>& current,
+                  std::vector<Placement>& out) const;
 
  private:
-  /// Fills the candidate scratch with live hosts (registration order) and
-  /// runs the strategy's prepare() pass — keys computed, order not applied.
-  void collect_candidates(const PlacementQuery& query) const;
-  /// collect_candidates + full sort by the strategy's total order.
-  void order_candidates(const PlacementQuery& query) const;
+  /// Fills the candidate scratch with the live hosts' keys and heapifies it.
+  void rank_hosts(const image::ImageManifest* manifest) const;
+  /// The host at `rank` in placement order (0 = most preferred), or nullptr
+  /// past the last live host. Pops the heap only as far as `rank`; popped
+  /// hosts collect at the back, so rank r sits at size - 1 - r.
+  [[nodiscard]] SodaDaemon* walk(std::size_t rank) const;
+  /// The packing loop shared by admission and growth: walks the order,
+  /// skips hosts `skip` rejects, places as many units as fit, and stops at
+  /// `max_nodes` nodes. Returns the units that did not fit.
+  template <typename Skip>
+  int pack(const host::ResourceVector& unit, int n, int max_nodes, Skip skip,
+           std::vector<Placement>& out) const;
 
   const std::vector<SodaDaemon*>& daemons_;
   const HostSet& down_hosts_;
-  std::unique_ptr<PlacementStrategy> strategy_;
-  double slowdown_factor_ = 1.5;
-  int max_nodes_per_service_ = 16;
+  PlacementPolicy policy_;
+  double slowdown_factor_;
+  int max_nodes_per_service_;
   /// Scratch reused across planning calls (capacity-stable; the planner is
   /// confined to the simulation thread like the rest of the control plane).
   mutable std::vector<PlacementCandidate> candidates_;
+  mutable std::size_t popped_ = 0;  // hosts walk() has taken off the heap
   mutable std::vector<host::ResourceVector> planned_;  // plan_components only
 };
 

@@ -3,6 +3,7 @@
 #include <memory>
 #include <utility>
 
+#include "core/service_table.hpp"
 #include "util/contract.hpp"
 #include "vm/vsnode.hpp"
 
@@ -23,6 +24,20 @@ NodeDescriptor describe_node(const vm::VirtualServiceNode& vsn,
     descriptor.port = vsn.service_port() > 0 ? vsn.service_port() : listen_port;
   }
   return descriptor;
+}
+
+PrimeSpec make_prime_spec(const ServiceRecord& record,
+                          const host::ResourceVector& inflated_unit) {
+  PrimeSpec spec;
+  spec.service_name = record.service_name;
+  spec.location = record.image_location;
+  spec.unit = record.requirement.m;
+  spec.inflated_unit = inflated_unit;
+  spec.listen_port = record.listen_port;
+  spec.components = &record.components;
+  spec.customize_rootfs = record.customize_rootfs;
+  spec.address_mode = record.address_mode;
+  return spec;
 }
 
 PrimingCoordinator::PrimingCoordinator(

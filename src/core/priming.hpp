@@ -39,6 +39,13 @@ struct PrimeSpec {
   AddressMode address_mode = AddressMode::kBridging;
 };
 
+struct ServiceRecord;
+
+/// The spec every fan-out of `record` uses: creation, resize growth, and
+/// recovery alike. `inflated_unit` is the planner's reservation per unit.
+[[nodiscard]] PrimeSpec make_prime_spec(
+    const ServiceRecord& record, const host::ResourceVector& inflated_unit);
+
 class PrimingCoordinator {
  public:
   PrimingCoordinator(sim::Engine& engine,

@@ -365,27 +365,15 @@ void RecoveryManager::attempt_recovery(const std::string& service_name) {
     if (!planned.ok()) return;  // no host fits: stay degraded
     plan = std::move(planned).value();
   } else {
-    const host::ResourceVector unit =
-        planner_.inflated_unit(record.requirement.m);
     int have = 0;
     for (const Placement& p : record.placements) have += p.units;
-    int missing = record.requirement.n - have;
+    const int missing = record.requirement.n - have;
     if (missing <= 0) {
       finish_if_restored(record);
       return;
     }
-    for (SodaDaemon* daemon : planner_.ordered_daemons()) {
-      if (missing == 0) break;
-      const bool used = std::any_of(
-          record.placements.begin(), record.placements.end(),
-          [&](const Placement& p) { return p.daemon == daemon; });
-      if (used) continue;
-      const int k = std::min(units_that_fit(daemon->available(), unit), missing);
-      if (k >= 1) {
-        plan.push_back(Placement{daemon, "", k});
-        missing -= k;
-      }
-    }
+    planner_.plan_growth(planner_.inflated_unit(record.requirement.m), missing,
+                         record.placements, plan);
     // Whatever fits is re-created now; a later host-up retries the rest.
     if (plan.empty()) return;
   }
@@ -402,17 +390,9 @@ void RecoveryManager::attempt_recovery(const std::string& service_name) {
       "master", "recovering " + service_name + ": re-priming " +
                     std::to_string(plan.size()) + " node(s)");
 
-  PrimeSpec spec;
-  spec.service_name = service_name;
-  spec.location = record.image_location;
-  spec.unit = record.requirement.m;
-  spec.inflated_unit = planner_.inflated_unit(record.requirement.m);
-  spec.listen_port = record.listen_port;
-  spec.components = &record.components;
-  spec.customize_rootfs = record.customize_rootfs;
-  spec.address_mode = record.address_mode;
   priming_.prime(
-      std::move(plan), spec,
+      std::move(plan),
+      make_prime_spec(record, planner_.inflated_unit(record.requirement.m)),
       [this, name = service_name](vm::VirtualServiceNode& node,
                                   sim::SimTime) {
         ServiceRecord* rec = view_.services.find(name);

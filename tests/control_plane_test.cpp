@@ -1,11 +1,15 @@
 // Tests for the decomposed control plane: the typed event bus and metrics
-// registry, strategy-driven placement (including cache-affinity and the
-// deterministic equal-host tie-break), the shared priming coordinator's
-// repository re-resolution, and degraded-service behavior of warm_hosts and
-// resize_service.
+// registry, placement (cache-affinity, the deterministic equal-host
+// tie-break, and every placement consumer checked against the policy's
+// rule applied literally on seeded mixed fleets), the shared priming
+// coordinator's repository re-resolution, and degraded-service behavior of
+// warm_hosts and resize_service.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -14,6 +18,7 @@
 #include "image/image.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/parallel_runner.hpp"
+#include "sim/random.hpp"
 #include "util/log.hpp"
 
 namespace soda::core {
@@ -166,19 +171,23 @@ TEST(ControlPlaneBus, HealthMonitorTapsTheBus) {
 
 // ---------- Deterministic placement tie-breaks ----------
 
+constexpr PlacementPolicy kPolicies[] = {
+    PlacementPolicy::kFirstFit, PlacementPolicy::kBestFit,
+    PlacementPolicy::kWorstFit, PlacementPolicy::kCacheAffinity};
+
 TEST(Placement, EqualHostsTieBreakOnRegistrationOrder) {
-  for (const PlacementPolicy policy :
-       {PlacementPolicy::kFirstFit, PlacementPolicy::kBestFit,
-        PlacementPolicy::kWorstFit, PlacementPolicy::kCacheAffinity}) {
+  for (const PlacementPolicy policy : kPolicies) {
     MasterConfig config;
     config.placement = policy;
     EqualHosts t(4, config);
     // All four hosts are identical, so every policy degenerates to the
-    // explicit tie-break: registration order.
-    const auto ordered = t.hup.master().planner().ordered_daemons();
-    ASSERT_EQ(ordered.size(), 4u);
+    // explicit tie-break: registration order. One unit fills a host, so the
+    // plan visits all four.
+    const auto plan = must(t.hup.master().planner().plan_allocation(
+        "svc", {4, one_per_host_unit()}));
+    ASSERT_EQ(plan.size(), 4u);
     for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ(ordered[i]->host_name(), "host-" + std::to_string(i))
+      EXPECT_EQ(plan[i].daemon->host_name(), "host-" + std::to_string(i))
           << placement_policy_name(policy);
     }
   }
@@ -244,11 +253,428 @@ TEST(Placement, CacheAffinityWithoutManifestDegradesToWorstFit) {
   MasterConfig config;
   config.placement = PlacementPolicy::kCacheAffinity;
   EqualHosts t(2, config);
-  // No manifest in the query: ordering must equal worst-fit's.
-  const auto plan =
-      must(t.hup.master().plan_allocation("svc", {1, one_per_host_unit()}));
+  // No manifest: ordering must equal worst-fit's.
+  const auto plan = must(t.hup.master().planner().plan_allocation(
+      "svc", {1, one_per_host_unit()}));
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].daemon->host_name(), "host-0");
+}
+
+// ---------- Differential placement: every consumer against the rule ----------
+
+/// 400 MHz per unit (600 inflated): a seattle host fits several, so plans
+/// pack units per host and growth can extend nodes in place.
+host::MachineConfig small_unit() {
+  host::MachineConfig m;
+  m.cpu_mhz = 400;
+  m.memory_mb = 64;
+  m.disk_mb = 256;
+  m.bandwidth_mbps = 4;
+  return m;
+}
+
+/// A seeded fleet of 50 hosts: seattle and tacoma classes, zero to three
+/// equal reserved slices each (so spare CPU both ties and differs), a few
+/// caches warmed with the published image, and a few hosts declared down.
+struct MixedFleet {
+  static constexpr int kHosts = 50;
+
+  Hup hup;
+  image::ImageLocation location;
+  image::ImageManifest manifest;
+  int warmed = 0;
+  int down = 0;
+
+  static MasterConfig config_for(PlacementPolicy policy) {
+    MasterConfig config;
+    config.placement = policy;
+    config.distribution.enabled = true;
+    config.distribution.p2p = false;
+    return config;
+  }
+
+  MixedFleet(PlacementPolicy policy, std::uint64_t seed)
+      : hup(config_for(policy)) {
+    util::global_logger().set_level(util::LogLevel::kOff);
+    sim::Rng rng(seed);
+    host::ResourceVector slice;
+    slice.cpu_mhz = 300;
+    slice.memory_mb = 64;
+    slice.disk_mb = 256;
+    slice.bandwidth_mbps = 2;
+    for (int i = 0; i < kHosts; ++i) {
+      host::HostSpec spec = rng.uniform_int(0, 2) == 0
+                                ? host::HostSpec::tacoma()
+                                : host::HostSpec::seattle();
+      spec.name = "host-" + std::to_string(i);
+      host::HupHost& host = hup.add_host(
+          spec, net::Ipv4Address(10, 0, static_cast<std::uint8_t>(i), 16),
+          16);
+      for (auto k = rng.uniform_int(0, 3); k > 0; --k) {
+        must(host.reserve("load", slice));
+      }
+    }
+    image::ImageRepository& repo = hup.add_repository("asp-repo");
+    hup.agent().register_asp("asp", "key");
+    location = must(repo.publish(image::web_content_image(4 * kMiB)));
+    manifest = image::build_manifest(
+        *must(repo.lookup(location.path)),
+        hup.master().config().distribution.chunk_bytes);
+
+    std::vector<std::string> warm;
+    for (int i = 0; i < kHosts; ++i) {
+      if (rng.uniform_int(0, 7) == 0) {
+        warm.push_back("host-" + std::to_string(i));
+      }
+    }
+    warmed = static_cast<int>(warm.size());
+    hup.master().warm_hosts(location, warm, [](Status status, sim::SimTime) {
+      must(std::move(status));
+    });
+    hup.engine().run();
+    for (int i = 0; i < kHosts; ++i) {
+      if (rng.uniform_int(0, 9) == 0) {
+        hup.crash_host("host-" + std::to_string(i));
+        ++down;
+      }
+    }
+    hup.master().poll_liveness_once();
+  }
+
+  /// Planning without and with the image's manifest.
+  [[nodiscard]] std::vector<const image::ImageManifest*> manifests() const {
+    return {nullptr, &manifest};
+  }
+
+  ApiResult<ServiceCreationReply> create(const std::string& name, int n,
+                                         const host::MachineConfig& m) {
+    ServiceCreationRequest request;
+    request.credentials = {"asp", "key"};
+    request.service_name = name;
+    request.image_location = location;
+    request.requirement = {n, m};
+    ApiResult<ServiceCreationReply> out =
+        ApiError{ApiErrorCode::kInternal, "callback never fired"};
+    hup.master().create_service(
+        request, [&](ApiResult<ServiceCreationReply> reply, sim::SimTime) {
+          out = std::move(reply);
+        });
+    hup.engine().run();
+    return out;
+  }
+};
+
+/// The placement rule applied literally: the live hosts sorted by the
+/// policy's comparator, ties broken on registration order.
+std::vector<SodaDaemon*> reference_order(const SodaMaster& master,
+                                         const image::ImageManifest* manifest) {
+  struct Key {
+    SodaDaemon* daemon;
+    std::size_t index;
+    double spare;
+    std::uint32_t cached;
+  };
+  std::vector<Key> keys;
+  for (SodaDaemon* daemon : master.daemons()) {
+    if (master.down_hosts().test(daemon->host_id())) continue;
+    std::uint32_t cached = 0;
+    if (manifest != nullptr) {
+      for (const auto& chunk : manifest->chunks) {
+        if (daemon->distributor().cache().contains(chunk.id)) ++cached;
+      }
+    }
+    keys.push_back({daemon, keys.size(), daemon->available().cpu_mhz, cached});
+  }
+  const PlacementPolicy policy = master.config().placement;
+  std::sort(keys.begin(), keys.end(), [policy](const Key& a, const Key& b) {
+    switch (policy) {
+      case PlacementPolicy::kFirstFit:
+        break;
+      case PlacementPolicy::kBestFit:
+        if (a.spare != b.spare) return a.spare < b.spare;
+        break;
+      case PlacementPolicy::kWorstFit:
+        if (a.spare != b.spare) return a.spare > b.spare;
+        break;
+      case PlacementPolicy::kCacheAffinity:
+        if (a.cached != b.cached) return a.cached > b.cached;
+        if (a.spare != b.spare) return a.spare > b.spare;
+        break;
+    }
+    return a.index < b.index;
+  });
+  std::vector<SodaDaemon*> order;
+  for (const Key& key : keys) order.push_back(key.daemon);
+  return order;
+}
+
+/// The skip/fit/cap loop over `order`: appends to `out` and returns the
+/// units that did not fit.
+template <typename Skip>
+int reference_pack(const std::vector<SodaDaemon*>& order,
+                   const host::ResourceVector& unit, int n, int max_nodes,
+                   Skip skip, std::vector<Placement>& out) {
+  int nodes = 0;
+  for (SodaDaemon* daemon : order) {
+    if (n == 0 || nodes >= max_nodes) break;
+    if (skip(*daemon)) continue;
+    const int k = std::min(units_that_fit(daemon->available(), unit), n);
+    if (k >= 1) {
+      out.push_back(Placement{daemon, "", k, {}});
+      ++nodes;
+      n -= k;
+    }
+  }
+  return n;
+}
+
+/// "host:units[/component] ..." for the placements from `first` on.
+std::string describe(const std::vector<Placement>& plan,
+                     std::size_t first = 0) {
+  std::string text;
+  for (std::size_t i = first; i < plan.size(); ++i) {
+    text += plan[i].daemon->host_name() + ":" + std::to_string(plan[i].units);
+    if (!plan[i].component.empty()) text += "/" + plan[i].component;
+    text += " ";
+  }
+  return text;
+}
+
+constexpr std::uint64_t kFleetSeeds[] = {3, 17};
+
+TEST(Placement, AdmissionPlansMatchTheReferenceRule) {
+  for (const PlacementPolicy policy : kPolicies) {
+    for (const std::uint64_t seed : kFleetSeeds) {
+      MixedFleet fleet(policy, seed);
+      ASSERT_GT(fleet.warmed, 0);
+      ASSERT_GT(fleet.down, 0);
+      // A live service puts the admission skip rule to work when "web" is
+      // planned again, and primes its image onto more caches.
+      ASSERT_TRUE(fleet.create("web", 5, small_unit()).ok());
+      const SodaMaster& master = fleet.hup.master();
+      const int cap = master.config().max_nodes_per_service;
+      host::MachineConfig too_big = one_per_host_unit();
+      too_big.cpu_mhz = 2000;
+      const struct {
+        const char* service;
+        host::ResourceRequirement req;
+      } requests[] = {
+          {"probe", {1, one_per_host_unit()}},
+          {"probe", {6, one_per_host_unit()}},
+          {"probe", {18, one_per_host_unit()}},  // stopped by the node cap
+          {"probe", {9, small_unit()}},
+          {"web", {9, small_unit()}},
+          {"probe", {1, too_big}},  // no host fits
+      };
+      bool saw_cap = false;
+      bool saw_failure = false;
+      for (const auto& request : requests) {
+        for (const image::ImageManifest* manifest : fleet.manifests()) {
+          const std::string label =
+              std::string(placement_policy_name(policy)) + " seed " +
+              std::to_string(seed) + " " + request.service + " " +
+              request.req.to_string() + (manifest ? " +manifest" : "");
+          const auto order = reference_order(master, manifest);
+          const host::ResourceVector unit =
+              master.planner().inflated_unit(request.req.m);
+          const auto skip = [&](const SodaDaemon& daemon) {
+            return daemon.serves_service(request.service);
+          };
+          std::vector<Placement> expected;
+          const int short_by = reference_pack(order, unit, request.req.n, cap,
+                                              skip, expected);
+          const auto planned = master.planner().plan_allocation(
+              request.service, request.req, {manifest});
+          ASSERT_EQ(planned.ok(), short_by == 0) << label;
+          if (planned.ok()) {
+            EXPECT_EQ(describe(planned.value()), describe(expected)) << label;
+            continue;
+          }
+          saw_failure = true;
+          std::vector<Placement> uncapped;
+          if (reference_pack(order, unit, request.req.n,
+                             std::numeric_limits<int>::max(), skip,
+                             uncapped) == 0) {
+            saw_cap = true;
+          }
+        }
+      }
+      EXPECT_TRUE(saw_cap) << placement_policy_name(policy);
+      EXPECT_TRUE(saw_failure) << placement_policy_name(policy);
+    }
+  }
+}
+
+TEST(Placement, ComponentPlansMatchTheReferenceRule) {
+  const auto component = [](const std::string& name, int units) {
+    image::ServiceComponent c;
+    c.name = name;
+    c.units = units;
+    return c;
+  };
+  // Small components share hosts (best-fit too, once twelve of them have
+  // filled the tightest hosts); the last set cannot fit anywhere.
+  std::vector<image::ServiceComponent> many;
+  for (int i = 0; i < 12; ++i) {
+    many.push_back(component("c" + std::to_string(i), 1));
+  }
+  const std::vector<std::vector<image::ServiceComponent>> sets = {
+      {component("front", 1), component("search", 1), component("db", 2)},
+      {component("a", 3), component("b", 1), component("c", 1),
+       component("d", 2), component("e", 1)},
+      many,
+      {component("front", 1), component("huge", 10)},
+  };
+  for (const PlacementPolicy policy : kPolicies) {
+    bool shared = false;
+    for (const std::uint64_t seed : kFleetSeeds) {
+      MixedFleet fleet(policy, seed);
+      const SodaMaster& master = fleet.hup.master();
+      for (std::size_t s = 0; s < sets.size(); ++s) {
+        for (const image::ImageManifest* manifest : fleet.manifests()) {
+          const std::string label =
+              std::string(placement_policy_name(policy)) + " seed " +
+              std::to_string(seed) + " set " + std::to_string(s) +
+              (manifest ? " +manifest" : "");
+          const auto order = reference_order(master, manifest);
+          std::vector<host::ResourceVector> used(order.size());
+          std::vector<Placement> expected;
+          bool fits = true;
+          for (const auto& c : sets[s]) {
+            const host::ResourceVector need =
+                master.planner().inflated_unit(small_unit()).scaled(c.units);
+            std::size_t i = 0;
+            while (i < order.size() &&
+                   !(order[i]->available() - used[i]).fits(need)) {
+              ++i;
+            }
+            if (i == order.size()) {
+              fits = false;
+              break;
+            }
+            expected.push_back(Placement{order[i], "", c.units, c.name});
+            used[i] += need;
+          }
+          const auto planned = master.planner().plan_components(
+              small_unit(), sets[s], {manifest});
+          ASSERT_EQ(planned.ok(), fits) << label;
+          if (!fits) continue;
+          EXPECT_EQ(describe(planned.value()), describe(expected)) << label;
+          std::vector<SodaDaemon*> hosts;
+          for (const Placement& p : planned.value()) hosts.push_back(p.daemon);
+          std::sort(hosts.begin(), hosts.end());
+          shared |=
+              std::adjacent_find(hosts.begin(), hosts.end()) != hosts.end();
+        }
+      }
+    }
+    EXPECT_TRUE(shared) << placement_policy_name(policy)
+                        << ": no plan put two components on one host";
+  }
+}
+
+/// Growth and recovery skip the hosts the record already places on.
+std::function<bool(const SodaDaemon&)> skips_placed_hosts(
+    const std::vector<Placement>& current) {
+  return [&current](const SodaDaemon& daemon) {
+    return std::any_of(current.begin(), current.end(),
+                       [&](const Placement& p) { return p.daemon == &daemon; });
+  };
+}
+
+TEST(Placement, ResizeGrowthMatchesTheReferenceRule) {
+  for (const PlacementPolicy policy : kPolicies) {
+    for (const std::uint64_t seed : kFleetSeeds) {
+      MixedFleet fleet(policy, seed);
+      ASSERT_TRUE(fleet.create("web", 3, small_unit()).ok());
+      const SodaMaster& master = fleet.hup.master();
+      const ServiceRecord* record = master.find_service("web");
+      ASSERT_NE(record, nullptr);
+      for (const int n_new : {5, 14, 40, 400}) {
+        const std::string label = std::string(placement_policy_name(policy)) +
+                                  " seed " + std::to_string(seed) + " n=" +
+                                  std::to_string(n_new);
+        // Growth extends placed nodes in place first, then adds nodes.
+        const host::ResourceVector unit =
+            master.planner().inflated_unit(small_unit());
+        int to_add = n_new;
+        for (const Placement& p : record->placements) to_add -= p.units;
+        ASSERT_GT(to_add, 0) << label;
+        for (const Placement& p : record->placements) {
+          to_add -=
+              std::min(units_that_fit(p.daemon->available(), unit), to_add);
+        }
+        std::vector<Placement> expected;
+        to_add = reference_pack(reference_order(master, nullptr), unit, to_add,
+                                std::numeric_limits<int>::max(),
+                                skips_placed_hosts(record->placements),
+                                expected);
+        const std::size_t before = record->placements.size();
+        int calls = 0;
+        ApiResult<ServiceResizingReply> grown =
+            ApiError{ApiErrorCode::kInternal, "callback never fired"};
+        fleet.hup.master().resize_service(
+            "web", n_new,
+            [&](ApiResult<ServiceResizingReply> reply, sim::SimTime) {
+              ++calls;
+              grown = std::move(reply);
+            });
+        fleet.hup.engine().run();
+        ASSERT_EQ(calls, 1) << label;
+        ASSERT_EQ(grown.ok(), to_add == 0) << label;
+        if (grown.ok()) {
+          EXPECT_EQ(describe(record->placements, before), describe(expected))
+              << label;
+        } else {
+          EXPECT_EQ(record->placements.size(), before) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(Placement, RecoveryMatchesTheReferenceRule) {
+  for (const PlacementPolicy policy : kPolicies) {
+    for (const std::uint64_t seed : kFleetSeeds) {
+      MixedFleet fleet(policy, seed);
+      ASSERT_TRUE(fleet.create("web", 9, small_unit()).ok());
+      SodaMaster& master = fleet.hup.master();
+      const ServiceRecord* record = master.find_service("web");
+      ASSERT_NE(record, nullptr);
+      ASSERT_GE(record->placements.size(), 2u);
+      const std::string label =
+          std::string(placement_policy_name(policy)) + " seed " +
+          std::to_string(seed);
+      // Recovery re-plans the crashed host's units onto the survivors,
+      // skipping the hosts the service still holds.
+      SodaDaemon* victim = record->placements[1].daemon;
+      std::vector<Placement> survivors;
+      int missing = record->requirement.n;
+      for (const Placement& p : record->placements) {
+        if (p.daemon == victim) continue;
+        survivors.push_back(p);
+        missing -= p.units;
+      }
+      fleet.hup.crash_host(victim->host_name());
+      std::vector<SodaDaemon*> order = reference_order(master, nullptr);
+      order.erase(std::find(order.begin(), order.end(), victim));
+      std::vector<Placement> expected;
+      const int short_by = reference_pack(
+          order, master.planner().inflated_unit(small_unit()), missing,
+          std::numeric_limits<int>::max(), skips_placed_hosts(survivors),
+          expected);
+      ASSERT_FALSE(expected.empty()) << label;
+
+      EXPECT_EQ(master.poll_liveness_once(), 1u) << label;
+      EXPECT_EQ(describe(record->placements, survivors.size()),
+                describe(expected))
+          << label;
+      fleet.hup.engine().run();
+      EXPECT_EQ(record->lifecycle.state() == ServiceState::kRunning,
+                short_by == 0)
+          << label;
+    }
+  }
 }
 
 // ---------- Repository re-resolution (no cached pointer) ----------

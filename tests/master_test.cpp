@@ -76,7 +76,7 @@ TEST(Master, InflatedUnitScalesCpuAndBandwidthOnly) {
 TEST(Master, PlanMapsNtoFewerNodes) {
   Testbed t;
   // n = 3 of Table 1's M: aggregation onto n' <= n nodes.
-  const auto plan = t.hup.master().plan_allocation("svc", {3, {}});
+  const auto plan = t.hup.master().planner().plan_allocation("svc", {3, {}});
   ASSERT_TRUE(plan.ok());
   int total = 0;
   for (const auto& p : plan.value()) total += p.units;
@@ -86,7 +86,8 @@ TEST(Master, PlanMapsNtoFewerNodes) {
 
 TEST(Master, PlanFig2UnitSplitsTwoToOne) {
   Testbed t;
-  const auto plan = must(t.hup.master().plan_allocation("svc", {3, fig2_unit()}));
+  const auto plan =
+      must(t.hup.master().planner().plan_allocation("svc", {3, fig2_unit()}));
   ASSERT_EQ(plan.size(), 2u);
   EXPECT_EQ(plan[0].daemon->host_name(), "seattle");
   EXPECT_EQ(plan[0].units, 2);
@@ -96,14 +97,14 @@ TEST(Master, PlanFig2UnitSplitsTwoToOne) {
 
 TEST(Master, PlanRejectsWhenHupTooSmall) {
   Testbed t;
-  const auto plan = t.hup.master().plan_allocation("svc", {50, {}});
+  const auto plan = t.hup.master().planner().plan_allocation("svc", {50, {}});
   ASSERT_FALSE(plan.ok());
   EXPECT_EQ(plan.error().code, ApiErrorCode::kInsufficientResources);
 }
 
 TEST(Master, PlanRejectsNonPositiveN) {
   Testbed t;
-  EXPECT_FALSE(t.hup.master().plan_allocation("svc", {0, {}}).ok());
+  EXPECT_FALSE(t.hup.master().planner().plan_allocation("svc", {0, {}}).ok());
 }
 
 TEST(Master, HigherInflationAdmitsLess) {
@@ -115,8 +116,10 @@ TEST(Master, HigherInflationAdmitsLess) {
   m.cpu_mhz = 400;
   // At 1.5x a unit is 600 MHz: seattle fits 4, tacoma 3 -> 4 admitted. At
   // 3x a unit is 1200 MHz: seattle 2 + tacoma 1 -> only 3 fit.
-  EXPECT_TRUE(loose.hup.master().plan_allocation("svc", {4, m}).ok());
-  EXPECT_FALSE(tight.hup.master().plan_allocation("svc", {4, m}).ok());
+  EXPECT_TRUE(
+      loose.hup.master().planner().plan_allocation("svc", {4, m}).ok());
+  EXPECT_FALSE(
+      tight.hup.master().planner().plan_allocation("svc", {4, m}).ok());
 }
 
 TEST(Master, PlacementPolicyOrdersHosts) {
@@ -124,13 +127,15 @@ TEST(Master, PlacementPolicyOrdersHosts) {
   best.placement = PlacementPolicy::kBestFit;
   Testbed t(best);
   // Best-fit packs the *least* spare host first: tacoma.
-  const auto plan = must(t.hup.master().plan_allocation("svc", {1, {}}));
+  const auto plan =
+      must(t.hup.master().planner().plan_allocation("svc", {1, {}}));
   EXPECT_EQ(plan[0].daemon->host_name(), "tacoma");
 
   MasterConfig worst;
   worst.placement = PlacementPolicy::kWorstFit;
   Testbed t2(worst);
-  const auto plan2 = must(t2.hup.master().plan_allocation("svc", {1, {}}));
+  const auto plan2 =
+      must(t2.hup.master().planner().plan_allocation("svc", {1, {}}));
   EXPECT_EQ(plan2[0].daemon->host_name(), "seattle");
 }
 
