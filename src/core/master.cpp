@@ -9,12 +9,40 @@
 
 namespace soda::core {
 
+namespace {
+
+/// `placement`'s node descriptor (which must exist).
+std::vector<NodeDescriptor>::iterator node_of(ServiceRecord& record,
+                                              const Placement& placement) {
+  const auto desc = std::find_if(record.nodes.begin(), record.nodes.end(),
+                                 [&](const NodeDescriptor& d) {
+                                   return d.node_name == placement.node_name;
+                                 });
+  SODA_ENSURES(desc != record.nodes.end());
+  return desc;
+}
+
+/// Resizes a booted node to `units` in place — its slice, switch weight,
+/// descriptor and placement — for shrink and growth alike.
+void resize_in_place(ServiceRecord& record, Placement& placement, int units,
+                     const host::ResourceVector& unit) {
+  must(placement.daemon->resize_node(placement.node_name, units,
+                                     unit.scaled(units)));
+  const auto desc = node_of(record, placement);
+  must(record.service_switch->set_backend_capacity(desc->address, desc->port,
+                                                   units));
+  desc->capacity_units = units;
+  placement.units = units;
+}
+
+}  // namespace
+
 SodaMaster::SodaMaster(sim::Engine& engine, MasterConfig config)
     : engine_(engine),
       config_(config),
       planner_(daemons_, down_hosts_, config_.placement,
                config_.slowdown_factor, config_.max_nodes_per_service),
-      priming_(engine, directory_, daemons_),
+      priming_(engine, directory_, services_),
       recovery_(engine,
                 ControlPlaneView{services_, daemons_, down_hosts_,
                                  chunk_registry_},
@@ -59,28 +87,27 @@ Status SodaMaster::register_daemon(SodaDaemon* daemon) {
   // indexed by.
   const HostId id{host_names_.intern(daemon->host_name())};
   SODA_ENSURES(id.index() == daemons_.size());
-  daemon->set_host_id(id);
-  daemons_.push_back(daemon);
-  // Wire the host's image-distribution front end into the HUP: shared
-  // repository directory (per-attempt name resolution), shared chunk
-  // registry (P2P priming), and the Master's distribution policy. The
-  // daemon's control-plane events flow into the Master's bus.
-  daemon->distributor().configure(config_.distribution);
-  daemon->distributor().set_directory(&directory_);
-  daemon->distributor().set_registry(&chunk_registry_);
-  daemon->set_bus(&bus_);
+  attach(*daemon);
   recovery_.on_host_registered(*daemon);
   return {};
 }
 
 void SodaMaster::attach_restored_daemon(SodaDaemon* daemon) {
   SODA_EXPECTS(daemon != nullptr);
-  daemon->set_host_id(HostId{static_cast<std::uint32_t>(daemons_.size())});
-  daemons_.push_back(daemon);
-  daemon->distributor().configure(config_.distribution);
-  daemon->distributor().set_directory(&directory_);
-  daemon->distributor().set_registry(&chunk_registry_);
-  daemon->set_bus(&bus_);
+  attach(*daemon);
+}
+
+void SodaMaster::attach(SodaDaemon& daemon) {
+  daemon.set_host_id(HostId{static_cast<std::uint32_t>(daemons_.size())});
+  daemons_.push_back(&daemon);
+  // Wire the host's image-distribution front end into the HUP: shared
+  // repository directory (per-attempt name resolution), shared chunk
+  // registry (P2P priming), and the Master's distribution policy. The
+  // daemon's control-plane events flow into the Master's bus.
+  daemon.distributor().configure(config_.distribution);
+  daemon.distributor().set_directory(&directory_);
+  daemon.distributor().set_registry(&chunk_registry_);
+  daemon.set_bus(&bus_);
 }
 
 template <class Ar>
@@ -254,43 +281,36 @@ void SodaMaster::create_service(const ServiceCreationRequest& request,
   live.customize_rootfs = config_.customize_rootfs;
   live.address_mode = config_.address_mode;
   live.components = image.value()->components;
-  live.placements = std::move(plan).value();
   live.lifecycle = ServiceLifecycle(request.service_name);
   must(live.lifecycle.transition(ServiceState::kAdmitted));
   must(live.lifecycle.transition(ServiceState::kPriming));
-  for (auto& placement : live.placements) {
-    placement.node_name =
-        request.service_name + "/" + std::to_string(live.next_ordinal++);
-  }
   bus_.publish(engine_.now(), TraceKind::kAdmitted, "master",
                request.service_name,
                request.requirement.to_string() + " -> " +
-                   std::to_string(live.placements.size()) + " node(s)");
+                   std::to_string(plan.value().size()) + " node(s)");
 
-  // Prime every node; the coordinator joins on the last completion.
-  priming_.prime(
-      live.placements,
-      make_prime_spec(live, planner_.inflated_unit(live.requirement.m)),
-      [this, name = live.service_name](vm::VirtualServiceNode& node,
-                                       sim::SimTime) {
-        ServiceRecord* rec = services_.find(name);
+  priming_.add_nodes(
+      live, std::move(plan).value(), planner_.inflated_unit(live.requirement.m),
+      [this, done](ServiceRecord* rec, const Status& primed,
+                   sim::SimTime now) {
+        // A priming service has no teardown edge, so its record outlives
+        // the batch.
         SODA_ENSURES(rec != nullptr);
-        rec->nodes.push_back(describe_node(node, rec->listen_port));
-      },
-      [this, name = live.service_name,
-       done](const PrimingCoordinator::Outcome& outcome, sim::SimTime now) {
-        ServiceRecord* rec = services_.find(name);
-        SODA_ENSURES(rec != nullptr);
-        if (outcome.failed) {
-          priming_.rollback(rec->nodes);
-          must(rec->lifecycle.transition(ServiceState::kFailed));
-          const std::string message = outcome.first_error;
-          services_.erase(name);
-          bus_.publish(now, TraceKind::kPrimingFailed, "master", name, message);
-          done(ApiError{ApiErrorCode::kPrimingFailed, message}, now);
+        if (primed.ok() && !rec->nodes.empty()) {
+          finish_creation(*rec, done);
           return;
         }
-        finish_creation(*rec, done);
+        // All or nothing. Nodes can also all be gone without a failed
+        // priming: each booted, then its host was declared down.
+        const std::string name = rec->service_name;
+        const std::string message = primed.ok()
+                                        ? "every node was lost with its host"
+                                        : primed.error().message;
+        release_nodes(*rec);
+        must(rec->lifecycle.transition(ServiceState::kFailed));
+        services_.erase(name);
+        bus_.publish(now, TraceKind::kPrimingFailed, "master", name, message);
+        done(ApiError{ApiErrorCode::kPrimingFailed, message}, now);
       });
 }
 
@@ -322,6 +342,7 @@ void SodaMaster::finish_creation(ServiceRecord& record, CreateCallback done) {
   bus_.publish(engine_.now(), TraceKind::kServiceRunning, "master",
                record.service_name,
                std::to_string(record.nodes.size()) + " node(s)");
+  recovery_.settle(record);
 
   ServiceCreationReply reply;
   reply.service_name = record.service_name;
@@ -354,7 +375,7 @@ Result<void, ApiError> SodaMaster::teardown_service(const std::string& name) {
       !moved.ok()) {
     return ApiError{ApiErrorCode::kInvalidRequest, moved.error().message};
   }
-  priming_.rollback(record->nodes);
+  release_nodes(*record);
   must(record->lifecycle.transition(ServiceState::kGone));
   services_.erase(name);
   bus_.publish(engine_.now(), TraceKind::kTornDown, "master", name);
@@ -417,10 +438,7 @@ void SodaMaster::resize_service(const std::string& name, int n_new,
     bus_.publish(engine_.now(), TraceKind::kResized, "master", name,
                  "n=" + std::to_string(n_new));
     record.requirement.n = n_new;
-    ServiceResizingReply reply;
-    reply.service_name = name;
-    reply.nodes = record.nodes;
-    done(reply, engine_.now());
+    done(ServiceResizingReply{name, record.nodes}, engine_.now());
   };
 
   if (n_new == current) {
@@ -439,24 +457,15 @@ void SodaMaster::resize_service(const std::string& name, int n_new,
       const int shed = std::min(placement.units - min_units, to_shed);
       if (shed <= 0) continue;
       const int new_units = placement.units - shed;
-      auto desc = std::find_if(record.nodes.begin(), record.nodes.end(),
-                               [&](const NodeDescriptor& d) {
-                                 return d.node_name == placement.node_name;
-                               });
-      SODA_ENSURES(desc != record.nodes.end());
       if (new_units == 0) {
+        const auto desc = node_of(record, placement);
         must(record.service_switch->remove_backend(desc->address, desc->port));
         must(placement.daemon->teardown_node(placement.node_name));
         record.nodes.erase(desc);
         record.placements.erase(record.placements.begin() +
                                 static_cast<std::ptrdiff_t>(idx));
       } else {
-        must(placement.daemon->resize_node(placement.node_name, new_units,
-                                           unit.scaled(new_units)));
-        must(record.service_switch->set_backend_capacity(desc->address,
-                                                          desc->port, new_units));
-        desc->capacity_units = new_units;
-        placement.units = new_units;
+        resize_in_place(record, placement, new_units, unit);
       }
       to_shed -= shed;
     }
@@ -493,78 +502,46 @@ void SodaMaster::resize_service(const std::string& name, int n_new,
   // Apply the in-place extensions.
   for (const auto& [idx, extra] : in_place) {
     Placement& placement = record.placements[idx];
-    const int new_units = placement.units + extra;
-    must(placement.daemon->resize_node(placement.node_name, new_units,
-                                       unit.scaled(new_units)));
-    auto desc = std::find_if(record.nodes.begin(), record.nodes.end(),
-                             [&](const NodeDescriptor& d) {
-                               return d.node_name == placement.node_name;
-                             });
-    SODA_ENSURES(desc != record.nodes.end());
-    must(record.service_switch->set_backend_capacity(desc->address, desc->port,
-                                                     new_units));
-    desc->capacity_units = new_units;
-    placement.units = new_units;
+    resize_in_place(record, placement, placement.units + extra, unit);
   }
   if (new_nodes.empty()) {
     reply_now();
     return;
   }
 
-  // Prime the additional nodes through the shared coordinator (which
-  // re-resolves the repository by name — never a cached pointer).
-  std::vector<std::string> batch;
-  batch.reserve(new_nodes.size());
-  for (Placement& placement : new_nodes) {
-    placement.node_name = name + "/" + std::to_string(record.next_ordinal++);
-    batch.push_back(placement.node_name);
-    record.placements.push_back(placement);
-  }
-  priming_.prime(
-      std::move(new_nodes), make_prime_spec(record, unit),
-      [this, name](vm::VirtualServiceNode& node, sim::SimTime) {
-        ServiceRecord* rec = services_.find(name);
-        SODA_ENSURES(rec != nullptr);
-        const NodeDescriptor descriptor = describe_node(node, rec->listen_port);
-        must(rec->service_switch->add_backend(BackEndEntry{
-            descriptor.address, descriptor.port, descriptor.capacity_units,
-            descriptor.component}));
-        rec->nodes.push_back(descriptor);
-      },
-      [this, name, n_new, done, batch = std::move(batch)](
-          const PrimingCoordinator::Outcome& outcome, sim::SimTime now) {
-        ServiceRecord* rec = services_.find(name);
-        SODA_ENSURES(rec != nullptr);
-        if (outcome.failed) {
-          // Drop this batch's placements whose priming never produced a
-          // node. Scoped to the batch: if a host crash mid-resize kicked
-          // off a recovery attempt, its still-priming placements have no
-          // node yet and must survive this cleanup.
-          auto& placements = rec->placements;
-          placements.erase(
-              std::remove_if(placements.begin(), placements.end(),
-                             [&](const Placement& p) {
-                               return std::find(batch.begin(), batch.end(),
-                                                p.node_name) != batch.end() &&
-                                      std::none_of(
-                                          rec->nodes.begin(), rec->nodes.end(),
-                                          [&](const NodeDescriptor& d) {
-                                            return d.node_name == p.node_name;
-                                          });
-                             }),
-              placements.end());
-          must(rec->lifecycle.transition(ServiceState::kRunning));
-          done(ApiError{ApiErrorCode::kPrimingFailed, outcome.first_error},
+  priming_.add_nodes(
+      record, std::move(new_nodes), unit,
+      [this, name, n_new, done](ServiceRecord* rec, const Status& primed,
+                                sim::SimTime now) {
+        if (rec == nullptr) {
+          // Torn down mid-growth: an ok reply would reopen its billing.
+          done(ApiError{ApiErrorCode::kNoSuchService,
+                        "no such service: " + name},
                now);
           return;
         }
         must(rec->lifecycle.transition(ServiceState::kRunning));
-        rec->requirement.n = n_new;
-        ServiceResizingReply reply;
-        reply.service_name = name;
-        reply.nodes = rec->nodes;
-        done(reply, now);
+        if (primed.ok()) rec->requirement.n = n_new;
+        recovery_.settle(*rec);
+        if (!primed.ok()) {
+          done(ApiError{ApiErrorCode::kPrimingFailed, primed.error().message},
+               now);
+          return;
+        }
+        done(ServiceResizingReply{name, rec->nodes}, now);
       });
+}
+
+void SodaMaster::release_nodes(ServiceRecord& record) {
+  for (const NodeDescriptor& node : record.nodes) {
+    // A crashed host already released everything it carried; there is
+    // nothing left to tear down there.
+    SodaDaemon* daemon = daemon_for(node.host_name);
+    if (daemon != nullptr && daemon->alive()) {
+      must(daemon->teardown_node(node.node_name));
+    }
+  }
+  record.nodes.clear();
 }
 
 }  // namespace soda::core

@@ -10,10 +10,11 @@
 // The class itself is a thin façade over four composable subsystems:
 //   * PlacementPlanner (core/placement) — one placement order over the live
 //     hosts and the packing loop every consumer shares;
-//   * PrimingCoordinator (core/priming) — the prime fan-out/join shared by
-//     creation, resize growth, and recovery;
-//   * RecoveryManager (core/recovery) — failure detection and the recovery
-//     policy over the Master's service table;
+//   * PrimingCoordinator (core/priming) — the node batch: creation, resize
+//     growth, and recovery add nodes to a service only through it;
+//   * RecoveryManager (core/recovery) — failure detection, the recovery
+//     policy over the Master's service table, and the rule every node batch
+//     ends through (running only at full booted capacity, else degraded);
 //   * ControlPlaneBus (core/events) — the typed event bus every subsystem
 //     publishes into (trace, metrics, subscribers).
 #pragma once
@@ -251,7 +252,12 @@ class SodaMaster {
   void serialize(Ar& ar);
 
  private:
+  /// Indexes `daemon` at the next HostId and wires it into the HUP.
+  void attach(SodaDaemon& daemon);
   void finish_creation(ServiceRecord& record, CreateCallback done);
+  /// Tears the record's booted nodes down on their (still-alive) daemons,
+  /// found through the host index.
+  void release_nodes(ServiceRecord& record);
 
   sim::Engine& engine_;
   MasterConfig config_;

@@ -1,14 +1,18 @@
-// Priming coordination: the Master-side fan-out that turns a placement plan
-// into live virtual service nodes. Creation, resize growth, and failure
-// recovery all run through one PrimingCoordinator: it re-resolves the
-// image's repository through the HUP directory at dispatch time (never a
-// cached pointer — an unregistered repository fails cleanly instead of
-// dangling), builds each node's PrimeCommand, joins on the last completion,
-// and tears down partial work on rollback.
+// The node batch: the one way virtual service nodes join a service.
+// Creation, resize growth, and failure recovery all call
+// PrimingCoordinator::add_nodes. It names the batch's placements, appends
+// them to the service record, re-resolves the image's repository by name at
+// dispatch (an unregistered repository fails cleanly instead of dangling),
+// primes every node, and attaches each booted node to the record (and to
+// its switch once one exists). A node booted for a record that no longer
+// holds its placement — torn down, or torn down and re-created under the
+// same name — is torn down on its daemon and joins nothing. Each caller
+// ends its batch its own way, then settles a standing service through
+// RecoveryManager::settle.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "core/api.hpp"
@@ -25,69 +29,33 @@ namespace soda::core {
 [[nodiscard]] NodeDescriptor describe_node(const vm::VirtualServiceNode& vsn,
                                            int listen_port);
 
-/// Everything one prime fan-out needs to know about the service — a
-/// snapshot taken from the ServiceRecord at dispatch time.
-struct PrimeSpec {
-  std::string service_name;
-  image::ImageLocation location;
-  host::MachineConfig unit;            // M
-  host::ResourceVector inflated_unit;  // planner-inflated reservation per unit
-  int listen_port = 0;
-  /// Partitioned services: the component table placements reference by name.
-  const std::vector<image::ServiceComponent>* components = nullptr;
-  bool customize_rootfs = true;
-  AddressMode address_mode = AddressMode::kBridging;
-};
-
 struct ServiceRecord;
-
-/// The spec every fan-out of `record` uses: creation, resize growth, and
-/// recovery alike. `inflated_unit` is the planner's reservation per unit.
-[[nodiscard]] PrimeSpec make_prime_spec(
-    const ServiceRecord& record, const host::ResourceVector& inflated_unit);
+class ServiceTable;
 
 class PrimingCoordinator {
  public:
   PrimingCoordinator(sim::Engine& engine,
                      const image::RepositoryDirectory& directory,
-                     const std::vector<SodaDaemon*>& daemons);
+                     ServiceTable& services);
 
-  /// How a fan-out ended. `failed` is set when any node's priming failed
-  /// (the successes still exist — the caller decides whether to roll back,
-  /// prune, or keep them).
-  struct Outcome {
-    bool failed = false;
-    std::string first_error;
-  };
+  /// Fires exactly once, after the batch's last node completed (at once
+  /// when the repository is no longer registered). `record` is the service
+  /// the batch primed for, or null when that service was torn down
+  /// meanwhile (a same-name service created since is a different record).
+  /// `primed` is ok when every node booted, else the first node failure;
+  /// the nodes that did boot stay attached, and the placements that never
+  /// booted are gone.
+  using BatchDone = std::function<void(ServiceRecord* record,
+                                       const Status& primed,
+                                       sim::SimTime now)>;
 
-  /// Fires once per successfully primed node, in completion order.
-  using NodeSink = std::function<void(vm::VirtualServiceNode& node,
-                                      sim::SimTime now)>;
-  /// Fires exactly once, after the last node completed (or immediately when
-  /// the fan-out cannot start, e.g. the repository is no longer registered).
-  using DoneSink = std::function<void(const Outcome& outcome, sim::SimTime now)>;
+  /// Adds `plan`'s placements to `record` as one node batch; each node
+  /// reserves `inflated_unit` per capacity unit. `done` may fire before
+  /// this returns.
+  void add_nodes(ServiceRecord& record, std::vector<Placement> plan,
+                 const host::ResourceVector& inflated_unit, BatchDone done);
 
-  /// The per-node Master -> Daemon command (shared by every priming path).
-  [[nodiscard]] PrimeCommand make_command(
-      const PrimeSpec& spec, const Placement& placement,
-      const image::ImageRepository& repo) const;
-
-  /// Primes every placement, joining on the last completion. Placements are
-  /// taken by value: completion callbacks may mutate the caller's service
-  /// record (and its placement list) synchronously.
-  void prime(std::vector<Placement> placements, const PrimeSpec& spec,
-             NodeSink on_node, DoneSink on_done);
-
-  /// Tears the nodes down on their (still-alive) daemons and clears the
-  /// list — creation rollback after a partial fan-out failure.
-  void rollback(std::vector<NodeDescriptor>& nodes);
-
-  [[nodiscard]] std::uint64_t fanouts() const noexcept { return fanouts_; }
-  [[nodiscard]] std::uint64_t nodes_primed() const noexcept {
-    return nodes_primed_;
-  }
-
-  /// Checkpoints the fan-out counters (in-flight fan-outs are closures and
+  /// Checkpoints the batch counters (in-flight batches are closures and
   /// must be quiesced before a snapshot — the owner asserts that).
   template <class Ar>
   void serialize(Ar& ar) {
@@ -98,9 +66,15 @@ class PrimingCoordinator {
   }
 
  private:
+  struct Batch;
+  /// Joins one node's priming into `batch`; the last one ends the batch.
+  void on_primed(Batch& batch, std::size_t index,
+                 const Result<vm::VirtualServiceNode*>& node,
+                 sim::SimTime now);
+
   sim::Engine& engine_;
   const image::RepositoryDirectory& directory_;
-  const std::vector<SodaDaemon*>& daemons_;
+  ServiceTable& services_;
   std::uint64_t fanouts_ = 0;
   std::uint64_t nodes_primed_ = 0;
 };

@@ -257,14 +257,7 @@ void RecoveryManager::handle_host_recovery(SodaDaemon& daemon) {
   if (enabled_) arm_host(id, engine_.now());
   bus_.publish(engine_.now(), TraceKind::kHostUp, "master", daemon.host_name());
   // The returned capacity may complete recoveries that were stuck short.
-  std::vector<std::string> degraded;
-  view_.services.for_each(
-      [&](const std::string& name, const ServiceRecord& record) {
-        if (record.lifecycle.state() == ServiceState::kDegraded) {
-          degraded.push_back(name);
-        }
-      });
-  for (const std::string& name : degraded) attempt_recovery(name);
+  retry_recoveries();
 }
 
 std::size_t RecoveryManager::retry_recoveries() {
@@ -297,18 +290,27 @@ void RecoveryManager::maybe_rehome_switch(ServiceRecord& record) {
                    std::to_string(record.listen_port));
 }
 
-void RecoveryManager::finish_if_restored(ServiceRecord& record) {
-  // Only booted placements count toward "restored": a placement exists from
-  // the moment recovery plans it, but its capacity is real only once the
-  // node descriptor lands. Declaring kRunning on an in-flight placement
-  // strands the service at reduced capacity if that priming later fails.
+void RecoveryManager::settle(ServiceRecord& record) {
+  maybe_rehome_switch(record);
+  match_state_to_capacity(record);
+}
+
+void RecoveryManager::match_state_to_capacity(ServiceRecord& record) {
+  // Only booted placements count: a placement exists from the moment a
+  // batch plans it, but its capacity is real only once the node descriptor
+  // lands. Declaring kRunning on an in-flight placement strands the service
+  // at reduced capacity if that priming later fails.
   const auto booted = [&](const Placement& p) {
     return std::any_of(record.nodes.begin(), record.nodes.end(),
                        [&](const NodeDescriptor& d) {
                          return d.node_name == p.node_name;
                        });
   };
-  bool restored;
+  int have = 0;
+  for (const Placement& p : record.placements) {
+    if (booted(p)) have += p.units;
+  }
+  bool restored = have >= record.requirement.n;
   if (!record.components.empty()) {
     restored = std::all_of(
         record.components.begin(), record.components.end(),
@@ -320,19 +322,23 @@ void RecoveryManager::finish_if_restored(ServiceRecord& record) {
                                       booted(p);
                              });
         });
-  } else {
-    int have = 0;
-    for (const Placement& p : record.placements) {
-      if (booted(p)) have += p.units;
-    }
-    restored = have >= record.requirement.n;
   }
-  if (restored && record.lifecycle.state() == ServiceState::kDegraded) {
+  const ServiceState state = record.lifecycle.state();
+  if (restored && state == ServiceState::kDegraded) {
     must(record.lifecycle.transition(ServiceState::kRunning));
     ++recoveries_;
     bus_.publish(engine_.now(), TraceKind::kRecovered, "master",
                  record.service_name,
                  std::to_string(record.nodes.size()) + " node(s)");
+  } else if (!restored && state == ServiceState::kRunning) {
+    // A host declared down while a creation or resize batch primed took
+    // capacity the batch could not count on.
+    must(record.lifecycle.transition(ServiceState::kDegraded));
+    bus_.publish(engine_.now(), TraceKind::kDegraded, "master",
+                 record.service_name,
+                 std::to_string(have) + "/" +
+                     std::to_string(record.requirement.n) +
+                     " unit(s) booted");
   }
 }
 
@@ -358,7 +364,7 @@ void RecoveryManager::attempt_recovery(const std::string& service_name) {
       }
     }
     if (lost.empty()) {
-      finish_if_restored(record);
+      match_state_to_capacity(record);
       return;
     }
     auto planned = planner_.plan_components(record.requirement.m, lost);
@@ -369,7 +375,7 @@ void RecoveryManager::attempt_recovery(const std::string& service_name) {
     for (const Placement& p : record.placements) have += p.units;
     const int missing = record.requirement.n - have;
     if (missing <= 0) {
-      finish_if_restored(record);
+      match_state_to_capacity(record);
       return;
     }
     planner_.plan_growth(planner_.inflated_unit(record.requirement.m), missing,
@@ -378,59 +384,20 @@ void RecoveryManager::attempt_recovery(const std::string& service_name) {
     if (plan.empty()) return;
   }
 
-  std::vector<std::string> batch;
-  batch.reserve(plan.size());
-  for (Placement& placement : plan) {
-    placement.node_name =
-        service_name + "/" + std::to_string(record.next_ordinal++);
-    batch.push_back(placement.node_name);
-    record.placements.push_back(placement);
-  }
   util::global_logger().info(
       "master", "recovering " + service_name + ": re-priming " +
                     std::to_string(plan.size()) + " node(s)");
-
-  priming_.prime(
-      std::move(plan),
-      make_prime_spec(record, planner_.inflated_unit(record.requirement.m)),
-      [this, name = service_name](vm::VirtualServiceNode& node,
-                                  sim::SimTime) {
-        ServiceRecord* rec = view_.services.find(name);
+  priming_.add_nodes(
+      record, std::move(plan), planner_.inflated_unit(record.requirement.m),
+      [this](ServiceRecord* rec, const Status& primed, sim::SimTime) {
         if (rec == nullptr) return;  // torn down meanwhile
-        const NodeDescriptor descriptor = describe_node(node, rec->listen_port);
-        must(rec->service_switch->add_backend(BackEndEntry{
-            descriptor.address, descriptor.port, descriptor.capacity_units,
-            descriptor.component}));
-        rec->nodes.push_back(descriptor);
-      },
-      [this, name = service_name, batch = std::move(batch)](
-          const PrimingCoordinator::Outcome& outcome, sim::SimTime) {
-        ServiceRecord* rec = view_.services.find(name);
-        if (rec == nullptr) return;  // torn down meanwhile
-        if (outcome.failed) {
-          // Drop this batch's placements whose re-priming never produced a
-          // node; the service stays degraded with whatever did come up.
-          // Only this batch's names: a concurrent recovery attempt (crash,
-          // recover, crash again) may still be priming its own placements,
-          // and those legitimately have no node yet.
-          auto& placements = rec->placements;
-          placements.erase(
-              std::remove_if(placements.begin(), placements.end(),
-                             [&](const Placement& p) {
-                               return std::find(batch.begin(), batch.end(),
-                                                p.node_name) != batch.end() &&
-                                      std::none_of(
-                                          rec->nodes.begin(), rec->nodes.end(),
-                                          [&](const NodeDescriptor& d) {
-                                            return d.node_name == p.node_name;
-                                          });
-                             }),
-              placements.end());
-          util::global_logger().warn(
-              "master", name + " recovery incomplete: " + outcome.first_error);
+        if (!primed.ok()) {
+          // The service stays degraded with whatever did come up.
+          util::global_logger().warn("master", rec->service_name +
+                                                   " recovery incomplete: " +
+                                                   primed.error().message);
         }
-        maybe_rehome_switch(*rec);
-        finish_if_restored(*rec);
+        settle(*rec);
       });
 }
 

@@ -2,8 +2,12 @@
 // view of its service table. The detector declares hosts dead when their
 // heartbeats lapse (or an active probe finds them down), strips the lost
 // placements, rehomes switches off dead colocation nodes, and re-creates
-// lost capacity on surviving hosts through the shared planner and priming
-// coordinator. Every state change publishes into the control-plane bus.
+// lost capacity on surviving hosts through the shared planner and node
+// batch (core/priming). Every node batch — creation and resize growth too —
+// ends through settle(): a service runs only while every admitted unit has
+// a booted node, and is degraded otherwise, so a host lost mid-creation or
+// mid-resize leaves work for recovery instead of a silent shortfall. Every
+// state change publishes into the control-plane bus.
 //
 // Fleet-scale detector (DESIGN.md §11): instead of the seed's per-check
 // O(all-hosts) scan over a name-keyed map, deadlines live in a HostId-dense
@@ -92,6 +96,14 @@ class RecoveryManager {
   /// number of services retried.
   std::size_t retry_recoveries();
 
+  /// The rule every node batch ends through — creation, resize growth and
+  /// recovery alike: re-homes the switch off a dead colocation node, then
+  /// keeps the service running only while every admitted unit (or
+  /// component) has a booted placement. A running service short of that
+  /// turns degraded, for the next host-up or retry_recoveries() to re-place;
+  /// a degraded one that has it back runs again.
+  void settle(ServiceRecord& record);
+
   // --- Checkpoint / restore ------------------------------------------------
 
   [[nodiscard]] bool running() const noexcept { return running_; }
@@ -136,7 +148,9 @@ class RecoveryManager {
   void attempt_recovery(const std::string& service_name);
   /// Keeps the switch's colocation endpoint pointing at a live node.
   void maybe_rehome_switch(ServiceRecord& record);
-  void finish_if_restored(ServiceRecord& record);
+  /// Running while every admitted unit has a booted placement, degraded
+  /// otherwise (only those two states move).
+  void match_state_to_capacity(ServiceRecord& record);
 
   sim::Engine& engine_;
   ControlPlaneView view_;

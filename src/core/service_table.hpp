@@ -50,6 +50,10 @@ struct ServiceRecord {
   std::unique_ptr<ServiceSwitch> service_switch;
   ServiceLifecycle lifecycle{""};
   int next_ordinal = 0;  // node-name counter, never reused after teardown
+  /// Tells a re-created name from the record it replaced, so a node batch
+  /// still priming for the old record never joins the new one. Not
+  /// checkpointed: batches never outlive a quiesced world.
+  std::uint64_t incarnation = 0;
 };
 
 class ServiceTable {
@@ -59,8 +63,8 @@ class ServiceTable {
   ServiceTable& operator=(const ServiceTable&) = delete;
 
   /// Creates the slot for `name` (which must not be present) and interns
-  /// its ServiceId. The returned record is blank except for service_name
-  /// and id; its address is stable until erase().
+  /// its ServiceId. The returned record is blank except for service_name,
+  /// id and a fresh incarnation; its address is stable until erase().
   ServiceRecord& create(std::string name) {
     const ServiceId id{ids_.intern(name)};
     if (id.index() >= slot_of_id_.size()) {
@@ -77,6 +81,7 @@ class ServiceTable {
     ServiceRecord& record = slots_[slot];
     record.service_name = name;
     record.id = id;
+    record.incarnation = ++created_;
     slot_of_id_[id.index()] = slot;
     by_name_.emplace(std::move(name), slot);
     return record;
@@ -244,6 +249,7 @@ class ServiceTable {
   std::map<std::string, std::uint32_t, std::less<>> by_name_;
   InternTable ids_;
   std::vector<std::uint32_t> slot_of_id_;  // ServiceId.index() -> slot
+  std::uint64_t created_ = 0;              // last incarnation handed out
 };
 
 }  // namespace soda::core
