@@ -13,9 +13,11 @@
 //   }
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -92,5 +94,20 @@ class BenchReport {
   std::string benchmark_;
   std::map<std::string, std::string> entries_;
 };
+
+/// The machine's hardware threads (at least 1): the `cores` field of the
+/// serial-vs-parallel entries.
+inline std::size_t machine_cores() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// (serial_s / parallel_s) / min(replicas, cores): the share of the ideal
+/// speedup a serial-vs-parallel pair reached on this machine.
+inline double parallel_efficiency(double serial_s, double parallel_s,
+                                  std::size_t replicas) {
+  const std::size_t workers =
+      std::max<std::size_t>(1, std::min(replicas, machine_cores()));
+  return serial_s / parallel_s / static_cast<double>(workers);
+}
 
 }  // namespace soda::bench

@@ -93,7 +93,7 @@ int main() {
               static_cast<unsigned long long>(siege.completed()),
               static_cast<unsigned long long>(cfg.max_requests));
   std::printf("web mean response time:      %.2f ms\n",
-              siege.response_times().mean() * 1e3);
+              siege.stats().latency_moments().mean() * 1e3);
   std::printf("web guest state after runs:  %s (processes: %zu)\n",
               vm::vm_state_name(web_node->uml().state()).data(),
               web_node->uml().processes().count());

@@ -128,7 +128,7 @@ SeriesPoint run_point(std::int64_t dataset_bytes, std::uint64_t requests,
   SeriesPoint point{};
   for (std::size_t i = 0; i < 2; ++i) {
     point.served[i] = siege.completed_by(d.nodes[i].address);
-    point.mean_ms[i] = siege.response_times_for(d.nodes[i].address).mean() * 1e3;
+    point.mean_ms[i] = siege.backend_latency(d.nodes[i].address).mean() * 1e3;
   }
   return point;
 }

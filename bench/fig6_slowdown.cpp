@@ -73,7 +73,7 @@ double mean_rt_ms(const Scenario& scenario, std::int64_t bytes,
   siege.register_backend(ip, &server, service_node);
   siege.start();
   engine.run();
-  return siege.response_times().mean() * 1e3;
+  return siege.stats().latency_moments().mean() * 1e3;
 }
 
 }  // namespace

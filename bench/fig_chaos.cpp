@@ -253,6 +253,9 @@ int main(int argc, char** argv) {
                  {"scenarios_per_sec", static_cast<double>(seeds) / serial_s},
                  {"parallel_scenarios_per_sec",
                   static_cast<double>(seeds) / parallel_s},
+                 {"cores", static_cast<double>(bench::machine_cores())},
+                 {"parallel_efficiency",
+                  bench::parallel_efficiency(serial_s, parallel_s, seeds)},
                  {"faults_injected", static_cast<double>(faults)},
                  {"requests_driven", static_cast<double>(requests)},
                  {"violations", static_cast<double>(violations)},

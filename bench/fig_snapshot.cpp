@@ -187,6 +187,8 @@ struct SweepResult {
   bool identical_parallel = true;
   std::size_t setup_errors = 0;
   double serial_s = 0;
+  double serial_warm_s = 0;  // the warm restores alone, which the parallel
+                             // phase repeats
   double parallel_s = 0;
 };
 
@@ -205,7 +207,9 @@ SweepResult run_chaos_sweep(std::size_t seeds) {
     const chaos::ChaosReport cold = chaos::run_scenario(spec, save);
     chaos::ChaosOptions warm = cold_options;
     warm.from_checkpoint = sweep_path(i);
+    const auto warm_start = std::chrono::steady_clock::now();
     const chaos::ChaosReport hot = chaos::run_scenario(spec, warm);
+    result.serial_warm_s += seconds_since(warm_start);
     cold_digests[i] = cold.digest;
     if (!cold.setup_error.empty() || !hot.setup_error.empty()) {
       ++result.setup_errors;
@@ -370,7 +374,12 @@ int main(int argc, char** argv) {
                  {"serial_runs_per_sec",
                   static_cast<double>(2 * scale.chaos_seeds) / sweep.serial_s},
                  {"parallel_runs_per_sec",
-                  static_cast<double>(scale.chaos_seeds) / sweep.parallel_s}});
+                  static_cast<double>(scale.chaos_seeds) / sweep.parallel_s},
+                 {"cores", static_cast<double>(bench::machine_cores())},
+                 {"parallel_efficiency",
+                  bench::parallel_efficiency(sweep.serial_warm_s,
+                                             sweep.parallel_s,
+                                             scale.chaos_seeds)}});
   report.record("snapshot_branch",
                 {{"branches", static_cast<double>(scale.branches)},
                  {"cold_rebuild_s", branch.cold_s},

@@ -199,8 +199,8 @@ ClosedResult run_closed(const Knobs& k) {
   r.completed = siege.completed();
   const double span = (d.hup->engine().now() - start).to_seconds();
   r.achieved_rate = span > 0 ? static_cast<double>(r.completed) / span : 0;
-  r.p50_ms = siege.response_times().median() * 1e3;
-  r.p99_ms = siege.response_times().p99() * 1e3;
+  r.p50_ms = siege.stats().p50() * 1e3;
+  r.p99_ms = siege.stats().p99() * 1e3;
   return r;
 }
 
@@ -324,6 +324,9 @@ int main(int argc, char** argv) {
                  {"burst_peak_p99_ms", open.burst_peak_p99_ms},
                  {"wall_s_serial", serial_s},
                  {"wall_s_parallel", parallel_s},
+                 {"cores", static_cast<double>(bench::machine_cores())},
+                 {"parallel_efficiency",
+                  bench::parallel_efficiency(serial_s, parallel_s, k.replicas)},
                  {"identical_to_serial", identical ? 1.0 : 0.0}});
   report.record("traffic_closed_loop",
                 {{"requests", static_cast<double>(closed.completed)},

@@ -11,6 +11,7 @@
 #include "image/image.hpp"
 #include "util/log.hpp"
 #include "workload/siege.hpp"
+#include "workload/traffic.hpp"
 #include "workload/webservice.hpp"
 
 using namespace soda;
@@ -54,14 +55,14 @@ int main() {
   });
   hup.engine().run();
 
-  // 4. Drive it at the declared peak rate and check the response times.
+  // 4. Drive it open-loop at the declared peak rate for 8 s and check the
+  //    response times, measured from each request's scheduled arrival.
   std::vector<std::unique_ptr<workload::WebContentServer>> servers;
   core::ServiceSwitch* sw = hup.master().find_switch("planned");
   net::NodeId switch_node{};
   workload::SiegeConfig cfg;
-  cfg.arrival_rate = workload.peak_request_rate;
-  cfg.max_requests = 2000;
   cfg.response_bytes = workload.response_bytes;
+  cfg.record_samples = false;  // the traffic stream measures every outcome
   for (const auto& node : reply.nodes) {
     auto* daemon = hup.find_daemon(node.host_name);
     auto* vsn = daemon->find_node(node.node_name);
@@ -81,19 +82,24 @@ int main() {
     siege2.register_backend(reply.nodes[i].address, servers[i].get(),
                             servers[i]->node());
   }
-  siege2.start();
+  workload::TrafficEngine traffic(hup.engine());
+  traffic.add_stream("peak", siege2,
+                     workload::TrafficTrace().constant(
+                         workload.peak_request_rate, 8.0));
+  traffic.start();
   hup.engine().run();
 
-  std::printf("\nat the declared peak of %.0f req/s:\n", cfg.arrival_rate);
+  const sim::StreamingStats& stats = traffic.stats("peak");
+  std::printf("\nat the declared peak of %.0f req/s:\n",
+              workload.peak_request_rate);
   std::printf("  served:    %llu/%llu\n",
-              static_cast<unsigned long long>(siege2.completed()),
-              static_cast<unsigned long long>(cfg.max_requests));
+              static_cast<unsigned long long>(stats.completed()),
+              static_cast<unsigned long long>(traffic.scheduled("peak")));
   std::printf("  mean RT:   %.2f ms   p95: %.2f ms   p99: %.2f ms\n",
-              siege2.response_times().mean() * 1e3,
-              siege2.response_times().p95() * 1e3,
-              siege2.response_times().p99() * 1e3);
+              stats.latency_moments().mean() * 1e3, stats.quantile(0.95) * 1e3,
+              stats.p99() * 1e3);
   std::printf("\nthe profiled <n, M> carries the declared peak with stable "
               "response times — capacity\nplanning done before the first "
               "SODA_service_creation call, as the paper envisions.\n");
-  return siege2.completed() == cfg.max_requests ? 0 : 1;
+  return traffic.finished() && stats.errors() == 0 ? 0 : 1;
 }

@@ -92,8 +92,8 @@ int main() {
 
   std::printf("served %llu requests, mean %.2f ms, p95 %.2f ms\n",
               static_cast<unsigned long long>(siege2.completed()),
-              siege2.response_times().mean() * 1e3,
-              siege2.response_times().p95() * 1e3);
+              siege2.stats().latency_moments().mean() * 1e3,
+              siege2.stats().quantile(0.95) * 1e3);
   for (const auto& node : record->nodes) {
     std::printf("  %-14s handled %llu\n", node.node_name.c_str(),
                 static_cast<unsigned long long>(siege2.completed_by(node.address)));

@@ -89,7 +89,7 @@ int main() {
               "honeypot crashed %llu times.\n",
               static_cast<unsigned long long>(siege.completed()),
               static_cast<unsigned long long>(cfg.max_requests),
-              siege.response_times().mean() * 1e3,
+              siege.stats().latency_moments().mean() * 1e3,
               static_cast<unsigned long long>(victim.times_exploited()));
   std::printf("attack isolation: the exploited root was the guest's root — "
               "the host OS and the web\nservice never noticed.\n");

@@ -206,17 +206,9 @@ Result<ChaosSpec> parse_dsl(std::string_view text) {
       return Error{"line " + std::to_string(cmd.line) + ": " + what};
     };
     if (cmd.verb == "placement") {
-      if (cmd.args[0] == "first-fit") {
-        spec.placement = core::PlacementPolicy::kFirstFit;
-      } else if (cmd.args[0] == "best-fit") {
-        spec.placement = core::PlacementPolicy::kBestFit;
-      } else if (cmd.args[0] == "worst-fit") {
-        spec.placement = core::PlacementPolicy::kWorstFit;
-      } else if (cmd.args[0] == "cache-affinity") {
-        spec.placement = core::PlacementPolicy::kCacheAffinity;
-      } else {
-        return fail("unknown placement '" + cmd.args[0] + "'");
-      }
+      const auto policy = core::parse_placement_policy(cmd.args[0]);
+      if (!policy) return fail("unknown placement '" + cmd.args[0] + "'");
+      spec.placement = *policy;
     } else if (cmd.verb == "host") {
       if (cmd.args[0] != "seattle" && cmd.args[0] != "tacoma") {
         return fail("unknown host spec '" + cmd.args[0] + "'");

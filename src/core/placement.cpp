@@ -53,6 +53,16 @@ std::string_view placement_policy_name(PlacementPolicy policy) noexcept {
   return "unknown";
 }
 
+std::optional<PlacementPolicy> parse_placement_policy(
+    std::string_view name) noexcept {
+  for (const PlacementPolicy policy :
+       {PlacementPolicy::kFirstFit, PlacementPolicy::kBestFit,
+        PlacementPolicy::kWorstFit, PlacementPolicy::kCacheAffinity}) {
+    if (placement_policy_name(policy) == name) return policy;
+  }
+  return std::nullopt;
+}
+
 int units_that_fit(const host::ResourceVector& avail,
                    const host::ResourceVector& unit) noexcept {
   double k = std::floor(avail.cpu_mhz / unit.cpu_mhz + 1e-9);

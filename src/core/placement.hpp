@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,6 +42,10 @@ enum class PlacementPolicy {
 };
 
 std::string_view placement_policy_name(PlacementPolicy policy) noexcept;
+/// Inverse of placement_policy_name: the policy a name spells, or nullopt
+/// for a name no policy has.
+std::optional<PlacementPolicy> parse_placement_policy(
+    std::string_view name) noexcept;
 
 /// One planned (or live) node placement.
 struct Placement {

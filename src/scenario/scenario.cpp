@@ -140,17 +140,11 @@ Status execute(Runtime& rt, const ScenarioCommand& cmd) {
         return Error{error_at(cmd.line, "unknown mode '" + cmd.args[0] + "'")};
       }
     } else if (cmd.verb == "placement") {
-      if (cmd.args[0] == "first-fit") {
-        rt.config.placement = PlacementPolicy::kFirstFit;
-      } else if (cmd.args[0] == "best-fit") {
-        rt.config.placement = PlacementPolicy::kBestFit;
-      } else if (cmd.args[0] == "worst-fit") {
-        rt.config.placement = PlacementPolicy::kWorstFit;
-      } else if (cmd.args[0] == "cache-affinity") {
-        rt.config.placement = PlacementPolicy::kCacheAffinity;
-      } else {
+      const auto policy = parse_placement_policy(cmd.args[0]);
+      if (!policy) {
         return Error{error_at(cmd.line, "unknown placement '" + cmd.args[0] + "'")};
       }
+      rt.config.placement = *policy;
     } else if (cmd.verb == "distribution") {
       if (cmd.args[0] == "origin") {
         rt.config.distribution.enabled = false;

@@ -73,11 +73,6 @@ double Rng::exponential(double mean) noexcept {
   return -mean * std::log1p(-uniform());
 }
 
-SimTime Rng::poisson_gap(double rate_per_sec) noexcept {
-  SODA_EXPECTS(rate_per_sec > 0);
-  return SimTime::seconds(exponential(1.0 / rate_per_sec));
-}
-
 double Rng::bounded_pareto(double alpha, double lo, double hi) noexcept {
   SODA_EXPECTS(alpha > 0 && lo > 0 && hi > lo);
   const double u = uniform();

@@ -7,8 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/time.hpp"
-
 namespace soda::sim {
 
 /// xoshiro256** generator. Satisfies UniformRandomBitGenerator.
@@ -35,9 +33,6 @@ class Rng {
 
   /// Exponential with the given mean (> 0); used for Poisson arrivals.
   double exponential(double mean) noexcept;
-
-  /// Exponential inter-arrival gap for a Poisson process of `rate_per_sec`.
-  SimTime poisson_gap(double rate_per_sec) noexcept;
 
   /// Bounded Pareto sample in [lo, hi] with shape `alpha`; heavy-tailed
   /// service demands.

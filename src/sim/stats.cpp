@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/contract.hpp"
-
 namespace soda::sim {
 
 void RunningStats::add(double x) noexcept {
@@ -44,44 +42,6 @@ void RunningStats::merge(const RunningStats& other) noexcept {
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-void SampleSet::ensure_sorted() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-}
-
-double SampleSet::mean() const noexcept {
-  if (samples_.empty()) return 0.0;
-  double sum = 0;
-  for (double s : samples_) sum += s;
-  return sum / static_cast<double>(samples_.size());
-}
-
-double SampleSet::quantile(double q) const {
-  SODA_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  if (samples_.size() == 1) return samples_[0];
-  const double pos = q * static_cast<double>(samples_.size() - 1);
-  const auto idx = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(idx);
-  if (idx + 1 >= samples_.size()) return samples_.back();
-  return samples_[idx] * (1.0 - frac) + samples_[idx + 1] * frac;
-}
-
-double SampleSet::min() const {
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  return samples_.front();
-}
-
-double SampleSet::max() const {
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  return samples_.back();
 }
 
 double TimeSeries::mean_value() const noexcept {

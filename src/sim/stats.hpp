@@ -1,7 +1,7 @@
-// Online statistics used by the measurement harness: Welford mean/variance,
-// exact-percentile reservoirs for response times, and time-weighted series
-// for CPU-share plots (Figure 5). Log-bucketed histograms live in
-// sim/streaming_stats.hpp.
+// Online statistics used by the measurement harness: running moments
+// (count, sum, mean, Welford variance) and time-weighted series for
+// CPU-share plots (Figure 5). Latency distributions go through the one
+// recorder, sim::StreamingStats (sim/streaming_stats.hpp).
 #pragma once
 
 #include <cstddef>
@@ -12,13 +12,17 @@
 
 namespace soda::sim {
 
-/// Numerically stable running mean / variance / min / max (Welford).
+/// Running count / sum / mean / variance / min / max. The variance is
+/// Welford's (numerically stable); the mean is the plain sum over count.
 class RunningStats {
  public:
   void add(double x) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
-  [[nodiscard]] double mean() const noexcept { return count_ ? mean_ : 0.0; }
+  /// sum() / count(): the samples summed in the order they were added.
+  [[nodiscard]] double mean() const noexcept {
+    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+  }
   /// Sample variance (n-1); zero for fewer than two samples.
   [[nodiscard]] double variance() const noexcept;
   [[nodiscard]] double stddev() const noexcept;
@@ -46,28 +50,6 @@ class RunningStats {
   double sum_ = 0;
   double min_ = 0;
   double max_ = 0;
-};
-
-/// Stores every sample (our experiments are small enough) and reports exact
-/// quantiles. Use for response-time distributions.
-class SampleSet {
- public:
-  void add(double x) { samples_.push_back(x); }
-
-  [[nodiscard]] std::size_t count() const noexcept { return samples_.size(); }
-  [[nodiscard]] double mean() const noexcept;
-  /// Exact quantile by linear interpolation; q in [0, 1]. Empty set -> 0.
-  [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] double median() const { return quantile(0.5); }
-  [[nodiscard]] double p95() const { return quantile(0.95); }
-  [[nodiscard]] double p99() const { return quantile(0.99); }
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
-  void ensure_sorted() const;
 };
 
 /// A (time, value) series sampled at fixed intervals — e.g. a node's CPU

@@ -1,13 +1,13 @@
-// Streaming measurement pipeline for open-loop traffic runs: a fixed-size
-// log-bucketed latency histogram (HDR-style: bounded relative error, exact
-// merge) and a rolling-window aggregator built from a ring of them. Unlike
-// SampleSet — which stores every sample and is fine for the small paper
-// figures — memory here is O(windows), never O(requests), so a bench can
-// drive millions of requests and still read honest p50/p99/p999, per-window
-// counters, and an error-rate-over-time series at the end. Everything is
-// deterministic (integer bucket math via frexp, no platform-dependent
-// transcendentals on the hot path) so serial and ParallelRunner replicas
-// digest bit-identically.
+// The simulator's one latency recorder: a fixed-size log-bucketed latency
+// histogram (HDR-style: bounded relative error, exact merge) and a
+// rolling-window aggregator built from a ring of them. The open-loop
+// TrafficEngine measures each stream with one, and a closed-loop
+// SiegeClient measures its run with one. Memory is O(windows), never
+// O(requests), so a bench can drive millions of requests and still read
+// honest p50/p99/p999, per-window counters, and an error-rate-over-time
+// series at the end. Everything is deterministic (integer bucket math via
+// frexp, no platform-dependent transcendentals on the hot path) so serial
+// and ParallelRunner replicas digest bit-identically.
 #pragma once
 
 #include <cstddef>
@@ -130,8 +130,9 @@ class StreamingStats {
   /// record path stays allocation-free end to end.
   void reserve_duration(SimTime horizon);
 
-  /// A request completed at `at` with end-to-end latency `seconds`,
-  /// measured from its *scheduled* arrival (coordinated-omission-free).
+  /// A request completed at `at` with end-to-end latency `seconds`: from
+  /// its *scheduled* arrival in an open loop (coordinated-omission-free),
+  /// from its issue in a closed loop.
   void record_latency(SimTime at, double seconds) noexcept;
   /// A request was refused/errored at `at`.
   void record_error(SimTime at) noexcept;

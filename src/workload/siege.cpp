@@ -24,10 +24,10 @@ SiegeClient::SiegeClient(sim::Engine& engine, net::FlowNetwork& network,
       client_(client),
       switch_(service_switch),
       switch_node_(switch_node),
-      config_(config),
-      rng_(config.seed) {
+      config_(config) {
   SODA_EXPECTS(config_.max_requests >= 1);
   SODA_EXPECTS(switch_ == nullptr || switch_node_.has_value());
+  if (config_.record_samples) stats_.emplace();
 }
 
 SiegeClient::Backend* SiegeClient::find_backend(std::uint32_t address) noexcept {
@@ -67,22 +67,9 @@ void SiegeClient::register_backend(net::Ipv4Address address,
 
 void SiegeClient::start() {
   SODA_EXPECTS(!backends_.empty());
-  if (config_.arrival_rate > 0) {
-    schedule_next_arrival();
-  } else {
-    const int workers =
-        static_cast<int>(std::min<std::uint64_t>(
-            static_cast<std::uint64_t>(config_.concurrency), config_.max_requests));
-    for (int i = 0; i < workers; ++i) issue_request();
-  }
-}
-
-void SiegeClient::schedule_next_arrival() {
-  if (issued_ >= config_.max_requests) return;
-  engine_.schedule_after(rng_.poisson_gap(config_.arrival_rate), [this] {
-    issue_request();
-    schedule_next_arrival();
-  });
+  const int workers = static_cast<int>(std::min<std::uint64_t>(
+      static_cast<std::uint64_t>(config_.concurrency), config_.max_requests));
+  for (int i = 0; i < workers; ++i) issue_request();
 }
 
 void SiegeClient::issue_request() {
@@ -111,9 +98,7 @@ void SiegeClient::pump_backlog() {
 
 void SiegeClient::finish_refused(sim::SimTime started) {
   ++refused_;
-  if (config_.record_samples) {
-    refusal_series_.add(engine_.now(), static_cast<double>(refused_));
-  }
+  if (stats_) stats_->record_error(engine_.now());
   if (observer_) {
     RequestOutcome outcome;
     outcome.scheduled = started;
@@ -209,10 +194,9 @@ void SiegeClient::dispatch_to(const core::BackEndEntry& entry,
 void SiegeClient::on_response(const core::BackEndEntry& entry,
                               sim::SimTime started, sim::SimTime delivered) {
   const double rt = (delivered - started).to_seconds();
-  if (config_.record_samples) overall_.add(rt);
+  if (stats_) stats_->record_latency(delivered, rt);
   if (Backend* backend = find_backend(entry.address.value())) {
-    if (config_.record_samples) backend->samples.add(rt);
-    ++backend->completed;
+    backend->latency.add(rt);
   }
   ++completed_;
   if (switch_) {
@@ -236,20 +220,18 @@ void SiegeClient::maybe_continue() {
   // Externally driven (inject): the TrafficEngine owns the arrival process;
   // a completion must never spawn a closed-loop follow-up request.
   if (external_drive_) return;
-  if (config_.arrival_rate > 0) return;
   if (issued_ >= config_.max_requests) return;
   engine_.schedule_after(config_.think_time, [this] { issue_request(); });
 }
 
-const sim::SampleSet& SiegeClient::response_times_for(
-    net::Ipv4Address address) const {
-  const Backend* backend = find_backend(address.value());
-  return backend ? backend->samples : empty_;
+const sim::StreamingStats& SiegeClient::stats() const noexcept {
+  SODA_EXPECTS(stats_.has_value());
+  return *stats_;
 }
 
-std::uint64_t SiegeClient::completed_by(net::Ipv4Address address) const {
+sim::RunningStats SiegeClient::backend_latency(net::Ipv4Address address) const {
   const Backend* backend = find_backend(address.value());
-  return backend ? backend->completed : 0;
+  return backend ? backend->latency : sim::RunningStats{};
 }
 
 }  // namespace soda::workload

@@ -1,13 +1,17 @@
 // A siege-like HTTP request generator (the paper uses `siege` to drive the
-// web content service, §5). Supports closed-loop operation (N concurrent
-// clients with think time) and open-loop Poisson arrivals, measures per-
-// request response time end to end, and attributes every request to the
-// backend the service switch picked — the measurements behind Figures 4
-// and 6.
+// web content service, §5). It runs the closed loop itself (N concurrent
+// clients with think time) and serves as the request path of the open-loop
+// TrafficEngine (inject), measures per-request response time end to end,
+// and attributes every request to the backend the service switch picked —
+// the measurements behind Figures 4 and 6.
 //
-// The request loop rides the switch's allocation-free data plane: backend
-// attribution uses a sorted dense registry (binary search by address, built
-// at registration time) instead of per-request tree lookups.
+// Measurement goes through the simulator's one latency recorder,
+// sim::StreamingStats: with record_samples on, every outcome lands in one
+// pipeline (served requests as latencies, refusals as timestamped errors);
+// per-backend RunningStats keep Figure 4's per-node means. The request loop
+// rides the switch's allocation-free data plane: backend attribution uses a
+// sorted dense registry (binary search by address, built at registration
+// time) instead of per-request tree lookups.
 #pragma once
 
 #include <cstdint>
@@ -19,35 +23,31 @@
 #include "core/switch.hpp"
 #include "net/flow_network.hpp"
 #include "sim/engine.hpp"
-#include "sim/random.hpp"
 #include "sim/stats.hpp"
+#include "sim/streaming_stats.hpp"
 #include "workload/webservice.hpp"
 
 namespace soda::workload {
 
 /// Load-generation parameters.
 struct SiegeConfig {
-  /// Closed loop: number of concurrent simulated users. Ignored when
-  /// arrival_rate > 0.
+  /// Closed loop: number of concurrent simulated users.
   int concurrency = 8;
-  /// Open loop: Poisson arrival rate (requests/second); 0 = closed loop.
-  double arrival_rate = 0;
   /// Closed loop: pause between a user's response and next request.
   sim::SimTime think_time = sim::SimTime::milliseconds(50);
   /// Bytes of content each request fetches (the paper's "dataset size").
   std::int64_t response_bytes = 8 * 1024;
   /// Total requests to issue before stopping.
   std::uint64_t max_requests = 500;
-  std::uint64_t seed = 0x51E6E;
   /// Forwarding latency inside the switch itself (see switch_forward_cost).
   sim::SimTime switch_delay = sim::SimTime::microseconds(120);
   /// When non-empty, requests carry this target and the switch routes by
   /// component prefix (partitioned services); empty = plain route().
   std::string target;
-  /// Store per-request samples in SampleSets (response_times[_for],
-  /// refusals_over_time). The TrafficEngine turns this off: its
-  /// StreamingStats pipeline replaces O(requests) sample storage, and the
-  /// observer hook still sees every outcome.
+  /// Record every outcome into the client's own StreamingStats (stats()).
+  /// Clients driven by a TrafficEngine turn this off: the engine measures
+  /// each stream in its own pipeline through the observer hook, and an
+  /// idle pipeline still holds its ring of histograms (~87 KB).
   bool record_samples = true;
   /// inject() only: maximum requests in flight (0 = unlimited). Arrivals
   /// beyond the cap queue client-side and are dispatched as completions
@@ -111,23 +111,18 @@ class SiegeClient {
   /// Requests that were re-routed after their first backend was down.
   [[nodiscard]] std::uint64_t failed_over() const noexcept { return failed_over_; }
 
-  /// Response-time samples (seconds) across all backends.
-  [[nodiscard]] const sim::SampleSet& response_times() const noexcept {
-    return overall_;
-  }
-  /// Response-time samples for one backend (empty set if it served nothing).
-  [[nodiscard]] const sim::SampleSet& response_times_for(
+  /// Every outcome so far: served requests as latencies (seconds from
+  /// issue or scheduled arrival), refusals as errors at the instant they
+  /// were refused. Requires record_samples.
+  [[nodiscard]] const sim::StreamingStats& stats() const noexcept;
+  /// Response times (seconds) of the requests one backend served, in
+  /// completion order; empty if it served nothing. Kept whether or not
+  /// record_samples is on.
+  [[nodiscard]] sim::RunningStats backend_latency(
       net::Ipv4Address address) const;
   /// Requests completed by one backend.
-  [[nodiscard]] std::uint64_t completed_by(net::Ipv4Address address) const;
-
-  /// (time, cumulative refusal count) — one point per refusal, so
-  /// error-rate-over-time is reportable instead of refusals silently
-  /// vanishing from latency accounting. Irregularly sampled: average with
-  /// TimeSeries::time_weighted_mean, not mean_value. Empty when
-  /// record_samples is off (the observer then carries refusals).
-  [[nodiscard]] const sim::TimeSeries& refusals_over_time() const noexcept {
-    return refusal_series_;
+  [[nodiscard]] std::uint64_t completed_by(net::Ipv4Address address) const {
+    return backend_latency(address).count();
   }
 
  private:
@@ -137,17 +132,15 @@ class SiegeClient {
     std::uint32_t address = 0;
     WebContentServer* server = nullptr;
     net::NodeId node{};
-    sim::SampleSet samples;
-    std::uint64_t completed = 0;
+    sim::RunningStats latency;
   };
 
   void issue_request();
   /// The shared request path: route (with failover), dispatch, measure.
   /// `started` is the instant the latency clock runs from.
   void begin_request(sim::SimTime started);
-  void schedule_next_arrival();
   /// Closed loop: after a request ends (served or refused), think then issue
-  /// the next one. Open loop: no-op (arrivals self-schedule).
+  /// the next one. Injected requests: no-op (the caller owns arrivals).
   void maybe_continue();
   void dispatch_to(const core::BackEndEntry& entry, WebContentServer* server,
                    sim::SimTime started);
@@ -168,11 +161,8 @@ class SiegeClient {
   core::ServiceSwitch* switch_;
   std::optional<net::NodeId> switch_node_;
   SiegeConfig config_;
-  sim::Rng rng_;
   std::vector<Backend> backends_;  // sorted by address
-  sim::SampleSet overall_;
-  sim::SampleSet empty_;
-  sim::TimeSeries refusal_series_;
+  std::optional<sim::StreamingStats> stats_;  // engaged iff record_samples
   Observer observer_;
   std::deque<sim::SimTime> backlog_;  // injected arrivals awaiting a slot
   std::uint64_t issued_ = 0;

@@ -111,8 +111,9 @@ class TrafficEngine {
   explicit TrafficEngine(sim::Engine& engine, TrafficEngineConfig config = {});
 
   /// Registers a stream. The client must outlive the engine; its observer
-  /// is taken over, and record_samples should be off for long runs. Call
-  /// before start().
+  /// is taken over. The stream's pipeline measures every outcome, so the
+  /// client's own (record_samples) would only duplicate it: turn that off.
+  /// Call before start().
   void add_stream(std::string name, SiegeClient& client, TrafficTrace trace);
 
   /// Starts every stream's arrival process at the engine's current time.

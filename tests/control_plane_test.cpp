@@ -175,6 +175,16 @@ constexpr PlacementPolicy kPolicies[] = {
     PlacementPolicy::kFirstFit, PlacementPolicy::kBestFit,
     PlacementPolicy::kWorstFit, PlacementPolicy::kCacheAffinity};
 
+TEST(Placement, PolicyNamesParseBack) {
+  for (const PlacementPolicy policy : kPolicies) {
+    EXPECT_EQ(parse_placement_policy(placement_policy_name(policy)), policy)
+        << placement_policy_name(policy);
+  }
+  EXPECT_FALSE(parse_placement_policy("nearest-fit").has_value());
+  EXPECT_FALSE(parse_placement_policy("unknown").has_value());
+  EXPECT_FALSE(parse_placement_policy("").has_value());
+}
+
 TEST(Placement, EqualHostsTieBreakOnRegistrationOrder) {
   for (const PlacementPolicy policy : kPolicies) {
     MasterConfig config;

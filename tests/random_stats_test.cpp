@@ -93,14 +93,6 @@ TEST(Rng, ExponentialMeanConverges) {
   EXPECT_NEAR(sum / n, 2.0, 0.1);
 }
 
-TEST(Rng, PoissonGapMeanMatchesRate) {
-  Rng rng(7);
-  double total = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) total += rng.poisson_gap(50.0).to_seconds();
-  EXPECT_NEAR(total / n, 1.0 / 50.0, 0.002);
-}
-
 TEST(Rng, BoundedParetoStaysInBounds) {
   Rng rng(8);
   for (int i = 0; i < 2000; ++i) {
@@ -166,6 +158,20 @@ TEST(RunningStats, MeanVarianceMinMax) {
   EXPECT_DOUBLE_EQ(stats.sum(), 40.0);
 }
 
+TEST(RunningStats, MeanIsTheInOrderSumOverCount) {
+  // Bit for bit what summing the samples in arrival order gives, which is
+  // what the per-node response-time means of Figures 3, 4 and 6 print.
+  // Welford's running mean lands on 0.2 here; the in-order sum does not.
+  RunningStats stats;
+  double sum = 0;
+  for (double x : {0.1, 0.2, 0.3}) {
+    stats.add(x);
+    sum += x;
+  }
+  EXPECT_EQ(stats.mean(), sum / 3.0);
+  EXPECT_NE(stats.mean(), 0.2);
+}
+
 TEST(RunningStats, EmptyIsZero) {
   RunningStats stats;
   EXPECT_EQ(stats.count(), 0u);
@@ -213,46 +219,6 @@ TEST(RunningStats, MergeSingleSampleVariance) {
   EXPECT_DOUBLE_EQ(a.variance(), 2.0);  // ((2-3)^2 + (4-3)^2) / (2-1)
   EXPECT_DOUBLE_EQ(a.min(), 2.0);
   EXPECT_DOUBLE_EQ(a.max(), 4.0);
-}
-
-// ---------- SampleSet ----------
-
-TEST(SampleSet, ExactQuantiles) {
-  SampleSet s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.quantile(1.0), 100.0);
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.p95(), 95.05, 1e-9);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
-}
-
-TEST(SampleSet, MeanAndEmptyBehaviour) {
-  SampleSet s;
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.5), 0.0);
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.median(), 3.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-}
-
-TEST(SampleSet, AddAfterQuantileStillCorrect) {
-  SampleSet s;
-  s.add(2.0);
-  EXPECT_DOUBLE_EQ(s.median(), 2.0);
-  s.add(4.0);
-  EXPECT_DOUBLE_EQ(s.median(), 3.0);
-}
-
-TEST(SampleSet, TwoSampleQuantileEdges) {
-  SampleSet s;
-  s.add(20.0);
-  s.add(10.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.0), 10.0);
-  EXPECT_DOUBLE_EQ(s.quantile(1.0), 20.0);
-  EXPECT_DOUBLE_EQ(s.median(), 15.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.25), 12.5);  // linear interpolation
 }
 
 // ---------- TimeSeries ----------

@@ -227,13 +227,18 @@ TEST(Siege, RefusalsLeaveTimestampedSeries) {
   siege.start();
   bed.engine.run();
   EXPECT_EQ(siege.refused(), 10u);
-  // Refusals no longer vanish from accounting: one timestamped point each,
-  // cumulative count on the y axis.
-  ASSERT_EQ(siege.refusals_over_time().size(), 10u);
-  EXPECT_DOUBLE_EQ(siege.refusals_over_time().points().back().value, 10.0);
-  ASSERT_GE(siege.refusals_over_time().size(), 2u);
-  EXPECT_GE(siege.refusals_over_time().points()[1].time,
-            siege.refusals_over_time().points()[0].time);
+  // Refusals do not vanish from accounting: each is an error in the
+  // client's pipeline, timestamped into its window.
+  const sim::StreamingStats& stats = siege.stats();
+  EXPECT_EQ(stats.errors(), 10u);
+  EXPECT_EQ(stats.completed(), 0u);
+  EXPECT_DOUBLE_EQ(stats.error_rate(), 1.0);
+  // Close the open window on a copy so every refusal shows in the series.
+  sim::StreamingStats closed = stats;
+  closed.advance_to(bed.engine.now() + closed.window_width());
+  std::uint64_t windowed = 0;
+  for (const auto& window : closed.windows()) windowed += window.errors;
+  EXPECT_EQ(windowed, 10u);
 }
 
 TEST(Siege, FailoverRefusalLeavesNoPhantomConnection) {

@@ -2,6 +2,8 @@
 // honeypot attack confinement, and the Figure 5 application mix.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/hup.hpp"
 #include "image/image.hpp"
 #include "workload/apps.hpp"
@@ -125,27 +127,10 @@ TEST(Siege, ClosedLoopCompletesExactly) {
   bed.engine.run();
   EXPECT_TRUE(siege.finished());
   EXPECT_EQ(siege.completed(), 100u);
-  EXPECT_EQ(siege.response_times().count(), 100u);
-  EXPECT_GT(siege.response_times().mean(), 0.0);
-}
-
-TEST(Siege, OpenLoopIssuesAtRate) {
-  ServerBed bed;
-  WebContentServer server(bed.engine, bed.network, bed.server_node,
-                          vm::ExecMode::kHostNative, 2.6, 8);
-  SiegeConfig cfg;
-  cfg.arrival_rate = 200;
-  cfg.max_requests = 60;
-  cfg.response_bytes = 1024;
-  SiegeClient siege(bed.engine, bed.network, bed.client, nullptr, std::nullopt,
-                    cfg);
-  siege.register_backend(net::Ipv4Address(10, 0, 0, 1), &server,
-                         bed.server_node);
-  siege.start();
-  bed.engine.run();
-  EXPECT_EQ(siege.completed(), 60u);
-  // 60 arrivals at 200/s: the run should span roughly 0.3 s.
-  EXPECT_NEAR(bed.engine.now().to_seconds(), 0.3, 0.2);
+  EXPECT_EQ(siege.stats().completed(), 100u);
+  EXPECT_EQ(siege.stats().errors(), 0u);
+  EXPECT_GT(siege.stats().p50(), 0.0);
+  EXPECT_EQ(siege.backend_latency(net::Ipv4Address(10, 0, 0, 1)).count(), 100u);
 }
 
 TEST(Siege, RoutesThroughSwitchWithWrrSplit) {
@@ -174,7 +159,52 @@ TEST(Siege, RoutesThroughSwitchWithWrrSplit) {
   EXPECT_EQ(siege.completed(), 300u);
   EXPECT_EQ(siege.completed_by(ip1), 200u);  // twice the capacity
   EXPECT_EQ(siege.completed_by(ip2), 100u);
-  EXPECT_GT(siege.response_times_for(ip1).count(), 0u);
+  EXPECT_EQ(siege.stats().completed(), 300u);
+  EXPECT_GT(siege.backend_latency(ip1).mean(), 0.0);
+}
+
+TEST(Siege, BackendLatencyMatchesObservedOutcomes) {
+  // Differential: each backend's RunningStats holds exactly the outcomes the
+  // observer attributed to it — same count, same sum in the same order.
+  ServerBed bed;
+  const net::NodeId node2 = bed.network.add_node("server2");
+  bed.network.add_duplex_link(node2, bed.sw, 100, sim::SimTime::zero());
+  WebContentServer s1(bed.engine, bed.network, bed.server_node,
+                      vm::ExecMode::kUmlTraced, 2.6, 4);
+  WebContentServer s2(bed.engine, bed.network, node2, vm::ExecMode::kUmlTraced,
+                      1.8, 2);
+  const net::Ipv4Address ip1(10, 0, 0, 1), ip2(10, 0, 0, 2);
+  core::ServiceSwitch sw("web", ip1, 8080);
+  must(sw.add_backend(core::BackEndEntry{ip1, 8080, 2, {}}));
+  must(sw.add_backend(core::BackEndEntry{ip2, 8080, 1, {}}));
+
+  SiegeConfig cfg;
+  cfg.concurrency = 5;
+  cfg.max_requests = 150;
+  cfg.response_bytes = 16 * 1024;
+  SiegeClient siege(bed.engine, bed.network, bed.client, &sw, bed.server_node,
+                    cfg);
+  siege.register_backend(ip1, &s1, bed.server_node);
+  siege.register_backend(ip2, &s2, node2);
+  std::map<std::uint32_t, std::pair<std::uint64_t, double>> seen;
+  siege.set_observer([&](const SiegeClient::RequestOutcome& o) {
+    ASSERT_FALSE(o.refused);
+    auto& [count, sum] = seen[o.backend.value()];
+    ++count;
+    sum += o.latency_s;
+  });
+  siege.start();
+  bed.engine.run();
+  ASSERT_EQ(seen.size(), 2u);
+  for (const net::Ipv4Address ip : {ip1, ip2}) {
+    const sim::RunningStats latency = siege.backend_latency(ip);
+    EXPECT_EQ(latency.count(), seen[ip.value()].first);
+    EXPECT_EQ(latency.sum(), seen[ip.value()].second);
+  }
+  EXPECT_EQ(siege.backend_latency(ip1).count() +
+                siege.backend_latency(ip2).count(),
+            siege.stats().completed());
+  EXPECT_EQ(siege.backend_latency(net::Ipv4Address(10, 0, 0, 9)).count(), 0u);
 }
 
 TEST(Siege, RefusedWhenNoHealthyBackend) {
