@@ -190,11 +190,17 @@ void Hup::serialize(Ar& ar, std::vector<TimerRecord>& timers) {
     ar.u32(pool_start);
     ar.count(pool_size);  // one byte per address follows in the pool
     ar.check(pool_size >= 1, "empty host address pool");
+    ar.check(pool_size <= net::IpPool::room_from(net::Ipv4Address{pool_start}),
+             "host address pool runs past 255.255.255.255");
     ar.u64(bundle->uplink.first.value, links);
     ar.u64(bundle->uplink.second.value, links);
     ar.f64(bundle->uplink_mbps);
     ar.check(bundle->uplink_mbps > 0, "host uplink rate out of range");
     if constexpr (Ar::kLoading) {
+      if (!ar.ok()) return;
+      ar.check(master_->pool_overlap(net::Ipv4Address{pool_start},
+                                     pool_size) == nullptr,
+               "host address pools overlap");
       if (!ar.ok()) return;
       // The LAN node, uplink links, bridge entries, and shaper shares were
       // restored wholesale with the network — construct alongside, not into.

@@ -40,7 +40,7 @@ void resize_in_place(ServiceRecord& record, Placement& placement, int units,
 SodaMaster::SodaMaster(sim::Engine& engine, MasterConfig config)
     : engine_(engine),
       config_(config),
-      planner_(daemons_, down_hosts_, config_.placement,
+      planner_(down_hosts_, config_.placement,
                config_.slowdown_factor, config_.max_nodes_per_service),
       priming_(engine, directory_, services_),
       recovery_(engine,
@@ -75,12 +75,10 @@ Status SodaMaster::register_daemon(SodaDaemon* daemon) {
   if (host_names_.contains(daemon->host_name())) {
     return Error{"duplicate host: " + daemon->host_name()};
   }
-  for (const SodaDaemon* existing : daemons_) {
-    if (!net::IpPool::disjoint(existing->host().ip_pool(),
-                               daemon->host().ip_pool())) {
-      return Error{"IP pools of " + existing->host_name() + " and " +
-                   daemon->host_name() + " overlap"};
-    }
+  const net::IpPool& pool = daemon->host().ip_pool();
+  if (const SodaDaemon* owner = pool_overlap(pool.first(), pool.capacity())) {
+    return Error{"IP pools of " + owner->host_name() + " and " +
+                 daemon->host_name() + " overlap"};
   }
   // Registration order defines the dense HostId space every fleet-scale
   // structure (down-host bitset, detector wheel, planner tie-breaks) is
@@ -97,9 +95,41 @@ void SodaMaster::attach_restored_daemon(SodaDaemon* daemon) {
   attach(*daemon);
 }
 
+const SodaDaemon* SodaMaster::pool_overlap(net::Ipv4Address first,
+                                           std::size_t count) const {
+  SODA_EXPECTS(count >= 1);
+  const std::uint64_t lo = first.value();
+  const std::uint64_t last = lo + count - 1;
+  // The pools that overlap [lo, last] are consecutive in address order: the
+  // first is the first pool that ends at or after lo.
+  auto it = std::lower_bound(
+      pools_.begin(), pools_.end(), lo,
+      [](const PoolRange& pool, std::uint64_t at) { return pool.last < at; });
+  const SodaDaemon* earliest = nullptr;
+  for (; it != pools_.end() && it->first <= last; ++it) {
+    const SodaDaemon* owner = daemons_[it->host.index()];
+    if (earliest == nullptr || owner->host_id() < earliest->host_id()) {
+      earliest = owner;
+    }
+  }
+  return earliest;
+}
+
 void SodaMaster::attach(SodaDaemon& daemon) {
-  daemon.set_host_id(HostId{static_cast<std::uint32_t>(daemons_.size())});
+  const HostId id{static_cast<std::uint32_t>(daemons_.size())};
+  daemon.set_host_id(id);
   daemons_.push_back(&daemon);
+  const net::IpPool& pool = daemon.host().ip_pool();
+  const PoolRange range{
+      pool.first().value(),
+      static_cast<std::uint32_t>(pool.first().value() + pool.capacity() - 1),
+      id};
+  pools_.insert(std::upper_bound(pools_.begin(), pools_.end(), range,
+                                 [](const PoolRange& a, const PoolRange& b) {
+                                   return a.first < b.first;
+                                 }),
+                range);
+  planner_.add_host(daemon);
   // Wire the host's image-distribution front end into the HUP: shared
   // repository directory (per-attempt name resolution), shared chunk
   // registry (P2P priming), and the Master's distribution policy. The

@@ -9,7 +9,8 @@
 //
 // The class itself is a thin façade over four composable subsystems:
 //   * PlacementPlanner (core/placement) — one placement order over the live
-//     hosts and the packing loop every consumer shares;
+//     hosts, kept between decisions, and the packing loop every consumer
+//     shares;
 //   * PrimingCoordinator (core/priming) — the node batch: creation, resize
 //     growth, and recovery add nodes to a service only through it;
 //   * RecoveryManager (core/recovery) — failure detection, the recovery
@@ -75,6 +76,12 @@ class SodaMaster {
   /// first-fit order). Pool disjointness against every registered host is
   /// enforced here — the cross-host invariant of §4.3.
   Status register_daemon(SodaDaemon* daemon);
+
+  /// The earliest-registered daemon whose address pool overlaps the `count`
+  /// addresses from `first` (count >= 1), or nullptr when none does.
+  /// O(log hosts + overlapping pools).
+  [[nodiscard]] const SodaDaemon* pool_overlap(net::Ipv4Address first,
+                                               std::size_t count) const;
 
   /// Makes a repository resolvable by name in image locations.
   void register_repository(const image::ImageRepository* repository);
@@ -263,6 +270,15 @@ class SodaMaster {
   MasterConfig config_;
   std::vector<SodaDaemon*> daemons_;  // registration order == HostId order
   InternTable host_names_;            // host name -> dense HostId
+  /// The registered address pools, sorted by first address. They are
+  /// disjoint, so they are sorted by last address too. Hosts usually
+  /// register in address order, which makes an insert an append.
+  struct PoolRange {
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+    HostId host;
+  };
+  std::vector<PoolRange> pools_;
   image::RepositoryDirectory directory_;
   image::ChunkRegistry chunk_registry_;
   ServiceTable services_;

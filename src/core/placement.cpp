@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "core/daemon.hpp"
@@ -9,13 +10,10 @@
 
 namespace soda::core {
 
-namespace {
-
-/// The one placement order: more cached chunks first, then lower spare
-/// key, then registration order. Under each policy this is exactly that
-/// policy's preference (negating a finite double is exact), tie for tie.
-bool ranks_before(const PlacementCandidate& a,
-                  const PlacementCandidate& b) noexcept {
+// Under each policy the one order is exactly that policy's preference
+// (negating a finite double is exact), tie for tie.
+bool RanksBefore::operator()(const PlacementCandidate& a,
+                             const PlacementCandidate& b) const noexcept {
   if (a.cached_chunks != b.cached_chunks) {
     return a.cached_chunks > b.cached_chunks;
   }
@@ -23,11 +21,13 @@ bool ranks_before(const PlacementCandidate& a,
   return a.index < b.index;
 }
 
+namespace {
+
 /// Max-heap on preference: the heap's top is the most preferred host.
 struct HeapAfter {
   bool operator()(const PlacementCandidate& a,
                   const PlacementCandidate& b) const noexcept {
-    return ranks_before(b, a);
+    return RanksBefore{}(b, a);
   }
 };
 
@@ -80,13 +80,11 @@ int units_that_fit(const host::ResourceVector& avail,
   return std::max(0, static_cast<int>(k));
 }
 
-PlacementPlanner::PlacementPlanner(const std::vector<SodaDaemon*>& daemons,
-                                   const HostSet& down_hosts,
+PlacementPlanner::PlacementPlanner(const HostSet& down_hosts,
                                    PlacementPolicy policy,
                                    double slowdown_factor,
                                    int max_nodes_per_service)
-    : daemons_(daemons),
-      down_hosts_(down_hosts),
+    : down_hosts_(down_hosts),
       policy_(policy),
       slowdown_factor_(slowdown_factor),
       max_nodes_per_service_(max_nodes_per_service) {
@@ -104,26 +102,45 @@ host::ResourceVector PlacementPlanner::inflated_unit(
   return unit;
 }
 
+void PlacementPlanner::add_host(SodaDaemon& daemon) {
+  const std::uint32_t id = daemon.host_id().value;
+  SODA_EXPECTS(id == entries_.size());
+  PlacementCandidate entry;
+  entry.daemon = &daemon;
+  entry.spare_key = spare_key_for(policy_, daemon.available().cpu_mhz);
+  entry.index = id;
+  entries_.push_back(ranking_.insert(entry).first);
+  daemon.host().report_changes(changes_, id);
+}
+
 void PlacementPlanner::rank_hosts(const image::ImageManifest* manifest) const {
-  // Hosts the failure detector has declared dead receive no placements
-  // until their heartbeats resume. available() is an O(1) cached aggregate,
-  // read once per host here rather than once per comparison. Cache-affinity
-  // prefers hosts that already hold the image's chunks (the Nth creation of
-  // a popular image lands where priming is nearly free).
-  const bool count_chunks =
-      policy_ == PlacementPolicy::kCacheAffinity && manifest != nullptr;
+  // available() is an O(1) cached aggregate, read once per changed host
+  // here rather than once per comparison. Re-keying moves the host's own
+  // set node, so it allocates nothing.
+  changes_->drain([this](std::uint32_t id) {
+    const double key =
+        spare_key_for(policy_, entries_[id]->daemon->available().cpu_mhz);
+    if (key == entries_[id]->spare_key) return;
+    auto node = ranking_.extract(entries_[id]);
+    node.value().spare_key = key;
+    entries_[id] = ranking_.insert(std::move(node)).position;
+  });
+  by_heap_ = policy_ == PlacementPolicy::kCacheAffinity && manifest != nullptr;
+  if (!by_heap_) {
+    cursor_ = first_live(ranking_.begin());
+    cursor_rank_ = 0;
+    return;
+  }
+  // Cache-affinity prefers hosts that already hold the image's chunks (the
+  // Nth creation of a popular image lands where priming is nearly free).
+  // That key depends on the image, so it is counted per decision.
   candidates_.clear();
-  for (SodaDaemon* daemon : daemons_) {
-    if (down_hosts_.test(daemon->host_id())) continue;
-    PlacementCandidate candidate;
-    candidate.daemon = daemon;
-    candidate.spare_key = spare_key_for(policy_, daemon->available().cpu_mhz);
-    candidate.index = static_cast<std::uint32_t>(candidates_.size());
-    if (count_chunks) {
-      const auto& cache = daemon->distributor().cache();
-      for (const auto& chunk : manifest->chunks) {
-        if (cache.contains(chunk.id)) ++candidate.cached_chunks;
-      }
+  for (const PlacementCandidate& entry : ranking_) {
+    if (down_hosts_.test(HostId{entry.index})) continue;
+    PlacementCandidate candidate = entry;
+    const auto& cache = entry.daemon->distributor().cache();
+    for (const auto& chunk : manifest->chunks) {
+      if (cache.contains(chunk.id)) ++candidate.cached_chunks;
     }
     candidates_.push_back(candidate);
   }
@@ -134,7 +151,28 @@ void PlacementPlanner::rank_hosts(const image::ImageManifest* manifest) const {
   popped_ = 0;
 }
 
+PlacementPlanner::Ranking::const_iterator PlacementPlanner::first_live(
+    Ranking::const_iterator from) const {
+  // Hosts the failure detector has declared dead receive no placements
+  // until their heartbeats resume.
+  while (from != ranking_.end() && down_hosts_.test(HostId{from->index})) {
+    ++from;
+  }
+  return from;
+}
+
 SodaDaemon* PlacementPlanner::walk(std::size_t rank) const {
+  if (!by_heap_) {
+    if (rank < cursor_rank_) {
+      cursor_ = first_live(ranking_.begin());
+      cursor_rank_ = 0;
+    }
+    while (cursor_rank_ < rank && cursor_ != ranking_.end()) {
+      cursor_ = first_live(std::next(cursor_));
+      ++cursor_rank_;
+    }
+    return cursor_ == ranking_.end() ? nullptr : cursor_->daemon;
+  }
   const std::size_t size = candidates_.size();
   while (popped_ <= rank && popped_ < size) {
     std::pop_heap(candidates_.begin(),

@@ -1,29 +1,36 @@
 // Placement planning (paper §3.2's mapping of <n, M> onto n' <= n virtual
 // service nodes), extracted from the Master into one planner. Every policy
-// is one strict total order over the live hosts: each host gets three keys
-// per decision (cached chunks of the image, a policy-signed spare-CPU key,
-// registration index) and one comparator ranks them. Ties break on
-// registration order, so two equal hosts place identically across repeated
-// runs and under the parallel experiment runner.
+// is one strict total order over the live hosts: each host has three keys
+// (cached chunks of the image, a policy-signed spare-CPU key, registration
+// index) and one comparator ranks them. Ties break on registration order,
+// so two equal hosts place identically across repeated runs and under the
+// parallel experiment runner.
 //
-// Fleet-scale layout (DESIGN.md §11): the keys are computed once per host —
-// never inside a comparator — into a candidate scratch buffer reused across
-// calls, and every consumer (admission, partitioned admission, resize
-// growth, recovery) reads the order through one lazy walk over a binary
-// heap: O(hosts) to build, one O(log hosts) pop per host actually
-// considered. A steady-state placement decision over 10k hosts is one
-// linear key pass plus a handful of heap pops with zero heap allocations
-// (see plan_allocation_into and bench/fig_fleet).
+// Fleet-scale layout (DESIGN.md §11): the planner keeps every registered
+// host in one ranking between decisions, a std::set ordered by (spare key,
+// HostId). Each host lists itself in the planner's HostChanges whenever
+// its reserved aggregate changes, and a decision first re-keys only the
+// listed hosts (node-handle extract/insert, no allocation). Every consumer
+// (admission, partitioned admission, resize growth, recovery) then reads
+// the order through one walk that skips down hosts as it meets them. A
+// decision costs O(changed · log hosts + hosts read), with zero heap
+// allocations (see plan_allocation_into and bench/fig_fleet). Only
+// cache-affinity with a manifest ranks per decision: its chunk key depends
+// on the image, so it fills a candidate buffer once per host and pops a
+// binary heap only as far as it reads.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/api.hpp"
 #include "core/ids.hpp"
+#include "host/host.hpp"
 #include "host/resources.hpp"
 #include "image/chunk.hpp"
 #include "image/image.hpp"
@@ -62,26 +69,40 @@ using ApiResult = Result<T, ApiError>;
 [[nodiscard]] int units_that_fit(const host::ResourceVector& avail,
                                  const host::ResourceVector& unit) noexcept;
 
-/// One live host under consideration. Its sort keys are computed once per
-/// decision, so the comparator is pure arithmetic over them.
+/// One host in the placement order. Its keys are computed when its
+/// availability changes (or once per decision for cache-affinity with a
+/// manifest), so the comparator is pure arithmetic over them.
 struct PlacementCandidate {
   SodaDaemon* daemon = nullptr;
   /// Spare CPU signed by policy: itself for best-fit, negated for worst-fit
   /// and cache-affinity, 0 for first-fit. Lower ranks first.
   double spare_key = 0.0;
   std::uint32_t cached_chunks = 0;  // cache-affinity with a manifest, else 0
-  std::uint32_t index = 0;          // position among live hosts (tie-break)
+  std::uint32_t index = 0;          // the host's HostId (tie-break)
+};
+
+/// The one placement order: more cached chunks first, then the lower spare
+/// key, then the lower index.
+struct RanksBefore {
+  bool operator()(const PlacementCandidate& a,
+                  const PlacementCandidate& b) const noexcept;
 };
 
 /// The planner: pure planning over the registered daemons (nothing is
-/// reserved), shared by creation, resizing, and recovery. It reads the
-/// Master's daemon list and down-host bitset by reference, so it always
-/// plans against the live HUP view.
+/// reserved), shared by creation, resizing, and recovery. It ranks every
+/// daemon the Master registers and reads the Master's down-host bitset by
+/// reference, so it always plans against the live HUP view.
 class PlacementPlanner {
  public:
-  PlacementPlanner(const std::vector<SodaDaemon*>& daemons,
-                   const HostSet& down_hosts, PlacementPolicy policy,
+  PlacementPlanner(const HostSet& down_hosts, PlacementPolicy policy,
                    double slowdown_factor, int max_nodes_per_service);
+  PlacementPlanner(const PlacementPlanner&) = delete;
+  PlacementPlanner& operator=(const PlacementPlanner&) = delete;
+
+  /// Ranks a newly registered daemon under its HostId and has its host
+  /// report every later availability change to this planner. Call once per
+  /// daemon, in HostId order.
+  void add_host(SodaDaemon& daemon);
 
   /// The inflated per-unit reservation for `m` (paper footnote 2: CPU and
   /// bandwidth only; memory and disk footprints are unchanged).
@@ -118,12 +139,22 @@ class PlacementPlanner {
                   std::vector<Placement>& out) const;
 
  private:
-  /// Fills the candidate scratch with the live hosts' keys and heapifies it.
+  using Ranking = std::set<PlacementCandidate, RanksBefore>;
+
+  /// Readies the order for one decision: re-keys the hosts whose
+  /// availability changed since the last one. Cache-affinity with a
+  /// manifest instead fills the candidate scratch with the live hosts' keys
+  /// and heapifies it.
   void rank_hosts(const image::ImageManifest* manifest) const;
   /// The host at `rank` in placement order (0 = most preferred), or nullptr
-  /// past the last live host. Pops the heap only as far as `rank`; popped
-  /// hosts collect at the back, so rank r sits at size - 1 - r.
+  /// past the last live host. Steps through the ranking from a cursor,
+  /// skipping down hosts; re-reading an earlier rank restarts it. The heap
+  /// pops only as far as `rank`; popped hosts collect at the back, so rank
+  /// r sits at size - 1 - r.
   [[nodiscard]] SodaDaemon* walk(std::size_t rank) const;
+  /// `from`, or the first live host after it in the ranking.
+  [[nodiscard]] Ranking::const_iterator first_live(
+      Ranking::const_iterator from) const;
   /// The packing loop shared by admission and growth: walks the order,
   /// skips hosts `skip` rejects, places as many units as fit, and stops at
   /// `max_nodes` nodes. Returns the units that did not fit.
@@ -131,13 +162,22 @@ class PlacementPlanner {
   int pack(const host::ResourceVector& unit, int n, int max_nodes, Skip skip,
            std::vector<Placement>& out) const;
 
-  const std::vector<SodaDaemon*>& daemons_;
   const HostSet& down_hosts_;
   PlacementPolicy policy_;
   double slowdown_factor_;
   int max_nodes_per_service_;
-  /// Scratch reused across planning calls (capacity-stable; the planner is
-  /// confined to the simulation thread like the rest of the control plane).
+  /// The maintained order and its bookkeeping. Mutable like the scratch
+  /// below: a const decision still settles the hosts' pending re-keys (the
+  /// planner is confined to the simulation thread like the rest of the
+  /// control plane).
+  mutable Ranking ranking_;
+  mutable std::vector<Ranking::iterator> entries_;  // by HostId
+  std::shared_ptr<host::HostChanges> changes_ =
+      std::make_shared<host::HostChanges>();
+  mutable bool by_heap_ = false;  // this decision reads candidates_
+  mutable Ranking::const_iterator cursor_;  // the host at cursor_rank_
+  mutable std::size_t cursor_rank_ = 0;
+  /// Scratch reused across planning calls (capacity-stable).
   mutable std::vector<PlacementCandidate> candidates_;
   mutable std::size_t popped_ = 0;  // hosts walk() has taken off the heap
   mutable std::vector<host::ResourceVector> planned_;  // plan_components only

@@ -1,5 +1,7 @@
 #include "host/host.hpp"
 
+#include <algorithm>
+
 #include "snapshot/format.hpp"
 #include "util/contract.hpp"
 
@@ -16,6 +18,22 @@ constexpr std::uint64_t pack_slice(std::size_t slot, std::uint32_t gen) {
 constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
 }  // namespace
+
+void HostChanges::expect_keys(std::size_t keys) {
+  if (pending_.size() < keys) pending_.resize(keys);
+  // Each key is listed at most once, so room for every key keeps mark()
+  // allocation-free; the room grows geometrically as hosts register.
+  if (listed_.capacity() < keys) {
+    listed_.reserve(std::max(keys, 2 * listed_.capacity()));
+  }
+}
+
+void HostChanges::mark(std::uint32_t key) {
+  SODA_EXPECTS(key < pending_.size());
+  if (pending_[key] != 0) return;
+  pending_[key] = 1;
+  listed_.push_back(key);
+}
 
 ResourceVector HostSpec::capacity() const {
   return ResourceVector{cpu_ghz * 1000.0, ram_mb, disk_gb * 1024, nic_mbps};
@@ -51,6 +69,18 @@ HupHost::HupHost(HostSpec spec, net::NodeId lan_node, net::IpPool ip_pool)
       ip_pool_(std::move(ip_pool)),
       capacity_(spec_.capacity()) {}
 
+void HupHost::report_changes(std::shared_ptr<HostChanges> changes,
+                             std::uint32_t key) {
+  SODA_EXPECTS(changes != nullptr && changes_ == nullptr);
+  changes->expect_keys(std::size_t{key} + 1);
+  changes_ = std::move(changes);
+  changes_key_ = key;
+}
+
+void HupHost::changed() {
+  if (changes_) changes_->mark(changes_key_);
+}
+
 std::size_t HupHost::slot_of(SliceId id) const noexcept {
   const std::uint64_t raw_slot = id.value >> 32;
   if (raw_slot == 0) return kNoSlot;
@@ -85,6 +115,7 @@ Result<SliceId> HupHost::reserve(const std::string& service_name,
     slice_live_.push_back(1);
   }
   reserved_ += resources;
+  changed();
   ++live_count_;
   return SliceId{pack_slice(slot, slice_generations_[slot])};
 }
@@ -96,6 +127,7 @@ Status HupHost::release(SliceId id) {
                  std::to_string(id.value)};
   }
   reserved_ -= slice_resources_[slot];
+  changed();
   --live_count_;
   slice_live_[slot] = 0;
   ++slice_generations_[slot];  // invalidate outstanding handles to this slot
@@ -120,6 +152,7 @@ Status HupHost::resize(SliceId id, const ResourceVector& resources) {
                  ")"};
   }
   reserved_ += resources - slice_resources_[slot];
+  changed();
   slice_resources_[slot] = resources;
   return {};
 }
@@ -166,6 +199,7 @@ template <class Ar>
 void HupHost::serialize(Ar& ar) {
   ar.begin_section("host");
   ar.walk(reserved_);
+  if constexpr (Ar::kLoading) changed();
   // Slot arrays travel interleaved, one record per slot.
   std::size_t slots = slice_live_.size();
   ar.count(slots);

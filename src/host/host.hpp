@@ -8,9 +8,10 @@
 // parallel arrays with a free list, and a SliceId encodes (slot,
 // generation) so release/resize/find are O(1) with stale handles rejected
 // by generation mismatch — never aliased to a reused slot. The reserved
-// aggregate is maintained incrementally, making available() O(1); placement
-// scans over 10k hosts read one cached vector per host instead of walking
-// every slice.
+// aggregate is maintained incrementally, making available() O(1), and each
+// change to it is reported to a HostChanges list, so a placement planner
+// re-ranks only the hosts that changed instead of re-reading 10k hosts per
+// decision.
 #pragma once
 
 #include <cstdint>
@@ -78,6 +79,33 @@ struct Slice {
   ResourceVector resources;
 };
 
+/// The hosts whose reserved aggregate, and so available(), changed since the
+/// reader last drained the list: reserve, release, resize and a snapshot
+/// load each list the host's key, once until the next drain. A placement
+/// planner re-ranks only the listed hosts. The reader and its hosts share
+/// the list, so it outlives whichever of them goes first.
+class HostChanges {
+ public:
+  /// Makes room for keys below `keys`: a later mark() never allocates.
+  void expect_keys(std::size_t keys);
+  /// Lists `key` unless it is listed already.
+  void mark(std::uint32_t key);
+  /// Calls `visit(key)` for every listed key, in listing order, and empties
+  /// the list.
+  template <typename Visit>
+  void drain(Visit&& visit) {
+    for (const std::uint32_t key : listed_) {
+      pending_[key] = 0;
+      visit(key);
+    }
+    listed_.clear();
+  }
+
+ private:
+  std::vector<std::uint32_t> listed_;
+  std::vector<std::uint8_t> pending_;  // by key: 1 while listed
+};
+
 /// One server of the HUP. Thread-unsafe by design: all access happens on the
 /// simulation thread.
 class HupHost {
@@ -120,6 +148,11 @@ class HupHost {
   [[nodiscard]] std::vector<Slice> slices() const;
   [[nodiscard]] std::size_t slice_count() const noexcept { return live_count_; }
 
+  /// Lists this host in `changes` under `key` after every later change to
+  /// reserved(). Once per host: the planner that ranks it calls this when
+  /// the host registers.
+  void report_changes(std::shared_ptr<HostChanges> changes, std::uint32_t key);
+
   /// Address pool for this host's virtual service nodes.
   [[nodiscard]] net::IpPool& ip_pool() noexcept { return ip_pool_; }
   [[nodiscard]] const net::IpPool& ip_pool() const noexcept { return ip_pool_; }
@@ -147,6 +180,8 @@ class HupHost {
  private:
   /// Slot behind a valid handle, or npos when the handle is stale/unknown.
   [[nodiscard]] std::size_t slot_of(SliceId id) const noexcept;
+  /// Reports a change of reserved_ to the watching planner, if any.
+  void changed();
 
   HostSpec spec_;
   net::NodeId lan_node_;
@@ -162,6 +197,9 @@ class HupHost {
   std::vector<std::uint8_t> slice_live_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_count_ = 0;
+
+  std::shared_ptr<HostChanges> changes_;
+  std::uint32_t changes_key_ = 0;
 
   std::unique_ptr<net::Bridge> bridge_;
   std::optional<net::Ipv4Address> public_address_;

@@ -48,6 +48,7 @@ std::string Ipv4Address::to_string() const {
 IpPool::IpPool(Ipv4Address first, std::size_t count)
     : first_(first), allocated_(count, false) {
   SODA_EXPECTS(count >= 1);
+  SODA_EXPECTS(count <= room_from(first));
 }
 
 Result<Ipv4Address> IpPool::allocate() {

@@ -51,8 +51,13 @@ class Ipv4Address {
 /// reused deterministically.
 class IpPool {
  public:
-  /// count must be >= 1.
+  /// count must be >= 1 and the range must end by 255.255.255.255.
   IpPool(Ipv4Address first, std::size_t count);
+
+  /// How many addresses a range from `first` holds up to 255.255.255.255.
+  [[nodiscard]] static std::uint64_t room_from(Ipv4Address first) noexcept {
+    return (std::uint64_t{1} << 32) - first.value();
+  }
 
   /// Allocates the lowest free address, or an error when exhausted.
   Result<Ipv4Address> allocate();

@@ -300,7 +300,17 @@ Status execute(Runtime& rt, const ScenarioCommand& cmd) {
     if (cmd.args.size() == 3) {
       auto parsed = arg_int(cmd, cmd.args[2]);
       if (!parsed.ok()) return parsed.error();
+      if (parsed.value() < 1) {
+        return Error{error_at(cmd.line, "pool size must be >= 1")};
+      }
       size = static_cast<std::size_t>(parsed.value());
+    }
+    if (size > net::IpPool::room_from(*start)) {
+      return Error{error_at(cmd.line, "pool runs past 255.255.255.255")};
+    }
+    if (const SodaDaemon* owner = rt.hup().master().pool_overlap(*start, size)) {
+      return Error{error_at(cmd.line, "pool overlaps the pool of host " +
+                                          owner->host_name())};
     }
     // Scripted hosts need unique names when the same spec repeats.
     spec.name = cmd.args[0] + (rt.hosts_added ? "-" + std::to_string(rt.hosts_added)

@@ -11,6 +11,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hup.hpp"
@@ -438,6 +439,30 @@ int reference_pack(const std::vector<SodaDaemon*>& order,
   return n;
 }
 
+/// Partitioned admission applied literally: each component, sized
+/// component.units x `m`, lands on the first host in `order` that still
+/// fits it after the components placed before it. Empty when one fits
+/// nowhere.
+std::vector<Placement> reference_components(
+    const SodaMaster& master, const std::vector<SodaDaemon*>& order,
+    const host::MachineConfig& m,
+    const std::vector<image::ServiceComponent>& components) {
+  std::vector<host::ResourceVector> used(order.size());
+  std::vector<Placement> plan;
+  for (const auto& c : components) {
+    const host::ResourceVector need =
+        master.planner().inflated_unit(m).scaled(c.units);
+    std::size_t i = 0;
+    while (i < order.size() && !(order[i]->available() - used[i]).fits(need)) {
+      ++i;
+    }
+    if (i == order.size()) return {};
+    plan.push_back(Placement{order[i], "", c.units, c.name});
+    used[i] += need;
+  }
+  return plan;
+}
+
 /// "host:units[/component] ..." for the placements from `first` on.
 std::string describe(const std::vector<Placement>& plan,
                      std::size_t first = 0) {
@@ -546,25 +571,10 @@ TEST(Placement, ComponentPlansMatchTheReferenceRule) {
               std::string(placement_policy_name(policy)) + " seed " +
               std::to_string(seed) + " set " + std::to_string(s) +
               (manifest ? " +manifest" : "");
-          const auto order = reference_order(master, manifest);
-          std::vector<host::ResourceVector> used(order.size());
-          std::vector<Placement> expected;
-          bool fits = true;
-          for (const auto& c : sets[s]) {
-            const host::ResourceVector need =
-                master.planner().inflated_unit(small_unit()).scaled(c.units);
-            std::size_t i = 0;
-            while (i < order.size() &&
-                   !(order[i]->available() - used[i]).fits(need)) {
-              ++i;
-            }
-            if (i == order.size()) {
-              fits = false;
-              break;
-            }
-            expected.push_back(Placement{order[i], "", c.units, c.name});
-            used[i] += need;
-          }
+          const std::vector<Placement> expected = reference_components(
+              master, reference_order(master, manifest), small_unit(),
+              sets[s]);
+          const bool fits = !expected.empty();
           const auto planned = master.planner().plan_components(
               small_unit(), sets[s], {manifest});
           ASSERT_EQ(planned.ok(), fits) << label;
@@ -683,6 +693,154 @@ TEST(Placement, RecoveryMatchesTheReferenceRule) {
       EXPECT_EQ(record->lifecycle.state() == ServiceState::kRunning,
                 short_by == 0)
           << label;
+    }
+  }
+}
+
+/// Every consumer's plan on `master`'s HUP as it stands, against the rule
+/// applied literally: admission (with the skip rule at work on "web") and
+/// partitioned admission, each without and with the image's manifest, then
+/// growth of "web" and its recovery after losing its first placement (both
+/// skip the hosts the record holds).
+void expect_every_consumer_matches(const SodaMaster& master,
+                                   const image::ImageManifest& manifest,
+                                   const std::string& label) {
+  const PlacementPlanner& planner = master.planner();
+  const int cap = master.config().max_nodes_per_service;
+  std::vector<image::ServiceComponent> components;
+  for (const int units : {3, 1, 1, 2, 1}) {
+    image::ServiceComponent c;
+    c.name = "c" + std::to_string(components.size());
+    c.units = units;
+    components.push_back(c);
+  }
+  const host::ResourceRequirement requests[] = {
+      {6, one_per_host_unit()}, {18, one_per_host_unit()}, {9, small_unit()}};
+  for (const image::ImageManifest* m :
+       {static_cast<const image::ImageManifest*>(nullptr), &manifest}) {
+    const std::string at = label + (m ? " +manifest" : "");
+    const auto order = reference_order(master, m);
+    for (const std::string service : {"probe", "web"}) {
+      for (const auto& req : requests) {
+        std::vector<Placement> expected;
+        const int short_by = reference_pack(
+            order, planner.inflated_unit(req.m), req.n, cap,
+            [&](const SodaDaemon& d) { return d.serves_service(service); },
+            expected);
+        const auto planned = planner.plan_allocation(service, req, m);
+        ASSERT_EQ(planned.ok(), short_by == 0)
+            << at << " " << service << " " << req.to_string();
+        if (planned.ok()) {
+          EXPECT_EQ(describe(planned.value()), describe(expected))
+              << at << " " << service << " " << req.to_string();
+        }
+      }
+    }
+    const std::vector<Placement> expected =
+        reference_components(master, order, small_unit(), components);
+    const auto planned = planner.plan_components(small_unit(), components, m);
+    ASSERT_EQ(planned.ok(), !expected.empty()) << at << " components";
+    if (planned.ok()) {
+      EXPECT_EQ(describe(planned.value()), describe(expected))
+          << at << " components";
+    }
+  }
+  const ServiceRecord* web = master.find_service("web");
+  ASSERT_NE(web, nullptr) << label;
+  std::vector<Placement> held = web->placements;
+  const host::ResourceVector unit = planner.inflated_unit(small_unit());
+  for (const char* consumer : {"growth", "recovery"}) {
+    if (std::string(consumer) == "recovery" && !held.empty()) {
+      held.erase(held.begin());
+    }
+    std::vector<Placement> expected;
+    const int short_by = reference_pack(
+        reference_order(master, nullptr), unit, 12,
+        std::numeric_limits<int>::max(), skips_placed_hosts(held), expected);
+    std::vector<Placement> planned;
+    EXPECT_EQ(planner.plan_growth(unit, 12, held, planned), short_by)
+        << label << " " << consumer;
+    EXPECT_EQ(describe(planned), describe(expected))
+        << label << " " << consumer;
+  }
+}
+
+TEST(Placement, EveryConsumerMatchesTheReferenceRuleAcrossMutations) {
+  for (const PlacementPolicy policy : kPolicies) {
+    for (const std::uint64_t seed : kFleetSeeds) {
+      MixedFleet fleet(policy, seed);
+      const std::string name = std::string(placement_policy_name(policy)) +
+                               " seed " + std::to_string(seed) + " ";
+      ASSERT_TRUE(fleet.create("web", 5, small_unit()).ok()) << name;
+      ASSERT_TRUE(fleet.create("db", 4, small_unit()).ok()) << name;
+      expect_every_consumer_matches(fleet.hup.master(), fleet.manifest,
+                                    name + "admitted");
+
+      // Reservations made on the hosts directly, between decisions.
+      host::ResourceVector load;
+      load.cpu_mhz = 500;
+      load.memory_mb = 32;
+      load.disk_mb = 64;
+      load.bandwidth_mbps = 1;
+      std::vector<std::pair<host::HupHost*, host::SliceId>> slices;
+      for (const int i : {1, 7, 23, 24, 41}) {
+        host::HupHost* host = fleet.hup.find_host("host-" + std::to_string(i));
+        ASSERT_NE(host, nullptr);
+        if (!host->available().fits(load)) continue;
+        slices.emplace_back(host, must(host->reserve("direct", load)));
+      }
+      ASSERT_GE(slices.size(), 2u) << name;
+      expect_every_consumer_matches(fleet.hup.master(), fleet.manifest,
+                                    name + "reserved");
+      const auto grows = std::find_if(
+          slices.begin(), slices.end(),
+          [&load](const auto& held) { return held.first->available().fits(load); });
+      ASSERT_NE(grows, slices.end()) << name;
+      must(grows->first->resize(grows->second, load.scaled(2)));
+      must(slices.back().first->resize(slices.back().second, load.scaled(0)));
+      expect_every_consumer_matches(fleet.hup.master(), fleet.manifest,
+                                    name + "resized");
+      for (const auto& [host, slice] : slices) must(host->release(slice));
+      expect_every_consumer_matches(fleet.hup.master(), fleet.manifest,
+                                    name + "released");
+
+      ASSERT_TRUE(fleet.hup.master().teardown_service("db").ok()) << name;
+      expect_every_consumer_matches(fleet.hup.master(), fleet.manifest,
+                                    name + "torn down");
+
+      // A host declared down (its slices released, "web" recovered onto
+      // the rest), then back up with a new key.
+      const std::string victim =
+          fleet.hup.master().find_service("web")->placements.front()
+              .daemon->host_name();
+      fleet.hup.crash_host(victim);
+      EXPECT_EQ(fleet.hup.master().poll_liveness_once(), 1u) << name;
+      fleet.hup.engine().run();
+      ASSERT_TRUE(fleet.hup.master().host_down(victim)) << name;
+      expect_every_consumer_matches(fleet.hup.master(), fleet.manifest,
+                                    name + "down");
+      fleet.hup.recover_host(victim);
+      EXPECT_EQ(fleet.hup.master().poll_liveness_once(), 1u) << name;
+      fleet.hup.engine().run();
+      ASSERT_FALSE(fleet.hup.master().host_down(victim)) << name;
+      expect_every_consumer_matches(fleet.hup.master(), fleet.manifest,
+                                    name + "up");
+
+      // Save, then load into a fresh Hup: the restored planner ranks the
+      // restored hosts and hears their later changes.
+      const std::string bytes = must(fleet.hup.save_snapshot());
+      Hup restored(MixedFleet::config_for(policy));
+      must(restored.load_snapshot(bytes));
+      expect_every_consumer_matches(restored.master(), fleet.manifest,
+                                    name + "loaded");
+      host::HupHost* host = restored.find_host("host-7");
+      ASSERT_NE(host, nullptr);
+      const host::SliceId slice = must(host->reserve("direct", load));
+      expect_every_consumer_matches(restored.master(), fleet.manifest,
+                                    name + "loaded, reserved");
+      must(host->release(slice));
+      expect_every_consumer_matches(restored.master(), fleet.manifest,
+                                    name + "loaded, released");
     }
   }
 }

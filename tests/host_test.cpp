@@ -5,6 +5,7 @@
 #include "host/host.hpp"
 #include "host/resources.hpp"
 #include "net/address.hpp"
+#include "snapshot/format.hpp"
 
 namespace soda::host {
 namespace {
@@ -109,6 +110,41 @@ TEST(HupHost, ReserveReducesAvailability) {
   EXPECT_EQ(host.available(), before - rv(500, 128, 1024, 10));
   EXPECT_EQ(host.reserved(), rv(500, 128, 1024, 10));
   EXPECT_EQ(host.slices().size(), 1u);
+}
+
+TEST(HupHost, ReportsEachReservationChangeOnceUntilDrained) {
+  auto changes = std::make_shared<HostChanges>();
+  auto a = make_host();
+  auto b = make_host();
+  a.report_changes(changes, 0);
+  b.report_changes(changes, 1);
+  const auto drain = [&changes] {
+    std::vector<std::uint32_t> keys;
+    changes->drain([&keys](std::uint32_t key) { keys.push_back(key); });
+    return keys;
+  };
+  using Keys = std::vector<std::uint32_t>;
+  EXPECT_EQ(drain(), Keys{});
+  const auto slice = must(b.reserve("svc", rv(500, 128, 1024, 10)));
+  must(a.reserve("svc", rv(500, 128, 1024, 10)));
+  must(b.resize(slice, rv(700, 128, 1024, 10)));
+  EXPECT_EQ(drain(), (Keys{1, 0}));  // listing order, b once
+  must(b.release(slice));
+  EXPECT_EQ(drain(), Keys{1});
+  // A refused reservation, resize or release leaves reserved() alone.
+  EXPECT_FALSE(a.reserve("svc", rv(5000, 0, 0, 0)).ok());
+  EXPECT_FALSE(b.resize(slice, rv(1, 0, 0, 0)).ok());
+  EXPECT_FALSE(b.release(slice).ok());
+  EXPECT_EQ(drain(), Keys{});
+  // A snapshot load replaces reserved() wholesale.
+  snapshot::Writer writer;
+  writer.walk(a);
+  const std::string bytes = writer.finish();
+  snapshot::Reader reader(bytes);
+  reader.walk(b);
+  ASSERT_TRUE(reader.status().ok()) << reader.error();
+  EXPECT_EQ(b.reserved(), a.reserved());
+  EXPECT_EQ(drain(), Keys{1});
 }
 
 TEST(HupHost, OvercommitRejected) {

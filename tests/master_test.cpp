@@ -405,5 +405,44 @@ TEST(Master, OverlappingIpPoolsRejected) {
   EXPECT_FALSE(hup.master().register_daemon(&daemon).ok());
 }
 
+TEST(Master, OverlapRefusalNamesTheEarliestRegisteredHost) {
+  Hup hup;
+  const auto add = [&hup](const char* name, std::uint8_t at, std::size_t n) {
+    host::HostSpec spec = host::HostSpec::tacoma();
+    spec.name = name;
+    hup.add_host(spec, net::Ipv4Address(10, 0, 0, at), n);
+  };
+  // Registered out of address order: the later pool sits lower.
+  add("high", 32, 16);
+  add("low", 0, 16);
+  add("apart", 200, 16);
+  sim::Engine engine;
+  net::FlowNetwork network(engine);
+  host::HostSpec spec = host::HostSpec::seattle();
+  spec.name = "wide";
+  host::HupHost wide(spec, network.add_node("wide"),
+                     net::IpPool(net::Ipv4Address(10, 0, 0, 8), 64));
+  net::TrafficShaper shaper(network);
+  SodaDaemon daemon(engine, network, wide, shaper);
+  const Status refused = hup.master().register_daemon(&daemon);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().message, "IP pools of high and wide overlap");
+  EXPECT_EQ(hup.master().daemons().size(), 3u);
+  EXPECT_EQ(hup.master().daemon_for("wide"), nullptr);
+
+  const SodaMaster& master = hup.master();
+  const auto owner = [&master](std::uint8_t at, std::size_t n) {
+    const SodaDaemon* daemon =
+        master.pool_overlap(net::Ipv4Address(10, 0, 0, at), n);
+    return daemon == nullptr ? std::string("none") : daemon->host_name();
+  };
+  EXPECT_EQ(owner(16, 16), "none");   // touches low and high, overlaps neither
+  EXPECT_EQ(owner(48, 152), "none");  // the gap between high and apart
+  EXPECT_EQ(owner(15, 2), "low");
+  EXPECT_EQ(owner(47, 1), "high");
+  EXPECT_EQ(owner(0, 255), "high");  // all three: the earliest registered
+  EXPECT_EQ(owner(199, 2), "apart");
+}
+
 }  // namespace
 }  // namespace soda::core

@@ -186,6 +186,53 @@ TEST(ScenarioRun, DuplicateHostSpecsGetUniqueNames) {
   EXPECT_TRUE(scenario.run().ok());
 }
 
+/// The run's error for a script that fails; empty when it succeeds.
+std::string run_error(const std::string& script) {
+  const auto result = must(Scenario::parse(script)).run();
+  return result.ok() ? "" : result.error().message;
+}
+
+TEST(ScenarioRun, HostPoolOverlappingAnEarlierHostFails) {
+  const std::string message =
+      run_error("host seattle 10.0.0.0 16\nhost tacoma 10.0.0.5 16\n");
+  EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("overlaps the pool of host seattle"),
+            std::string::npos)
+      << message;
+  // Overlapping several pools names the earliest-registered of them.
+  const std::string earliest = run_error(
+      "host tacoma 10.0.0.32 16\nhost tacoma 10.0.0.0 16\n"
+      "host seattle 10.0.0.8 64\n");
+  EXPECT_NE(earliest.find("line 3"), std::string::npos) << earliest;
+  EXPECT_NE(earliest.find("overlaps the pool of host tacoma"),
+            std::string::npos)
+      << earliest;
+  EXPECT_EQ(earliest.find("tacoma-1"), std::string::npos) << earliest;
+  // Adjacent pools do not overlap, and a refused host takes no name.
+  const auto transcript = must(must(Scenario::parse(
+      "host seattle 10.0.0.0 16\nhost tacoma 10.0.0.16 16\n"
+      "expect-error host seattle 10.0.0.15 1\nhost seattle 10.0.1.0\n"))
+                                   .run());
+  ASSERT_FALSE(transcript.empty());
+  EXPECT_EQ(transcript.back(), "host seattle-2 joined the HUP");
+}
+
+TEST(ScenarioRun, HostPoolOfNoAddressesFails) {
+  const std::string message = run_error("repo r\nhost seattle 10.0.0.0 0\n");
+  EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("pool size must be >= 1"), std::string::npos)
+      << message;
+}
+
+TEST(ScenarioRun, HostPoolPastTheLastAddressFails) {
+  const std::string message = run_error("host seattle 255.255.255.250 7\n");
+  EXPECT_NE(message.find("line 1"), std::string::npos) << message;
+  EXPECT_NE(message.find("runs past 255.255.255.255"), std::string::npos)
+      << message;
+  // A pool that ends exactly on the last address is fine.
+  EXPECT_EQ(run_error("host seattle 255.255.255.250 6\n"), "");
+}
+
 TEST(ScenarioRun, ConfigVerbsBeforeHosts) {
   const auto scenario = must(Scenario::parse(R"(
 mode proxying
