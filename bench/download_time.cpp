@@ -43,7 +43,7 @@ int main() {
     image::HttpDownloader downloader(engine, network, host);
     double seconds = -1;
     downloader.download(repo, loc,
-                        [&](Result<image::ServiceImage> image, sim::SimTime t) {
+                        [&](Result<image::ImagePtr> image, sim::SimTime t) {
                           must(std::move(image));
                           seconds = t.to_seconds();
                         });

@@ -4,7 +4,13 @@
 // breakdown of the rootfs pipeline, so future shaves target the dominant
 // term instead of a guess. fig_fleet records the headline number; this tool
 // explains it.
+//
+// A node's rootfs comes from its world's os::RootFsTable: the first node
+// of a key builds the tree (customize, payload merge, seal), every later
+// one shares it. The breakdown prices the build once and checks that a
+// shared lookup allocates nothing; the exit code is 1 when it does.
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "alloc_counter.hpp"
@@ -74,30 +80,45 @@ double sub(const char* label, std::uint64_t before) {
   return d;
 }
 
-void rootfs_breakdown() {
-  const image::ServiceImage img = image::web_content_image(1 << 20);
+/// Prices the first node of a key (a table miss builds the tree) step by
+/// step, then a later node of the key (a hit). Returns the hit's
+/// allocations per call.
+double rootfs_breakdown() {
+  const auto img = std::make_shared<const image::ServiceImage>(
+      image::web_content_image(1 << 20));
+  const std::shared_ptr<const os::FileSystem> payload(img, &img->payload);
+  const os::RootFs& base = os::base_rootfs(img->rootfs_template);
   std::uint64_t b = bench::allocation_count();
-  os::RootFs built;
-  for (int i = 0; i < 16; ++i) built = os::build_rootfs(img.rootfs_template);
-  sub("build_rootfs", b);
-  b = bench::allocation_count();
-  os::RootFs customized;
+  os::RootFs tree;
   for (int i = 0; i < 16; ++i) {
-    customized = must(os::customize_rootfs(built, img.required_services));
+    tree = must(os::customize_rootfs(base, img->required_services));
   }
-  sub("customize_rootfs", b);
+  sub("customize (template copy)", b);
   b = bench::allocation_count();
   for (int i = 0; i < 16; ++i) {
-    os::FileSystem copy = customized.fs;
-    (void)copy;
+    os::RootFs merged = tree;
+    must(merged.fs.copy_from(*payload, "/", "/"));
   }
-  sub("fs deep copy", b);
+  sub("tree copy + payload merge", b);
+  b = bench::allocation_count();
+  for (int i = 0; i < 16; ++i) must(tree.seal());
+  sub("seal (boot inputs)", b);
   b = bench::allocation_count();
   for (int i = 0; i < 16; ++i) {
-    os::FileSystem copy = customized.fs;
-    must(copy.copy_from(img.payload, "/", "/"));
+    os::RootFsTable table;
+    must(table.intern(payload, img->rootfs_template, true,
+                      img->required_services));
   }
-  sub("fs copy + payload merge", b);
+  sub("table miss (whole build)", b);
+  os::RootFsTable table;
+  must(table.intern(payload, img->rootfs_template, true,
+                    img->required_services));
+  b = bench::allocation_count();
+  for (int i = 0; i < 16; ++i) {
+    must(table.intern(payload, img->rootfs_template, true,
+                      img->required_services));
+  }
+  return sub("table hit (shared tree)", b) / 16;
 }
 
 int main() {
@@ -107,9 +128,10 @@ int main() {
               measure(1, 1 << 20, true));
   std::printf("small img (2 nodes, 64KiB, customize): %7.1f\n",
               measure(2, 64 << 10, true));
-  std::printf("no rootfs (2 nodes, 1MiB, raw):       %8.1f\n",
+  std::printf("untailored (2 nodes, 1MiB, raw):      %8.1f\n",
               measure(2, 1 << 20, false));
-  std::printf("per-call breakdown (16 reps):\n");
-  rootfs_breakdown();
-  return 0;
+  std::printf("per-call rootfs breakdown (16 reps):\n");
+  const double hit_allocs = rootfs_breakdown();
+  std::printf("shared-tree lookup: %.1f allocs/call (gate 0)\n", hit_allocs);
+  return hit_allocs == 0 ? 0 : 1;
 }

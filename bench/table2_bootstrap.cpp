@@ -40,7 +40,8 @@ os::RootFs prepare_rootfs(const image::ServiceImage& image, bool customize) {
 
 sim::SimTime bootstrap_time(const image::ServiceImage& image, bool customize,
                             const host::HostSpec& host) {
-  vm::UserModeLinux uml(prepare_rootfs(image, customize), 256);
+  vm::UserModeLinux uml(
+      must(os::share_rootfs(prepare_rootfs(image, customize))), 256);
   const auto plan = uml.plan_boot(host);
   const auto app = sim::SimTime::seconds(image.app_start_ghz_s / host.cpu_ghz);
   return plan.total() + app;

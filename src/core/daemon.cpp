@@ -124,7 +124,7 @@ void SodaDaemon::prime_node(PrimeCommand command, PrimeCallback done) {
       repository, location,
       [this, command = std::move(command), slice = slice.value(),
        download_started,
-       done = std::move(done)](Result<image::ServiceImage> image,
+       done = std::move(done)](Result<image::ImagePtr> image,
                                sim::SimTime now) mutable {
         if (!alive_) {
           // crash_host() already released the slice with the rest of the
@@ -139,14 +139,14 @@ void SodaDaemon::prime_node(PrimeCommand command, PrimeCallback done) {
           return;
         }
         emit(now, TraceKind::kImageDownloaded, command.node_name,
-             std::to_string(image.value().packaged_bytes()) + " bytes");
-        continue_priming(std::move(command), std::move(image).value(), slice,
+             std::to_string(image.value()->packaged_bytes()) + " bytes");
+        continue_priming(std::move(command), image.value(), slice,
                          download_started, now, std::move(done));
       });
 }
 
 void SodaDaemon::continue_priming(PrimeCommand command,
-                                  image::ServiceImage image,
+                                  const image::ImagePtr& image,
                                   host::SliceId slice,
                                   sim::SimTime download_started,
                                   sim::SimTime downloaded_at,
@@ -161,45 +161,42 @@ void SodaDaemon::continue_priming(PrimeCommand command,
   // one component of a partitioned service, the image's otherwise.
   const std::vector<std::string>& required_services =
       command.component ? command.component->required_services
-                        : image.required_services;
+                        : image->required_services;
   const std::string entry_command =
-      command.component ? command.component->entry_command : image.entry_command;
+      command.component ? command.component->entry_command
+                        : image->entry_command;
   const double app_start_ghz_s =
       command.component ? command.component->app_start_ghz_s
-                        : image.app_start_ghz_s;
+                        : image->app_start_ghz_s;
   const std::int64_t app_memory_mb =
-      command.component ? command.component->app_memory_mb : image.app_memory_mb;
+      command.component ? command.component->app_memory_mb
+                        : image->app_memory_mb;
   const int listen_port =
       command.component ? command.component->listen_port : command.listen_port;
 
-  // 3. Build the guest root filesystem: template, optional tailoring, then
-  //    merge the application image into the root (the service image is part
-  //    of the root file system, §4.3). The built (and customized) template
-  //    is a pure function of (template, services) and comes from the shared
-  //    cache — the node pays one tree copy, not a rebuild plus a customize
-  //    pass. Simulated customize *time* is still charged per node: the cache
-  //    is a simulator optimization, not a change to the modeled daemon.
+  // 3. The guest root filesystem: the image's template, tailored to the
+  //    services the node needs, with the application image merged into the
+  //    root (the service image is part of the root file system, §4.3).
+  //    Nothing changes that tree after priming, so the world's table builds
+  //    it once per (image, customize flag, services) and every node of the
+  //    key shares it. Simulated customize *time* is still charged per node:
+  //    the sharing is a simulator optimization, not a change to the modeled
+  //    daemon.
+  SODA_EXPECTS(rootfs_table_ != nullptr);
+  auto rootfs = rootfs_table_->intern(
+      std::shared_ptr<const os::FileSystem>(image, &image->payload),
+      image->rootfs_template, command.customize_rootfs, required_services);
+  if (!rootfs.ok()) {
+    fail(rootfs.error().message);
+    return;
+  }
   sim::SimTime customize_time = sim::SimTime::zero();
-  os::RootFs rootfs;
   if (command.customize_rootfs) {
-    auto customized =
-        os::cached_customized_rootfs(image.rootfs_template, required_services);
-    if (!customized.ok()) {
-      fail("rootfs customization failed: " + customized.error().message);
-      return;
-    }
     const std::size_t candidates =
-        os::cached_base_rootfs(image.rootfs_template).enabled_services.size();
+        os::base_rootfs(image->rootfs_template).enabled_services.size();
     customize_time = sim::SimTime::seconds(
         kCustomizePerServiceGhzS * static_cast<double>(candidates) /
         host_.spec().cpu_ghz);
-    rootfs = *customized.value();
-  } else {
-    rootfs = os::cached_base_rootfs(image.rootfs_template);
-  }
-  if (auto merged = rootfs.fs.copy_from(image.payload, "/", "/"); !merged.ok()) {
-    fail("image merge failed: " + merged.error().message);
-    return;
   }
 
   // 4. Create the UML with the slice's memory as its usage limit.
@@ -208,7 +205,8 @@ void SodaDaemon::continue_priming(PrimeCommand command,
     fail("slice memory too small for guest kernel + application");
     return;
   }
-  auto uml = std::make_unique<vm::UserModeLinux>(std::move(rootfs), memory_mb);
+  auto uml = std::make_unique<vm::UserModeLinux>(std::move(rootfs).value(),
+                                                memory_mb);
   const vm::BootReport boot_plan = uml->plan_boot(host_.spec());
   const sim::SimTime app_start_time =
       sim::SimTime::seconds(app_start_ghz_s / host_.spec().cpu_ghz);
@@ -270,8 +268,8 @@ void SodaDaemon::continue_priming(PrimeCommand command,
   record->report.customize_time = customize_time;
   record->report.boot = boot_plan;
   record->report.app_start_time = app_start_time;
-  record->report.image_bytes = image.packaged_bytes();
-  record->report.rootfs_bytes = node_ptr->uml().rootfs().image_bytes();
+  record->report.image_bytes = image->packaged_bytes();
+  record->report.rootfs_bytes = node_ptr->uml().rootfs().boot.image_bytes;
   record->unit = command.unit;
   insert_node(command.node_name, std::move(record));
 

@@ -218,6 +218,12 @@ class SodaDaemon {
   /// subscribers; an unregistered daemon emits nothing.
   void set_bus(ControlPlaneBus* bus) noexcept { bus_ = bus; }
 
+  /// Attaches the world's guest-tree table (done by register_daemon):
+  /// priming takes every node's rootfs from it.
+  void set_rootfs_table(os::RootFsTable* table) noexcept {
+    rootfs_table_ = table;
+  }
+
  private:
   struct NodeRecord {
     std::unique_ptr<vm::VirtualServiceNode> node;
@@ -238,7 +244,7 @@ class SodaDaemon {
   void release_node_state(NodeRecord& record, bool crashed);
 
   /// Stage 2 of priming, after the image arrived.
-  void continue_priming(PrimeCommand command, image::ServiceImage image,
+  void continue_priming(PrimeCommand command, const image::ImagePtr& image,
                         host::SliceId slice, sim::SimTime download_started,
                         sim::SimTime downloaded_at, PrimeCallback done);
 
@@ -259,6 +265,7 @@ class SodaDaemon {
   std::vector<std::unique_ptr<NodeRecord>> node_records_;
   HostId host_id_;
   ControlPlaneBus* bus_ = nullptr;
+  os::RootFsTable* rootfs_table_ = nullptr;
   bool alive_ = true;
   bool heartbeating_ = false;
   sim::SimTime heartbeat_interval_ = sim::SimTime::zero();

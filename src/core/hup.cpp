@@ -330,7 +330,7 @@ Status Hup::load_snapshot_file(const std::string& path) {
 Result<std::uint64_t> Hup::state_digest() const {
   Result<std::string> bytes = save_snapshot();
   if (!bytes) return bytes.error();
-  return snapshot::fnv1a(bytes.value());
+  return snapshot::digest(bytes.value());
 }
 
 Hup::PaperTestbed Hup::paper_testbed(MasterConfig master_config) {

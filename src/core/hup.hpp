@@ -111,7 +111,8 @@ class Hup {
 
   /// FNV-1a digest of the world's snapshot bytes: two worlds are
   /// bit-identical exactly when their digests are (the save→load→continue
-  /// gate value).
+  /// gate value). Costs one save; the digest follows from the checksum
+  /// (snapshot::digest), not from a second pass over the bytes.
   [[nodiscard]] Result<std::uint64_t> state_digest() const;
 
   /// The paper's two-host testbed (§4): seattle + tacoma + one ASP

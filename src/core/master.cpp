@@ -133,11 +133,13 @@ void SodaMaster::attach(SodaDaemon& daemon) {
   // Wire the host's image-distribution front end into the HUP: shared
   // repository directory (per-attempt name resolution), shared chunk
   // registry (P2P priming), and the Master's distribution policy. The
-  // daemon's control-plane events flow into the Master's bus.
+  // daemon's control-plane events flow into the Master's bus, and its
+  // guests' trees come from the world's table.
   daemon.distributor().configure(config_.distribution);
   daemon.distributor().set_directory(&directory_);
   daemon.distributor().set_registry(&chunk_registry_);
   daemon.set_bus(&bus_);
+  daemon.set_rootfs_table(&rootfs_table_);
 }
 
 template <class Ar>
@@ -206,10 +208,10 @@ void SodaMaster::warm_hosts(const image::ImageLocation& location,
   join->pending = targets.size();
   for (SodaDaemon* daemon : targets) {
     // The fetch lands the chunks in the host's cache (and registry); the
-    // image copy itself is discarded — priming re-fetches it for free.
+    // image itself is not needed — priming re-fetches it for free.
     daemon->distributor().fetch(
         *repo, location,
-        [join, done](Result<image::ServiceImage> image, sim::SimTime now) {
+        [join, done](Result<image::ImagePtr> image, sim::SimTime now) {
           if (!image.ok() && !join->failed) {
             join->failed = true;
             join->first_error = image.error().message;

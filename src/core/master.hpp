@@ -39,6 +39,7 @@
 #include "core/switch.hpp"
 #include "image/distributor.hpp"
 #include "image/repository.hpp"
+#include "os/rootfs.hpp"
 #include "sim/engine.hpp"
 #include "util/result.hpp"
 
@@ -104,6 +105,12 @@ class SodaMaster {
   }
   [[nodiscard]] const image::ChunkRegistry& chunk_registry() const noexcept {
     return chunk_registry_;
+  }
+
+  /// The world's guest trees: one immutable rootfs per (image, customize
+  /// flag, services), shared by every node of that key.
+  [[nodiscard]] const os::RootFsTable& rootfs_table() const noexcept {
+    return rootfs_table_;
   }
 
   using WarmCallback = std::function<void(Status, sim::SimTime)>;
@@ -281,6 +288,7 @@ class SodaMaster {
   std::vector<PoolRange> pools_;
   image::RepositoryDirectory directory_;
   image::ChunkRegistry chunk_registry_;
+  os::RootFsTable rootfs_table_;
   ServiceTable services_;
   HostSet down_hosts_;
   ControlPlaneBus bus_;

@@ -207,7 +207,7 @@ void ImageDistributor::fetch(const ImageRepository& repo,
   const ImageRepository* resolved = resolve(location.repository, &repo);
   auto lookup = resolved != nullptr
                     ? resolved->lookup(location.path)
-                    : Result<const ServiceImage*>(Error{
+                    : Result<ImagePtr>(Error{
                           "repository '" + location.repository +
                           "' is no longer available"});
   if (!lookup.ok()) {
@@ -424,7 +424,7 @@ void ImageDistributor::finish_job(const JobPtr& job, sim::SimTime at) {
   const ImageRepository* repo = resolve(job->repo_name, job->fallback);
   auto lookup = repo != nullptr
                     ? repo->lookup(job->location.path)
-                    : Result<const ServiceImage*>(Error{
+                    : Result<ImagePtr>(Error{
                           "repository '" + job->repo_name +
                           "' is no longer available"});
   if (!lookup.ok()) {
@@ -434,9 +434,7 @@ void ImageDistributor::finish_job(const JobPtr& job, sim::SimTime at) {
     }
     return;
   }
-  for (Callback& cb : callbacks) {
-    cb(Result<ServiceImage>(*lookup.value()), at);
-  }
+  for (Callback& cb : callbacks) cb(lookup.value(), at);
 }
 
 void ImageDistributor::fail_job(const JobPtr& job, const Error& error) {

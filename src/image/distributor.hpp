@@ -183,10 +183,11 @@ class ImageDistributor {
   /// Repository resolution for this host (also wired into the downloader).
   void set_directory(const RepositoryDirectory* directory);
 
-  /// Delivers a copy of the image at `location`, assembling it from the
-  /// local cache, peer hosts, and the origin repository as configured.
-  /// Concurrent fetches of the same image coalesce onto one job: every
-  /// callback fires with the same finished_at.
+  /// Delivers the image at `location` (the published pointer, not a
+  /// copy), assembling its bytes from the local cache, peer hosts, and the
+  /// origin repository as configured. Concurrent fetches of the same image
+  /// coalesce onto one job: every callback fires with the same
+  /// finished_at.
   void fetch(const ImageRepository& repo, const ImageLocation& location,
              Callback on_done);
 

@@ -50,11 +50,11 @@ void HttpDownloader::download(const ImageRepository& repo,
               on_done(bytes.error(), finished);
               return;
             }
-            // The body arrived; hand the caller its own copy of the image.
+            // The body arrived; hand the caller the published image.
             const ImageRepository* repo = resolve(transfer);
             auto lookup = repo != nullptr
                               ? repo->lookup(transfer.location.path)
-                              : Result<const ServiceImage*>(Error{
+                              : Result<ImagePtr>(Error{
                                     "repository '" + transfer.repo_name +
                                     "' is no longer available"});
             if (!lookup.ok()) {
@@ -63,7 +63,7 @@ void HttpDownloader::download(const ImageRepository& repo,
                       finished);
               return;
             }
-            on_done(*lookup.value(), finished);
+            on_done(std::move(lookup), finished);
           },
           policy_.max_attempts);
 }

@@ -37,7 +37,7 @@ struct RetryPolicy {
 class HttpDownloader {
  public:
   using Callback =
-      std::function<void(Result<ServiceImage> image, sim::SimTime finished_at)>;
+      std::function<void(Result<ImagePtr> image, sim::SimTime finished_at)>;
   /// Byte-range fetch completion: the number of body bytes transferred.
   using RangeCallback =
       std::function<void(Result<std::int64_t> bytes, sim::SimTime finished_at)>;
@@ -56,10 +56,11 @@ class HttpDownloader {
     directory_ = directory;
   }
 
-  /// Fetches `location` from `repo`. `on_done` fires with a copy of the
-  /// image when the last byte arrives, or with the repository's error after
-  /// the request round trip. Transient failures (HTTP 5xx) are retried per
-  /// the RetryPolicy before the error is surfaced.
+  /// Fetches `location` from `repo`. `on_done` fires with the published
+  /// image (a pointer, not a copy) when the last byte arrives, or with the
+  /// repository's error after the request round trip. Transient failures
+  /// (HTTP 5xx) are retried per the RetryPolicy before the error is
+  /// surfaced.
   void download(const ImageRepository& repo, const ImageLocation& location,
                 Callback on_done);
 

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,10 @@ struct ServiceImage {
     ar.end_section();
   }
 };
+
+/// A published image. Publishing freezes it: repositories, downloads and
+/// priming hand out this pointer, never a copy.
+using ImagePtr = std::shared_ptr<const ServiceImage>;
 
 /// Fluent builder so examples and tests read declaratively.
 class ServiceImageBuilder {

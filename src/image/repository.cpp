@@ -17,7 +17,8 @@ Result<ImageLocation> ImageRepository::publish(ServiceImage image) {
   }
   const std::string path = path_for(image);
   images_.emplace(image.name, path);
-  by_path_.emplace(path, std::move(image));
+  by_path_.emplace(path,
+                   std::make_shared<const ServiceImage>(std::move(image)));
   return ImageLocation{name_, path};
 }
 
@@ -29,10 +30,10 @@ bool ImageRepository::withdraw(const std::string& name) {
   return true;
 }
 
-Result<const ServiceImage*> ImageRepository::lookup(const std::string& path) const {
+Result<ImagePtr> ImageRepository::lookup(const std::string& path) const {
   auto it = by_path_.find(path);
   if (it == by_path_.end()) return Error{"404: no image at " + path};
-  return &it->second;
+  return it->second;
 }
 
 net::HttpResponse ImageRepository::handle(const net::HttpRequest& request) const {

@@ -29,15 +29,17 @@ class ImageRepository {
   /// A blank repository for a snapshot restore to fill through serialize().
   ImageRepository() = default;
 
-  /// Publishes an image; fails on duplicate name.
+  /// Publishes an image, which is immutable from then on; fails on
+  /// duplicate name.
   Result<ImageLocation> publish(ServiceImage image);
 
   /// Unpublishes an image by name; returns false if absent.
   bool withdraw(const std::string& name);
 
   /// The image behind `path` ("/images/<name>-<version>.rpm"), or an error
-  /// mirroring an HTTP 404.
-  Result<const ServiceImage*> lookup(const std::string& path) const;
+  /// mirroring an HTTP 404. The pointer keeps the image alive after a
+  /// withdraw.
+  Result<ImagePtr> lookup(const std::string& path) const;
 
   /// Handles a GET for an image; 200 with Content-Length of the packaged
   /// bytes, or 404. The body carries a placeholder marker rather than real
@@ -63,14 +65,20 @@ class ImageRepository {
     ar.begin_section("repository");
     ar.seq(by_path_, [&ar](auto& entry) {
       ar.str(entry.first);
-      ar.walk(entry.second);
+      if constexpr (Ar::kLoading) {
+        auto image = std::make_shared<ServiceImage>();
+        ar.walk(*image);
+        entry.second = std::move(image);
+      } else {
+        ar.walk(*entry.second);
+      }
     });
     ar.i64(fail_next_);
     ar.end_section();
     if constexpr (Ar::kLoading) {
       images_.clear();
       for (const auto& [path, image] : by_path_) {
-        images_.emplace(image.name, path);
+        images_.emplace(image->name, path);
       }
     }
   }
@@ -80,7 +88,7 @@ class ImageRepository {
 
   std::string name_;
   net::NodeId node_;
-  std::map<std::string, ServiceImage> by_path_;
+  std::map<std::string, ImagePtr> by_path_;
   std::map<std::string, std::string> images_;  // name -> path
   /// mutable: serving a 503 consumes one injected failure, but handle() is
   /// semantically const for callers (content is untouched).

@@ -1,8 +1,8 @@
 #include "os/rootfs.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
-#include <mutex>
 #include <set>
 
 #include "util/contract.hpp"
@@ -60,8 +60,12 @@ RootFs assemble(std::string template_name, FileSystem fs,
   for (const auto& svc : order) {
     must(fs.add_file("/etc/init.d/" + svc, 4 * kKiB));
   }
-  return RootFs{std::move(template_name), std::move(fs), std::move(services),
-                std::move(installed)};
+  RootFs rootfs;
+  rootfs.template_name = std::move(template_name);
+  rootfs.fs = std::move(fs);
+  rootfs.enabled_services = std::move(services);
+  rootfs.installed_packages = std::move(installed);
+  return rootfs;
 }
 
 }  // namespace
@@ -186,38 +190,30 @@ RootFs build_rootfs(RootFsTemplate t) {
   return RootFs{};
 }
 
-const RootFs& cached_base_rootfs(RootFsTemplate t) {
-  static std::mutex mutex;
-  static std::unique_ptr<RootFs> cache[4];
+const RootFs& base_rootfs(RootFsTemplate t) {
+  static const std::array<RootFs, 4> templates = {
+      build_rootfs(RootFsTemplate::kBase10),
+      build_rootfs(RootFsTemplate::kTomsrtbt),
+      build_rootfs(RootFsTemplate::kLfs40),
+      build_rootfs(RootFsTemplate::kRh72Server)};
   const auto index = static_cast<std::size_t>(t);
-  SODA_EXPECTS(index < 4);
-  std::scoped_lock lock(mutex);
-  if (!cache[index]) cache[index] = std::make_unique<RootFs>(build_rootfs(t));
-  return *cache[index];
+  SODA_EXPECTS(index < templates.size());
+  return templates[index];
 }
 
-Result<const RootFs*> cached_customized_rootfs(
-    RootFsTemplate t, const std::vector<std::string>& required_services) {
-  struct Entry {
-    RootFsTemplate t;
-    std::vector<std::string> services;
-    std::unique_ptr<RootFs> rootfs;  // stable address across cache growth
-  };
-  static std::mutex mutex;
-  static std::vector<Entry> cache;
-  std::scoped_lock lock(mutex);
-  for (const Entry& entry : cache) {
-    if (entry.t == t && entry.services == required_services) {
-      return entry.rootfs.get();
-    }
-  }
-  // Miss: customize against the (also cached) base. Errors are returned
-  // uncached — the error path is cold and must keep surfacing.
-  auto customized = customize_rootfs(cached_base_rootfs(t), required_services);
-  if (!customized.ok()) return customized.error();
-  cache.push_back(Entry{t, required_services,
-                        std::make_unique<RootFs>(std::move(customized).value())});
-  return cache.back().rootfs.get();
+Status RootFs::seal() {
+  const ServiceCatalog& catalog = standard_service_catalog();
+  auto order = catalog.start_order(enabled_services);
+  if (!order.ok()) return order.error();
+  boot.start_order = std::move(order).value();
+  boot.start_cost_ghz_s = must(catalog.start_cost(enabled_services));
+  boot.image_bytes = fs.total_size();
+  return {};
+}
+
+Result<std::shared_ptr<const RootFs>> share_rootfs(RootFs tree) {
+  if (auto sealed = tree.seal(); !sealed.ok()) return sealed.error();
+  return std::make_shared<const RootFs>(std::move(tree));
 }
 
 Result<RootFs> customize_rootfs(const RootFs& base,
@@ -284,6 +280,41 @@ bool fits_ram_disk(std::int64_t image_bytes, std::int64_t host_ram_mb,
   const std::int64_t free_mb = host_ram_mb - guest_mem_mb;
   if (free_mb <= 0) return false;
   return image_bytes <= free_mb * kMiB * 2 / 5;  // 40% of what's left
+}
+
+Result<std::shared_ptr<const RootFs>> RootFsTable::intern(
+    const std::shared_ptr<const FileSystem>& payload, RootFsTemplate t,
+    bool customize, const std::vector<std::string>& services) {
+  SODA_EXPECTS(payload != nullptr);
+  const auto [first, last] = entries_.equal_range(payload.get());
+  for (auto it = first; it != last; ++it) {
+    const Entry& entry = it->second;
+    if (entry.t == t && entry.customize == customize &&
+        (!customize || entry.services == services)) {
+      return entry.tree;
+    }
+  }
+  RootFs tree;
+  if (customize) {
+    auto customized = customize_rootfs(base_rootfs(t), services);
+    if (!customized.ok()) {
+      return Error{"rootfs customization failed: " +
+                   customized.error().message};
+    }
+    tree = std::move(customized).value();
+  } else {
+    tree = base_rootfs(t);
+  }
+  if (auto merged = tree.fs.copy_from(*payload, "/", "/"); !merged.ok()) {
+    return Error{"image merge failed: " + merged.error().message};
+  }
+  auto shared = share_rootfs(std::move(tree));
+  if (!shared.ok()) return shared.error();
+  entries_.emplace(payload.get(),
+                   Entry{payload, t, customize,
+                         customize ? services : std::vector<std::string>{},
+                         shared.value()});
+  return shared;
 }
 
 }  // namespace soda::os

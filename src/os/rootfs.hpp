@@ -8,9 +8,18 @@
 // retain only the system services the application needs, include only the
 // packages in their dependency closure, and report whether the result fits a
 // RAM disk.
+//
+// A finished tree is immutable. A node's tree is a pure function of its
+// image, the customize flag and the services it keeps, so one world builds
+// it once (`RootFsTable`) and every node of that key shares it; the four
+// templates are one immutable table per process (`base_rootfs`).
 #pragma once
 
+#include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "os/filesystem.hpp"
@@ -39,18 +48,40 @@ struct RootFs {
   std::vector<std::string> enabled_services;   // start-order roots
   std::vector<std::string> installed_packages;  // sorted, unique
 
+  /// What the boot model reads, derived from the fields above once the tree
+  /// is final (seal(): by share_rootfs, or when a snapshot load parses the
+  /// tree). Empty on a tree still being built.
+  struct BootInputs {
+    std::vector<std::string> start_order;  // enabled closure, deps first
+    double start_cost_ghz_s = 0.0;         // CPU of their init scripts
+    std::int64_t image_bytes = 0;          // sum of the tree's file sizes
+  };
+  BootInputs boot;
+
+  /// Sum of the tree's file sizes; walks the tree (a sealed tree's
+  /// boot.image_bytes holds the same figure).
   [[nodiscard]] std::int64_t image_bytes() const noexcept { return fs.total_size(); }
 
+  /// Computes `boot` from the finished tree. Fails when an enabled service
+  /// is not in the standard catalog.
+  Status seal();
+
+  /// The section a tree is saved in: a guest's shared tree goes through
+  /// `ar.shared`, which matches repeats of it by their bytes.
+  static constexpr std::string_view kSection = "rootfs";
+
   /// Snapshot walk over the rootfs verbatim (tree, enabled services,
-  /// packages). Live guests' trees have been customized and mutated since
-  /// construction, so this is cheaper and safer than replaying the build.
+  /// packages); a load seals the parsed tree.
   template <class Ar>
   void serialize(Ar& ar) {
-    ar.begin_section("rootfs");
+    ar.begin_section(kSection);
     ar.str(template_name);
     ar.walk(fs);
     ar.seq(enabled_services, [&ar](auto& service) { ar.str(service); });
     ar.seq(installed_packages, [&ar](auto& package) { ar.str(package); });
+    if constexpr (Ar::kLoading) {
+      if (ar.ok()) ar.check(seal().ok(), "rootfs enables an unknown service");
+    }
     ar.end_section();
   }
 };
@@ -63,20 +94,14 @@ const PackageDatabase& standard_package_database();
 /// package database.
 RootFs build_rootfs(RootFsTemplate t);
 
-/// Shared immutable instance of a built template. Building a tree means
-/// hundreds of allocations; every node priming used to pay it (plus a full
-/// customize pass) before mutating its own copy, which dominated the
-/// admission path's allocation count. Callers copy what they mutate.
-/// Thread-safe (ParallelRunner replicas share the process-wide cache; the
-/// cached value is a pure function of the template, so sharing cannot leak
-/// state between replicas).
-const RootFs& cached_base_rootfs(RootFsTemplate t);
+/// The built template `t`, from one immutable table the process builds on
+/// first use. It is a pure function of `t`, so ParallelRunner replicas read
+/// it without a lock. Callers copy what they change.
+const RootFs& base_rootfs(RootFsTemplate t);
 
-/// Shared immutable customized template: exactly
-/// customize_rootfs(build_rootfs(t), required_services), computed once per
-/// distinct (template, services) pair. Callers copy what they mutate.
-Result<const RootFs*> cached_customized_rootfs(
-    RootFsTemplate t, const std::vector<std::string>& required_services);
+/// Seals a finished tree (RootFs::seal) and hands it out immutable, to be
+/// shared by every guest that boots it.
+Result<std::shared_ptr<const RootFs>> share_rootfs(RootFs tree);
 
 /// SODA Daemon rootfs tailoring: keeps only `required_services` (plus their
 /// dependency closure) of `base`'s enabled services, and only the packages
@@ -89,5 +114,36 @@ Result<RootFs> customize_rootfs(const RootFs& base,
 /// must fit in 40% of the memory left after the guest's own allocation.
 bool fits_ram_disk(std::int64_t image_bytes, std::int64_t host_ram_mb,
                    std::int64_t guest_mem_mb) noexcept;
+
+/// One world's guest trees (paper §4.3: template, tailoring, then the image
+/// merged into the root). Nothing changes a node's tree after priming, so
+/// the table builds each distinct tree once and every later node of its key
+/// shares it: priming an already-built tree costs a lookup, not a rebuild.
+/// The Master owns one table per world; nothing is shared across worlds.
+class RootFsTable {
+ public:
+  /// The tree of template `t`, tailored to `services` when `customize`
+  /// (untailored trees ignore `services`), with `payload` merged into its
+  /// root. Built on the key's first call and shared after; a failed build
+  /// is not kept, and its error names the failed step. `payload` keys the
+  /// image: the entry holds it (an aliasing pointer holds the whole image),
+  /// so a withdrawn image's address cannot match a live key.
+  Result<std::shared_ptr<const RootFs>> intern(
+      const std::shared_ptr<const FileSystem>& payload, RootFsTemplate t,
+      bool customize, const std::vector<std::string>& services);
+
+  /// Distinct trees built so far.
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+
+ private:
+  struct Entry {
+    std::shared_ptr<const FileSystem> payload;
+    RootFsTemplate t;
+    bool customize;
+    std::vector<std::string> services;  // empty unless customize
+    std::shared_ptr<const RootFs> tree;
+  };
+  std::multimap<const FileSystem*, Entry> entries_;
+};
 
 }  // namespace soda::os

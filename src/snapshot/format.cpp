@@ -18,6 +18,17 @@ std::uint64_t fnv1a(std::string_view bytes) noexcept {
   return util::fnv1a(util::kFnvBasisSnapshot, bytes);
 }
 
+std::uint64_t digest(std::string_view snapshot) noexcept {
+  SODA_EXPECTS(snapshot.size() >= 8);
+  std::uint64_t checksum = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    checksum |= static_cast<std::uint64_t>(static_cast<unsigned char>(
+                    snapshot[snapshot.size() - 8 + i]))
+                << (i * 8);
+  }
+  return util::fnv1a_word(checksum, checksum);
+}
+
 // --- Writer -----------------------------------------------------------------
 
 Writer::Writer() {
@@ -46,6 +57,12 @@ void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 void Writer::str(std::string_view v) {
   u32(static_cast<std::uint32_t>(v.size()));
   buffer_.append(v.data(), v.size());
+}
+
+void Writer::repeat(Span span) {
+  // Reserve first: the copy reads from the buffer it grows.
+  buffer_.reserve(buffer_.size() + span.length);
+  buffer_.append(buffer_.data() + span.offset, span.length);
 }
 
 void Writer::begin_section(std::string_view name) {
@@ -198,6 +215,16 @@ void Reader::begin_section(std::string_view name) {
     return;
   }
   open_sections_.emplace_back(std::string(name), cursor_ + length);
+}
+
+std::string_view Reader::section_at_cursor(std::string_view name) {
+  const std::size_t start = cursor_;
+  begin_section(name);
+  if (!ok()) return {};
+  const std::size_t end = open_sections_.back().second;
+  open_sections_.pop_back();
+  cursor_ = start;
+  return bytes_.substr(start, end - start);
 }
 
 void Reader::end_section() {

@@ -21,6 +21,13 @@
 // check records the first error and leaves every later field untouched, so
 // a hostile value ends in a Status error instead of a crash on first use.
 //
+// Immutable objects that several owners share (guests booting one rootfs)
+// go through `ar.shared(ptr)`: every owner's bytes are the object's own
+// section, exactly as a walk would write them, but the Writer walks each
+// object once and copies its bytes for the other owners, and the Reader
+// parses each distinct section once and shares the object among the owners
+// whose sections have the same bytes.
+//
 // The byte string doubles as the world's end-state digest: two worlds are
 // bit-identical exactly when their snapshots are, so `fnv1a(bytes)` is the
 // save→load→continue gate value.
@@ -28,13 +35,16 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
+#include "util/contract.hpp"
 #include "util/result.hpp"
 
 namespace soda::snapshot {
@@ -46,6 +56,12 @@ inline constexpr std::uint32_t kFormatVersion = 1;
 
 /// FNV-1a 64 over a byte string (the checksum and digest primitive).
 [[nodiscard]] std::uint64_t fnv1a(std::string_view bytes) noexcept;
+
+/// fnv1a(snapshot) of a finished snapshot, in one step. FNV-1a folds bytes
+/// in order and the trailing checksum is the FNV-1a of everything before
+/// it, so the digest continues from the checksum over its own eight bytes.
+/// `snapshot` must come from Writer::finish (the checksum is trusted).
+[[nodiscard]] std::uint64_t digest(std::string_view snapshot) noexcept;
 
 /// Exclusive upper bound of an index field: `ar.u32(slot, Below{n})`.
 struct Below {
@@ -105,6 +121,21 @@ class Writer {
   void walk(const T& object) {
     const_cast<T&>(object).serialize(*this);
   }
+  /// A shared immutable object, whose walk writes the one section
+  /// `T::kSection`. The first owner walks it; a later owner of the same
+  /// object gets a copy of those bytes, which do not depend on where they
+  /// sit (section lengths are relative).
+  template <class T>
+  void shared(const std::shared_ptr<const T>& object) {
+    SODA_EXPECTS(object != nullptr);
+    if (const auto it = shared_.find(object.get()); it != shared_.end()) {
+      repeat(it->second);
+      return;
+    }
+    const std::size_t start = buffer_.size();
+    walk(*object);
+    shared_.emplace(object.get(), Span{start, buffer_.size() - start});
+  }
   /// A sequence length.
   void count(std::size_t n) { u64(n); }
   /// A count-prefixed sequence; `each` walks one element.
@@ -133,8 +164,16 @@ class Writer {
   }
 
  private:
+  struct Span {
+    std::size_t offset;
+    std::size_t length;
+  };
+  /// Appends a copy of bytes already written.
+  void repeat(Span span);
+
   std::string buffer_;
   std::vector<std::size_t> open_sections_;  // offsets of length placeholders
+  std::unordered_map<const void*, Span> shared_;  // object -> its section
 };
 
 /// Deserializer with sticky error state: the first failure (bad magic,
@@ -209,6 +248,28 @@ class Reader {
   template <class T>
   void walk(T& object) {
     object.serialize(*this);
+  }
+  /// Load side of Writer::shared. A section whose bytes equal an earlier
+  /// shared section's, compared in full, is the same object: it is framed
+  /// like any section (its name must be `T::kSection` and it must fit),
+  /// then skipped, and `object` shares the one parsed first. A section
+  /// seen for the first time is parsed into a fresh object. Each shared
+  /// type has its own section name, which the bytes include, so a match
+  /// is always a `T`.
+  template <class T>
+  void shared(std::shared_ptr<const T>& object) {
+    const std::string_view bytes = section_at_cursor(T::kSection);
+    if (!ok()) return;
+    if (const auto it = shared_.find(bytes); it != shared_.end()) {
+      cursor_ += bytes.size();
+      object = std::static_pointer_cast<const T>(it->second);
+      return;
+    }
+    auto fresh = std::make_shared<T>();
+    walk(*fresh);
+    if (!ok()) return;
+    shared_.emplace(bytes, fresh);
+    object = std::move(fresh);
   }
   /// A sequence length, checked against the bytes left in the section
   /// (every element takes at least one) before anyone allocates for it.
@@ -287,6 +348,9 @@ class Reader {
 
  private:
   [[nodiscard]] bool need(std::size_t n, const char* what);
+  /// The whole section `name` that starts at the cursor, header included,
+  /// framed as begin_section frames it; the cursor does not move.
+  [[nodiscard]] std::string_view section_at_cursor(std::string_view name);
 
   template <class T, class Wire>
   void assign(T& field, Wire value) {
@@ -316,6 +380,8 @@ class Reader {
   std::size_t payload_end_ = 0;  // checksum excluded
   std::vector<std::pair<std::string, std::size_t>> open_sections_;
   std::string error_;
+  /// Shared sections parsed so far, keyed by their bytes in the input.
+  std::unordered_map<std::string_view, std::shared_ptr<const void>> shared_;
 };
 
 /// Writes `bytes` to `path` atomically enough for checkpoint artifacts

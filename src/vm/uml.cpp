@@ -14,27 +14,26 @@ std::string_view vm_state_name(VmState state) noexcept {
   return "unknown";
 }
 
-UserModeLinux::UserModeLinux(os::RootFs rootfs, std::int64_t memory_mb)
+UserModeLinux::UserModeLinux(std::shared_ptr<const os::RootFs> rootfs,
+                             std::int64_t memory_mb)
     : rootfs_(std::move(rootfs)), memory_cap_mb_(memory_mb) {
+  SODA_EXPECTS(rootfs_ != nullptr);
   SODA_EXPECTS(memory_mb > kKernelMemoryMb);
 }
 
 BootReport UserModeLinux::plan_boot(const host::HostSpec& host) const {
+  const os::RootFs::BootInputs& boot = rootfs_->boot;
   BootReport report;
-  const std::int64_t image_bytes = rootfs_.image_bytes();
   report.used_ram_disk =
-      os::fits_ram_disk(image_bytes, host.ram_mb, memory_cap_mb_);
+      os::fits_ram_disk(boot.image_bytes, host.ram_mb, memory_cap_mb_);
   const double rate_mb_s =
       report.used_ram_disk ? host.ramdisk_mb_s : host.disk_mb_s;
   report.mount_time = sim::SimTime::seconds(
-      static_cast<double>(image_bytes) / (rate_mb_s * 1024 * 1024));
+      static_cast<double>(boot.image_bytes) / (rate_mb_s * 1024 * 1024));
   report.kernel_time = sim::SimTime::seconds(kKernelBootGhzS / host.cpu_ghz);
-  const double services_ghz_s = must(
-      os::standard_service_catalog().start_cost(rootfs_.enabled_services));
-  report.services_time = sim::SimTime::seconds(services_ghz_s / host.cpu_ghz);
-  report.services_started =
-      must(os::standard_service_catalog().start_order(rootfs_.enabled_services))
-          .size();
+  report.services_time =
+      sim::SimTime::seconds(boot.start_cost_ghz_s / host.cpu_ghz);
+  report.services_started = boot.start_order.size();
   return report;
 }
 
@@ -54,9 +53,7 @@ Status UserModeLinux::finish_boot(sim::SimTime now) {
   }
   memory_used_mb_ = kKernelMemoryMb;
   os::spawn_boot_processes(processes_, now);
-  const auto order = must(
-      os::standard_service_catalog().start_order(rootfs_.enabled_services));
-  for (const auto& svc : order) {
+  for (const auto& svc : rootfs_->boot.start_order) {
     processes_.spawn(svc, "root", now, os::ProcessState::kSleeping);
   }
   processes_.spawn("/sbin/getty 38400 tty0", "root", now,

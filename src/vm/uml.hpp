@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "host/host.hpp"
@@ -34,12 +35,16 @@ struct BootReport {
   }
 };
 
-/// One UML instance. Owns the guest root filesystem and process table.
+/// One UML instance. Owns the guest process table and boots a root
+/// filesystem it shares with every guest of the same tree: nothing writes
+/// a guest's rootfs after priming.
 class UserModeLinux {
  public:
+  /// `rootfs` is a sealed tree (os::share_rootfs or os::RootFsTable);
   /// `memory_mb` is the UML memory-usage limit passed at start (the only
   /// resource cap the original UML supports natively).
-  UserModeLinux(os::RootFs rootfs, std::int64_t memory_mb);
+  UserModeLinux(std::shared_ptr<const os::RootFs> rootfs,
+                std::int64_t memory_mb);
 
   /// Computes the boot-time breakdown on `host` hardware without changing
   /// state (used by the daemon to schedule the boot completion event).
@@ -73,7 +78,7 @@ class UserModeLinux {
   [[nodiscard]] sim::SimTime syscall_time(Syscall call, double cpu_ghz) const;
 
   [[nodiscard]] VmState state() const noexcept { return state_; }
-  [[nodiscard]] const os::RootFs& rootfs() const noexcept { return rootfs_; }
+  [[nodiscard]] const os::RootFs& rootfs() const noexcept { return *rootfs_; }
   [[nodiscard]] os::ProcessTable& processes() noexcept { return processes_; }
   [[nodiscard]] const os::ProcessTable& processes() const noexcept {
     return processes_;
@@ -92,14 +97,15 @@ class UserModeLinux {
   /// A blank guest for a snapshot restore to fill through serialize().
   UserModeLinux() = default;
 
-  /// Snapshot walk: the memory cap and rootfs the guest was built with
-  /// (its tree verbatim, customized and mutated since), then VM state,
-  /// memory accounting, and the guest process table.
+  /// Snapshot walk: the memory cap and the rootfs the guest boots (its tree
+  /// verbatim; guests sharing a tree save the same bytes, and a load shares
+  /// one tree among them again), then VM state, memory accounting, and the
+  /// guest process table.
   template <class Ar>
   void serialize(Ar& ar) {
     ar.i64(memory_cap_mb_);
     ar.check(memory_cap_mb_ > kKernelMemoryMb, "uml memory cap out of range");
-    ar.walk(rootfs_);
+    ar.shared(rootfs_);
     ar.begin_section("uml");
     ar.expect("uml memory cap mismatch").i64(memory_cap_mb_);
     ar.i64(memory_used_mb_);
@@ -109,7 +115,7 @@ class UserModeLinux {
   }
 
  private:
-  os::RootFs rootfs_;
+  std::shared_ptr<const os::RootFs> rootfs_;
   std::int64_t memory_cap_mb_ = 0;
   std::int64_t memory_used_mb_ = 0;
   VmState state_ = VmState::kStopped;

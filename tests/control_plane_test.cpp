@@ -2,14 +2,15 @@
 // registry, placement (cache-affinity, the deterministic equal-host
 // tie-break, and every placement consumer checked against the policy's
 // rule applied literally on seeded mixed fleets), the shared priming
-// coordinator's repository re-resolution, and degraded-service behavior of
-// warm_hosts and resize_service.
+// coordinator's repository re-resolution, guests sharing one rootfs per
+// key, and degraded-service behavior of warm_hosts and resize_service.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -888,6 +889,100 @@ TEST(Priming, RecoveryAfterRepositoryUnregisterStaysDegraded) {
     EXPECT_NE(p.daemon->host_name(), "host-1");
   }
   EXPECT_EQ(t.hup.master().recoveries_completed(), 0u);
+}
+
+// ---------- Shared guest trees ----------
+
+/// The rootfs each node of `service` boots, in node order.
+std::vector<const os::RootFs*> trees_of(Hup& hup, const std::string& service) {
+  std::vector<const os::RootFs*> trees;
+  const ServiceRecord* record = hup.master().find_service(service);
+  if (record == nullptr) return trees;
+  for (const NodeDescriptor& node : record->nodes) {
+    trees.push_back(&hup.find_daemon(node.host_name)
+                         ->find_node(node.node_name)
+                         ->uml()
+                         .rootfs());
+  }
+  return trees;
+}
+
+TEST(SharedRootFs, NodesOfOneKeyShareOneTree) {
+  EqualHosts t(4);
+  ASSERT_TRUE(t.create("web", 2).ok());
+  ASSERT_TRUE(t.create("api", 1).ok());
+  const ServiceRecord* web_record = t.hup.master().find_service("web");
+  ASSERT_NE(web_record, nullptr);
+  ASSERT_EQ(web_record->nodes.size(), 2u);
+  EXPECT_NE(web_record->nodes[0].host_name, web_record->nodes[1].host_name);
+  // Two hosts, one tree; another service of the same image shares it too.
+  const auto web = trees_of(t.hup, "web");
+  EXPECT_EQ(web[0], web[1]);
+  EXPECT_EQ(trees_of(t.hup, "api"), std::vector<const os::RootFs*>{web[0]});
+  EXPECT_EQ(t.hup.master().rootfs_table().size(), 1u);
+
+  // A partitioned service's components keep different services: one tree
+  // per component, none of them the replicated service's.
+  const auto shop = must(t.repo->publish(image::online_shop_image()));
+  ServiceCreationRequest request;
+  request.credentials = {"asp", "key"};
+  request.service_name = "shop";
+  request.image_location = shop;
+  request.requirement = {4, host::MachineConfig::table1_example()};
+  ApiResult<ServiceCreationReply> created =
+      ApiError{ApiErrorCode::kInternal, "callback never fired"};
+  t.hup.master().create_service(
+      request, [&](ApiResult<ServiceCreationReply> reply, sim::SimTime) {
+        created = std::move(reply);
+      });
+  t.hup.engine().run();
+  ASSERT_TRUE(created.ok()) << created.error().message;
+  const auto components = trees_of(t.hup, "shop");
+  ASSERT_EQ(components.size(), 3u);
+  const std::set<const os::RootFs*> distinct(components.begin(),
+                                             components.end());
+  EXPECT_EQ(distinct.size(), 3u);
+  EXPECT_EQ(distinct.count(web[0]), 0u);
+  EXPECT_EQ(t.hup.master().rootfs_table().size(), 4u);
+}
+
+TEST(SharedRootFs, UntailoredNodesShareTheWholeTemplate) {
+  MasterConfig config;
+  config.customize_rootfs = false;
+  EqualHosts plain(2, config);
+  EqualHosts tailored(2);
+  ASSERT_TRUE(plain.create("web", 2).ok());
+  ASSERT_TRUE(tailored.create("web", 2).ok());
+  const auto untailored = trees_of(plain.hup, "web");
+  ASSERT_EQ(untailored.size(), 2u);
+  EXPECT_EQ(untailored[0], untailored[1]);
+  const os::RootFs& whole = *untailored[0];
+  const os::RootFs& kept = *trees_of(tailored.hup, "web")[0];
+  EXPECT_EQ(whole.enabled_services,
+            os::base_rootfs(os::RootFsTemplate::kBase10).enabled_services);
+  EXPECT_NE(whole.enabled_services, kept.enabled_services);
+  EXPECT_GT(whole.boot.image_bytes, kept.boot.image_bytes);
+}
+
+TEST(SharedRootFs, RepublishedImageGetsANewTree) {
+  EqualHosts t(2);
+  ASSERT_TRUE(t.create("a", 1).ok());
+  const os::RootFs* first = trees_of(t.hup, "a")[0];
+  const std::int64_t first_bytes = first->boot.image_bytes;
+
+  // Same name and version, so the same location, but a larger payload.
+  ASSERT_TRUE(t.repo->withdraw("web-content"));
+  const auto again = must(t.repo->publish(image::web_content_image(8 * kMiB)));
+  ASSERT_EQ(again.url(), t.location.url());
+  ASSERT_TRUE(t.create("b", 1).ok());
+
+  const os::RootFs* second = trees_of(t.hup, "b")[0];
+  EXPECT_NE(second, first);
+  EXPECT_GT(second->boot.image_bytes, first_bytes);
+  // The running node keeps the tree it booted, unchanged.
+  EXPECT_EQ(trees_of(t.hup, "a")[0], first);
+  EXPECT_EQ(first->boot.image_bytes, first_bytes);
+  EXPECT_EQ(t.hup.master().rootfs_table().size(), 2u);
 }
 
 // ---------- Degraded-service operations ----------

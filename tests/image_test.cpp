@@ -118,15 +118,17 @@ struct DownloadLan {
   }
 };
 
-TEST(Downloader, DeliversImageCopy) {
+TEST(Downloader, DeliversThePublishedImage) {
   DownloadLan lan;
   ImageRepository repo("r", lan.repo_node);
   const auto loc = must(repo.publish(honeypot_image()));
   HttpDownloader downloader(lan.engine, lan.network, lan.host_node);
   bool got = false;
-  downloader.download(repo, loc, [&](Result<ServiceImage> image, sim::SimTime) {
+  downloader.download(repo, loc, [&](Result<ImagePtr> image, sim::SimTime) {
     ASSERT_TRUE(image.ok());
-    EXPECT_EQ(image.value().name, "honeypot");
+    EXPECT_EQ(image.value()->name, "honeypot");
+    // The repository's own image, not a copy of it.
+    EXPECT_EQ(image.value(), must(repo.lookup(loc.path)));
     got = true;
   });
   lan.engine.run();
@@ -142,7 +144,7 @@ TEST(Downloader, MissingImageFailsAfterRoundTrip) {
   HttpDownloader downloader(lan.engine, lan.network, lan.host_node);
   bool failed = false;
   downloader.download(repo, ImageLocation{"r", "/images/ghost.rpm"},
-                      [&](Result<ServiceImage> image, sim::SimTime) {
+                      [&](Result<ImagePtr> image, sim::SimTime) {
                         EXPECT_FALSE(image.ok());
                         EXPECT_NE(image.error().message.find("404"),
                                   std::string::npos);
@@ -162,7 +164,7 @@ TEST(Downloader, TransferTimeScalesWithImageSize) {
         ServiceImageBuilder("img").add_file("/f", dataset_bytes).build()));
     HttpDownloader downloader(lan.engine, lan.network, lan.host_node);
     double at = -1;
-    downloader.download(repo, loc, [&](Result<ServiceImage> image,
+    downloader.download(repo, loc, [&](Result<ImagePtr> image,
                                        sim::SimTime t) {
       ASSERT_TRUE(image.ok());
       at = t.to_seconds();
@@ -184,13 +186,13 @@ TEST(Downloader, SecondDownloadSkipsHandshake) {
       ServiceImageBuilder("tiny").add_file("/f", 10).build()));
   HttpDownloader downloader(lan.engine, lan.network, lan.host_node);
   double first = -1, second = -1;
-  downloader.download(repo, loc, [&](Result<ServiceImage> r, sim::SimTime t) {
+  downloader.download(repo, loc, [&](Result<ImagePtr> r, sim::SimTime t) {
     ASSERT_TRUE(r.ok());
     first = t.to_seconds();
     // Capture t by value: the outer callback frame is gone when the inner
     // download completes.
     downloader.download(repo, loc,
-                        [&, t](Result<ServiceImage> r2, sim::SimTime t2) {
+                        [&, t](Result<ImagePtr> r2, sim::SimTime t2) {
                           ASSERT_TRUE(r2.ok());
                           second = t2.to_seconds() - t.to_seconds();
                         });

@@ -134,7 +134,7 @@ TEST(Syscalls, ForkExecNamesAndOrdering) {
 
 UserModeLinux make_vm(os::RootFsTemplate t = os::RootFsTemplate::kBase10,
                       std::int64_t mem = 256) {
-  return UserModeLinux(os::build_rootfs(t), mem);
+  return UserModeLinux(must(os::share_rootfs(os::build_rootfs(t))), mem);
 }
 
 TEST(Uml, BootLifecycle) {
