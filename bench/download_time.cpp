@@ -40,9 +40,12 @@ int main() {
     image::ImageRepository repo("asp-repo", repo_node);
     const auto loc = must(repo.publish(
         image::ServiceImageBuilder("img").add_file("/payload", size).build()));
+    image::RepositoryDirectory directory;
+    directory.add(&repo);
     image::HttpDownloader downloader(engine, network, host);
+    downloader.set_directory(&directory);
     double seconds = -1;
-    downloader.download(repo, loc,
+    downloader.download(loc,
                         [&](Result<image::ImagePtr> image, sim::SimTime t) {
                           must(std::move(image));
                           seconds = t.to_seconds();

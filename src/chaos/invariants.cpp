@@ -241,8 +241,7 @@ void InvariantChecker::final_checks() {
            name + " ended in " +
                std::string(core::service_state_name(state)));
     if (state != core::ServiceState::kDegraded) return;
-    if (record.nodes.size() >=
-        static_cast<std::size_t>(master.config().max_nodes_per_service)) {
+    if (record.nodes.size() >= std::size_t{core::kMaxNodesPerService}) {
       return;  // capped, degradation is structural
     }
     // Degraded is only legal when no survivor could host another unit:

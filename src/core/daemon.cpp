@@ -93,7 +93,6 @@ SodaDaemon::SodaDaemon(sim::Engine& engine, net::FlowNetwork& network,
 
 void SodaDaemon::prime_node(PrimeCommand command, PrimeCallback done) {
   SODA_EXPECTS(done != nullptr);
-  SODA_EXPECTS(command.repository != nullptr);
   SODA_EXPECTS(command.capacity_units >= 1);
 
   if (!alive_) {
@@ -115,13 +114,12 @@ void SodaDaemon::prime_node(PrimeCommand command, PrimeCallback done) {
        command.reserve.to_string());
 
   // 2. Download the service image from the ASP's repository. Copy the
-  //    arguments out first: `command` moves into the callback, and argument
+  //    location out first: `command` moves into the callback, and argument
   //    evaluation order would otherwise race the move.
   const sim::SimTime download_started = engine_.now();
-  const image::ImageRepository& repository = *command.repository;
   const image::ImageLocation location = command.location;
   distributor_.fetch(
-      repository, location,
+      location,
       [this, command = std::move(command), slice = slice.value(),
        download_started,
        done = std::move(done)](Result<image::ImagePtr> image,

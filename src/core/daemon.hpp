@@ -62,7 +62,6 @@ std::string_view address_mode_name(AddressMode mode) noexcept;
 struct PrimeCommand {
   std::string node_name;     // HUP-wide unique, e.g. "web-content/0"
   std::string service_name;
-  const image::ImageRepository* repository = nullptr;
   image::ImageLocation location;
   host::MachineConfig unit;  // M
   int capacity_units = 1;    // this node provides capacity_units x M

@@ -40,8 +40,7 @@ void resize_in_place(ServiceRecord& record, Placement& placement, int units,
 SodaMaster::SodaMaster(sim::Engine& engine, MasterConfig config)
     : engine_(engine),
       config_(config),
-      planner_(down_hosts_, config_.placement,
-               config_.slowdown_factor, config_.max_nodes_per_service),
+      planner_(down_hosts_, config_.placement, config_.slowdown_factor),
       priming_(engine, directory_, services_),
       recovery_(engine,
                 ControlPlaneView{services_, daemons_, down_hosts_,
@@ -150,7 +149,7 @@ void SodaMaster::serialize(Ar& ar) {
   same.u8(config_.placement);
   same.boolean(config_.customize_rootfs);
   same.u8(config_.address_mode);
-  same.i64(config_.max_nodes_per_service);
+  same.i64(kMaxNodesPerService);
   ar.expect("daemon count mismatch (attach restored daemons before load)")
       .u64(daemons_.size());
   ar.walk(host_names_);
@@ -182,8 +181,7 @@ void SodaMaster::warm_hosts(const image::ImageLocation& location,
                             const std::vector<std::string>& hosts,
                             WarmCallback done) {
   SODA_EXPECTS(done != nullptr);
-  const image::ImageRepository* repo = directory_.find(location.repository);
-  if (repo == nullptr) {
+  if (directory_.find(location.repository) == nullptr) {
     done(Error{"unknown repository: " + location.repository}, engine_.now());
     return;
   }
@@ -210,7 +208,7 @@ void SodaMaster::warm_hosts(const image::ImageLocation& location,
     // The fetch lands the chunks in the host's cache (and registry); the
     // image itself is not needed — priming re-fetches it for free.
     daemon->distributor().fetch(
-        *repo, location,
+        location,
         [join, done](Result<image::ImagePtr> image, sim::SimTime now) {
           if (!image.ok() && !join->failed) {
             join->failed = true;
@@ -283,13 +281,10 @@ void SodaMaster::create_service(const ServiceCreationRequest& request,
   }
   // Cache-affinity placement consults per-host chunk caches through the
   // image's manifest; the other policies ignore it.
-  image::ImageManifest manifest;
-  const image::ImageManifest* affinity = nullptr;
-  if (config_.placement == PlacementPolicy::kCacheAffinity) {
-    manifest = image::build_manifest(*image.value(),
-                                     config_.distribution.chunk_bytes);
-    affinity = &manifest;
-  }
+  const image::ImageManifest* affinity =
+      config_.placement == PlacementPolicy::kCacheAffinity
+          ? &image.value()->manifest
+          : nullptr;
   auto plan = partitioned
                   ? planner_.plan_components(request.requirement.m,
                                              image.value()->components,

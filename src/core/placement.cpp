@@ -82,14 +82,11 @@ int units_that_fit(const host::ResourceVector& avail,
 
 PlacementPlanner::PlacementPlanner(const HostSet& down_hosts,
                                    PlacementPolicy policy,
-                                   double slowdown_factor,
-                                   int max_nodes_per_service)
+                                   double slowdown_factor)
     : down_hosts_(down_hosts),
       policy_(policy),
-      slowdown_factor_(slowdown_factor),
-      max_nodes_per_service_(max_nodes_per_service) {
+      slowdown_factor_(slowdown_factor) {
   SODA_EXPECTS(slowdown_factor >= 1.0);
-  SODA_EXPECTS(max_nodes_per_service >= 1);
 }
 
 host::ResourceVector PlacementPlanner::inflated_unit(
@@ -213,7 +210,7 @@ ApiResult<int> PlacementPlanner::plan_allocation_into(
   // One node per host per service: replicas on the same host would share
   // the same failure domain and buy nothing.
   const int short_by = pack(
-      inflated_unit(req.m), req.n, max_nodes_per_service_,
+      inflated_unit(req.m), req.n, kMaxNodesPerService,
       [service_name](const SodaDaemon& daemon) {
         return daemon.serves_service(service_name);
       },

@@ -54,6 +54,10 @@ std::string_view placement_policy_name(PlacementPolicy policy) noexcept;
 std::optional<PlacementPolicy> parse_placement_policy(
     std::string_view name) noexcept;
 
+/// Upper bound of nodes per service at admission (one per host is the
+/// natural limit); growth and recovery apply no cap.
+inline constexpr int kMaxNodesPerService = 16;
+
 /// One planned (or live) node placement.
 struct Placement {
   SodaDaemon* daemon = nullptr;
@@ -95,7 +99,7 @@ struct RanksBefore {
 class PlacementPlanner {
  public:
   PlacementPlanner(const HostSet& down_hosts, PlacementPolicy policy,
-                   double slowdown_factor, int max_nodes_per_service);
+                   double slowdown_factor);
   PlacementPlanner(const PlacementPlanner&) = delete;
   PlacementPlanner& operator=(const PlacementPlanner&) = delete;
 
@@ -165,7 +169,6 @@ class PlacementPlanner {
   const HostSet& down_hosts_;
   PlacementPolicy policy_;
   double slowdown_factor_;
-  int max_nodes_per_service_;
   /// The maintained order and its bookkeeping. Mutable like the scratch
   /// below: a const decision still settles the hosts' pending re-keys (the
   /// planner is confined to the simulation thread like the rest of the

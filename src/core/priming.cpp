@@ -15,12 +15,10 @@ namespace {
 /// The per-node Master -> Daemon command, read off the record at dispatch.
 PrimeCommand make_command(const ServiceRecord& record,
                           const Placement& placement,
-                          const host::ResourceVector& inflated_unit,
-                          const image::ImageRepository& repo) {
+                          const host::ResourceVector& inflated_unit) {
   PrimeCommand command;
   command.node_name = placement.node_name;
   command.service_name = record.service_name;
-  command.repository = &repo;
   command.location = record.image_location;
   command.unit = record.requirement.m;
   command.capacity_units = placement.units;
@@ -91,19 +89,19 @@ void PrimingCoordinator::add_nodes(ServiceRecord& record,
   // Re-resolve the repository by name for every batch: creation validated
   // it moments ago, but resize and recovery may run long after the ASP
   // withdrew it — then every node fails cleanly here.
-  const image::ImageRepository* repo =
-      directory_.find(record.image_location.repository);
+  const bool registered =
+      directory_.find(record.image_location.repository) != nullptr;
   // A node can fail at once, so the last call below may end the batch
   // (creation's rollback then erases `record`) before the loop does.
   for (std::size_t i = 0; i < batch->placements.size(); ++i) {
     const Placement& placement = batch->placements[i];
-    if (repo == nullptr) {
+    if (!registered) {
       const std::string& name = record.image_location.repository;
       on_primed(*batch, i, Error{"unknown repository: " + name}, engine_.now());
       continue;
     }
     placement.daemon->prime_node(
-        make_command(record, placement, inflated_unit, *repo),
+        make_command(record, placement, inflated_unit),
         [this, batch, i](const Result<vm::VirtualServiceNode*>& node,
                          sim::SimTime now) {
           on_primed(*batch, i, node, now);

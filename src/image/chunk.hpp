@@ -6,9 +6,8 @@
 // stable across repositories, service creations, and simulation replicas.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace soda::image {
@@ -29,26 +28,25 @@ struct ChunkInfo {
   std::size_t index = 0;
 };
 
-/// The chunk list of one packaged image, in transfer order. `image_key`
-/// identifies the logical image (name + version), deliberately independent
-/// of which repository serves it: the same image published in two
-/// repositories shares every chunk.
+/// The chunk list of one packaged image, in transfer order. A repository
+/// builds it once, when it publishes the image or a snapshot restores it,
+/// and keeps it in the frozen `ServiceImage`.
 struct ImageManifest {
-  std::string image_key;
   std::int64_t total_bytes = 0;
   std::vector<ChunkInfo> chunks;
 };
 
-/// Default chunk size: 1 MiB, small enough that an 8-replica swarm spreads
-/// load chunk-wise, large enough that per-chunk request overhead stays
+/// Chunk size: 1 MiB, small enough that an 8-replica swarm spreads load
+/// chunk-wise, large enough that per-chunk request overhead stays
 /// negligible against the paper's multi-MB images.
-inline constexpr std::int64_t kDefaultChunkBytes = 1024 * 1024;
+inline constexpr std::int64_t kChunkBytes = 1024 * 1024;
 
-/// Splits `image.packaged_bytes()` into `chunk_bytes`-sized chunks (the last
-/// one carries the remainder). Deterministic: the same image always yields
-/// the same digests, regardless of repository or host.
-[[nodiscard]] ImageManifest build_manifest(const ServiceImage& image,
-                                           std::int64_t chunk_bytes =
-                                               kDefaultChunkBytes);
+/// Splits `image.packaged_bytes()` into kChunkBytes chunks (the last one
+/// carries the remainder). Each digest is the FNV-1a of
+/// "<name>-<version>#<index>/<total bytes>": the logical image and the
+/// chunk's position, deliberately independent of which repository serves
+/// it, so the same image published in two repositories shares every chunk.
+/// The payload must be at most kMaxPayloadBytes.
+[[nodiscard]] ImageManifest build_manifest(const ServiceImage& image);
 
 }  // namespace soda::image

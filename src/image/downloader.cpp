@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "net/http.hpp"
 #include "util/contract.hpp"
 #include "util/log.hpp"
 
@@ -33,30 +32,19 @@ sim::SimTime HttpDownloader::backoff_delay(int attempts_made) noexcept {
   return sim::SimTime::seconds(delay_sec);
 }
 
-const ImageRepository* HttpDownloader::resolve(const Transfer& transfer) const {
-  if (directory_ != nullptr) return directory_->find(transfer.repo_name);
-  return transfer.fallback;
-}
-
-void HttpDownloader::download(const ImageRepository& repo,
-                              const ImageLocation& location, Callback on_done) {
+void HttpDownloader::download(const ImageLocation& location, Callback on_done) {
   SODA_EXPECTS(on_done != nullptr);
+  SODA_EXPECTS(directory_ != nullptr);
   SODA_EXPECTS(policy_.max_attempts >= 1);
-  Transfer transfer{repo.name(), &repo, location, -1};
-  attempt(transfer,
-          [this, transfer, on_done = std::move(on_done)](
+  attempt(Transfer{location, -1},
+          [this, location, on_done = std::move(on_done)](
               Result<std::int64_t> bytes, sim::SimTime finished) mutable {
             if (!bytes.ok()) {
               on_done(bytes.error(), finished);
               return;
             }
             // The body arrived; hand the caller the published image.
-            const ImageRepository* repo = resolve(transfer);
-            auto lookup = repo != nullptr
-                              ? repo->lookup(transfer.location.path)
-                              : Result<ImagePtr>(Error{
-                                    "repository '" + transfer.repo_name +
-                                    "' is no longer available"});
+            auto lookup = directory_->lookup(location);
             if (!lookup.ok()) {
               on_done(Error{"image withdrawn during transfer: " +
                             lookup.error().message},
@@ -68,44 +56,30 @@ void HttpDownloader::download(const ImageRepository& repo,
           policy_.max_attempts);
 }
 
-void HttpDownloader::download_range(const ImageRepository& repo,
-                                    const ImageLocation& location,
+void HttpDownloader::download_range(const ImageLocation& location,
                                     std::int64_t bytes, RangeCallback on_done) {
   SODA_EXPECTS(on_done != nullptr);
+  SODA_EXPECTS(directory_ != nullptr);
   SODA_EXPECTS(policy_.max_attempts >= 1);
   SODA_EXPECTS(bytes >= 1);
-  attempt(Transfer{repo.name(), &repo, location, bytes}, std::move(on_done),
-          policy_.max_attempts);
+  attempt(Transfer{location, bytes}, std::move(on_done), policy_.max_attempts);
 }
 
 void HttpDownloader::attempt(Transfer transfer, RangeCallback on_done,
                              int tries_left) {
-  const ImageRepository* repo = resolve(transfer);
+  const std::string& repo_name = transfer.location.repository;
+  const ImageRepository* repo = directory_->find(repo_name);
   if (repo == nullptr) {
     ++failed_;
-    on_done(Error{"repository '" + transfer.repo_name +
-                  "' is no longer available"},
-            engine_.now());
+    on_done(repository_unavailable(repo_name), engine_.now());
     return;
   }
 
-  net::HttpRequest request;
-  request.method = "GET";
-  request.target = transfer.location.path;
-  request.headers.set("Host", transfer.location.repository);
-  request.headers.set("Connection", "keep-alive");
-  request.headers.set("User-Agent", "soda-daemon/1.0");
-  if (transfer.range_bytes >= 0) {
-    request.headers.set("Range",
-                        "bytes=0-" + std::to_string(transfer.range_bytes - 1));
-  }
+  // Answer the request now (a published image is immutable); the flow
+  // network supplies the timing.
+  ImageRepository::Reply reply = repo->serve(transfer.location.path);
 
-  // Resolve the response now (repository content is immutable during a
-  // transfer); the flow network supplies the timing.
-  net::HttpResponse response = repo->handle(request);
-  auto image_lookup = repo->lookup(transfer.location.path);
-
-  const bool new_connection = connected_.insert(transfer.repo_name).second;
+  const bool new_connection = connected_.insert(repo_name).second;
   const std::int64_t request_cost =
       kRequestBytes + (new_connection ? kHandshakeBytes : 0);
   const net::NodeId repo_node = repo->node();
@@ -113,20 +87,20 @@ void HttpDownloader::attempt(Transfer transfer, RangeCallback on_done,
   // Phase 1: request travels daemon -> repository.
   auto result = network_.start_flow(
       host_node_, repo_node, request_cost,
-      [this, transfer, repo_node, response = std::move(response), image_lookup,
+      [this, transfer, repo_node, reply = std::move(reply),
        on_done = std::move(on_done), tries_left](sim::SimTime) mutable {
-        if (response.status >= 500 && tries_left > 1) {
+        if (reply.status >= 500 && tries_left > 1) {
           // Transient server failure: back off and try again. The retry
-          // carries only the repository *name* — resolution happens afresh
-          // at the next attempt, so a repository torn down during the
-          // backoff cannot dangle. Permanent errors (404/400) fall through
-          // and fail immediately.
+          // carries only the location — the repository it names is resolved
+          // afresh at the next attempt, so a repository torn down during the
+          // backoff cannot dangle. Permanent errors (404) fall through and
+          // fail immediately.
           ++retries_;
           const int attempts_made = policy_.max_attempts - tries_left + 1;
           const sim::SimTime delay = backoff_delay(attempts_made);
           util::global_logger().warn(
-              "downloader", "HTTP " + std::to_string(response.status) +
-                                " from " + transfer.repo_name +
+              "downloader", "HTTP " + std::to_string(reply.status) +
+                                " from " + transfer.location.repository +
                                 "; retrying in " +
                                 std::to_string(delay.to_seconds()) + "s (" +
                                 std::to_string(tries_left - 1) + " left)");
@@ -137,18 +111,17 @@ void HttpDownloader::attempt(Transfer transfer, RangeCallback on_done,
               });
           return;
         }
-        if (response.status != 200 || !image_lookup.ok()) {
+        if (reply.status != 200) {
           ++failed_;
-          on_done(Error{"HTTP " + std::to_string(response.status) + " " +
-                        response.reason},
+          on_done(Error{"HTTP " + std::to_string(reply.status) + " " +
+                        std::string(reply.reason)},
                   engine_.now());
           return;
         }
+        const std::int64_t packaged = reply.image->packaged_bytes();
         const std::int64_t body_bytes =
-            transfer.range_bytes >= 0
-                ? std::min(transfer.range_bytes,
-                           image_lookup.value()->packaged_bytes())
-                : image_lookup.value()->packaged_bytes();
+            transfer.range_bytes >= 0 ? std::min(transfer.range_bytes, packaged)
+                                      : packaged;
         // Phase 2: response body travels repository -> daemon.
         auto body_flow = network_.start_flow(
             repo_node, host_node_, body_bytes,

@@ -23,7 +23,7 @@ namespace soda::image {
 /// Retry tuning for transient (5xx) repository failures: exponential
 /// backoff with deterministic jitter drawn from the downloader's own RNG
 /// stream, so every replica of a seeded experiment retries at identical
-/// sim-times. Permanent errors (404, 400) are never retried.
+/// sim-times. Permanent errors (404) are never retried.
 struct RetryPolicy {
   int max_attempts = 4;  // total tries, including the first
   sim::SimTime base_delay = sim::SimTime::milliseconds(200);
@@ -48,27 +48,25 @@ class HttpDownloader {
   HttpDownloader(sim::Engine& engine, net::FlowNetwork& network,
                  net::NodeId host_node);
 
-  /// With a directory set, every attempt (including retries scheduled
-  /// across backoff) re-resolves the repository by name, so a repository
-  /// withdrawn mid-transfer fails cleanly. Without one, the repository
-  /// reference passed to download() must outlive the transfer.
+  /// Where fetches resolve the repository their location names; required
+  /// before the first one. Every attempt (including retries scheduled
+  /// across backoff) resolves it afresh, so a repository withdrawn
+  /// mid-transfer fails cleanly.
   void set_directory(const RepositoryDirectory* directory) noexcept {
     directory_ = directory;
   }
 
-  /// Fetches `location` from `repo`. `on_done` fires with the published
-  /// image (a pointer, not a copy) when the last byte arrives, or with the
-  /// repository's error after the request round trip. Transient failures
-  /// (HTTP 5xx) are retried per the RetryPolicy before the error is
-  /// surfaced.
-  void download(const ImageRepository& repo, const ImageLocation& location,
-                Callback on_done);
+  /// Fetches `location`. `on_done` fires with the published image (a
+  /// pointer, not a copy) when the last byte arrives and the image is still
+  /// published, or with "HTTP <status> <reason>" after the request round
+  /// trip. Transient failures (HTTP 5xx) are retried per the RetryPolicy
+  /// before the error is surfaced.
+  void download(const ImageLocation& location, Callback on_done);
 
   /// Fetches `bytes` of the packaged image (an HTTP Range request) with the
   /// same keep-alive, retry, and directory-resolution behavior as
   /// download(). The chunk distributor's origin path.
-  void download_range(const ImageRepository& repo,
-                      const ImageLocation& location, std::int64_t bytes,
+  void download_range(const ImageLocation& location, std::int64_t bytes,
                       RangeCallback on_done);
 
   /// Drops all keep-alive connection state: the next request to any
@@ -111,15 +109,12 @@ class HttpDownloader {
 
  private:
   /// One logical transfer: held by value across retries so nothing in it can
-  /// dangle. `fallback` is only consulted when no directory is set.
+  /// dangle.
   struct Transfer {
-    std::string repo_name;
-    const ImageRepository* fallback = nullptr;
     ImageLocation location;
     std::int64_t range_bytes = -1;  // -1: whole packaged image
   };
 
-  [[nodiscard]] const ImageRepository* resolve(const Transfer& transfer) const;
   void attempt(Transfer transfer, RangeCallback on_done, int tries_left);
   [[nodiscard]] sim::SimTime backoff_delay(int attempts_made) noexcept;
 

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "image/chunk.hpp"
 #include "os/filesystem.hpp"
 #include "os/rootfs.hpp"
 #include "util/result.hpp"
@@ -44,6 +45,10 @@ struct ServiceComponent {
   }
 };
 
+/// The largest payload an image may carry (1 TiB), so that its manifest
+/// holds at most about 2^20 chunks.
+inline constexpr std::int64_t kMaxPayloadBytes = std::int64_t{1} << 40;
+
 /// A packaged application service: the file payload plus everything the
 /// SODA Daemon needs to prime a virtual service node for it.
 struct ServiceImage {
@@ -64,6 +69,10 @@ struct ServiceImage {
   /// virtual service node; the fields above describe the default
   /// (fully-replicated) deployment and are ignored when components exist.
   std::vector<ServiceComponent> components;
+  /// The chunk list, built by the repository that publishes the image (or
+  /// restores it from a snapshot); empty until then. It follows from the
+  /// fields above, so the snapshot does not carry it.
+  ImageManifest manifest;
 
   [[nodiscard]] bool partitioned() const noexcept { return !components.empty(); }
   /// Total machine instances a partitioned image needs (sum of component
@@ -81,13 +90,19 @@ struct ServiceImage {
 
   /// Snapshot walk over the full image, payload tree included: repositories
   /// hold images published by harness code outside the world, so a restore
-  /// cannot rebuild them and the snapshot must carry them.
+  /// cannot rebuild them and the snapshot must carry them. A load refuses a
+  /// payload past kMaxPayloadBytes, which would size the manifest.
   template <class Ar>
   void serialize(Ar& ar) {
     ar.begin_section("image");
     ar.str(name);
     ar.str(version);
     ar.walk(payload);
+    if constexpr (Ar::kLoading) {
+      const std::int64_t bytes = payload_bytes();
+      ar.check(bytes >= 0 && bytes <= kMaxPayloadBytes,
+               "image payload size out of range");
+    }
     ar.str(entry_command);
     ar.i64(listen_port);
     ar.seq(required_services, [&ar](auto& service) { ar.str(service); });

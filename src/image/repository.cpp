@@ -16,6 +16,7 @@ Result<ImageLocation> ImageRepository::publish(ServiceImage image) {
     return Error{"image already published: " + image.name};
   }
   const std::string path = path_for(image);
+  image.manifest = build_manifest(image);
   images_.emplace(image.name, path);
   by_path_.emplace(path,
                    std::make_shared<const ServiceImage>(std::move(image)));
@@ -36,32 +37,18 @@ Result<ImagePtr> ImageRepository::lookup(const std::string& path) const {
   return it->second;
 }
 
-net::HttpResponse ImageRepository::handle(const net::HttpRequest& request) const {
+ImageRepository::Reply ImageRepository::serve(const std::string& path) const {
   if (fail_next_ > 0) {
     --fail_next_;
-    net::HttpResponse resp;
-    resp.status = 503;
-    resp.reason = "Service Unavailable";
-    resp.headers.set("Retry-After", "1");
-    resp.body = "transient overload";
-    return resp;
+    return {503, "Service Unavailable", nullptr};
   }
-  if (request.method != "GET") {
-    net::HttpResponse resp;
-    resp.status = 400;
-    resp.reason = "Bad Request";
-    resp.body = "only GET is supported";
-    return resp;
-  }
-  auto found = lookup(request.target);
-  if (!found.ok()) return net::HttpResponse::not_found();
-  const ServiceImage& image = *found.value();
-  net::HttpResponse resp;
-  resp.headers.set("Content-Type", "application/x-rpm");
-  resp.headers.set("Content-Length", std::to_string(image.packaged_bytes()));
-  resp.headers.set("Connection", "keep-alive");
-  resp.body = "<rpm:" + image.name + "-" + image.version + ">";
-  return resp;
+  auto it = by_path_.find(path);
+  if (it == by_path_.end()) return {404, "Not Found", nullptr};
+  return {200, "OK", it->second};
+}
+
+Error repository_unavailable(const std::string& name) {
+  return Error{"repository '" + name + "' is no longer available"};
 }
 
 void RepositoryDirectory::add(const ImageRepository* repository) {
@@ -76,6 +63,13 @@ bool RepositoryDirectory::remove(const std::string& name) {
 const ImageRepository* RepositoryDirectory::find(const std::string& name) const {
   auto it = by_name_.find(name);
   return it == by_name_.end() ? nullptr : it->second;
+}
+
+Result<ImagePtr> RepositoryDirectory::lookup(
+    const ImageLocation& location) const {
+  const ImageRepository* repository = find(location.repository);
+  if (repository == nullptr) return repository_unavailable(location.repository);
+  return repository->lookup(location.path);
 }
 
 }  // namespace soda::image

@@ -1,14 +1,17 @@
 // The ASP-side image repository: a machine owned by the service provider
 // that stores packaged service images and serves them over HTTP/1.1
 // (paper §3: "The image should be stored in a machine owned by the ASP").
+// The protocol is modelled by what its cost depends on: the downloader's
+// request and handshake bytes, keep-alive, the Range size and retries, and
+// the status and reason a request gets back. No message text is built.
 #pragma once
 
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "image/image.hpp"
 #include "net/flow_network.hpp"
-#include "net/http.hpp"
 #include "util/result.hpp"
 
 namespace soda::image {
@@ -29,8 +32,9 @@ class ImageRepository {
   /// A blank repository for a snapshot restore to fill through serialize().
   ImageRepository() = default;
 
-  /// Publishes an image, which is immutable from then on; fails on
-  /// duplicate name.
+  /// Publishes an image, which is immutable from then on, and builds its
+  /// manifest; fails on duplicate name. The payload must be at most
+  /// kMaxPayloadBytes.
   Result<ImageLocation> publish(ServiceImage image);
 
   /// Unpublishes an image by name; returns false if absent.
@@ -41,10 +45,18 @@ class ImageRepository {
   /// withdraw.
   Result<ImagePtr> lookup(const std::string& path) const;
 
-  /// Handles a GET for an image; 200 with Content-Length of the packaged
-  /// bytes, or 404. The body carries a placeholder marker rather than real
-  /// bytes — transfer cost is modeled by the flow network.
-  [[nodiscard]] net::HttpResponse handle(const net::HttpRequest& request) const;
+  /// The answer to one GET: the HTTP status and reason phrase, and the
+  /// image when the status is 200.
+  struct Reply {
+    int status = 200;
+    std::string_view reason = "OK";
+    ImagePtr image;
+  };
+
+  /// Serves a GET for `path`: 503 Service Unavailable while an injected
+  /// failure is pending (consuming one before any lookup), else 200 OK with
+  /// the image or 404 Not Found.
+  [[nodiscard]] Reply serve(const std::string& path) const;
 
   /// Fault injection: the next `n` requests answer 503 Service Unavailable
   /// (transient overload), then the repository serves normally again.
@@ -68,6 +80,7 @@ class ImageRepository {
       if constexpr (Ar::kLoading) {
         auto image = std::make_shared<ServiceImage>();
         ar.walk(*image);
+        if (ar.ok()) image->manifest = build_manifest(*image);
         entry.second = std::move(image);
       } else {
         ar.walk(*entry.second);
@@ -90,16 +103,21 @@ class ImageRepository {
   net::NodeId node_;
   std::map<std::string, ImagePtr> by_path_;
   std::map<std::string, std::string> images_;  // name -> path
-  /// mutable: serving a 503 consumes one injected failure, but handle() is
+  /// mutable: serving a 503 consumes one injected failure, but serve() is
   /// semantically const for callers (content is untouched).
   mutable int fail_next_ = 0;
 };
 
-/// Name -> repository resolution. Downloads that span sim-time (retry
-/// backoff, chunk pipelines) hold the repository *name* and re-resolve it
-/// through the directory at each attempt, so a repository withdrawn from the
-/// HUP mid-transfer surfaces as a clean error instead of a dangling
-/// reference. The Master owns the HUP-wide instance.
+/// "repository '<name>' is no longer available": the error of a fetch whose
+/// repository left the directory.
+[[nodiscard]] Error repository_unavailable(const std::string& name);
+
+/// Name -> repository resolution, the only one: every fetch names its
+/// repository in its ImageLocation and resolves it here. Downloads that
+/// span sim-time (retry backoff, chunk pipelines) hold the location and
+/// re-resolve it at each attempt, so a repository withdrawn from the HUP
+/// mid-transfer surfaces as a clean error instead of a dangling reference.
+/// The Master owns the HUP-wide instance.
 class RepositoryDirectory {
  public:
   /// Registers (or re-registers) a repository under its name.
@@ -110,6 +128,10 @@ class RepositoryDirectory {
 
   /// The live repository, or null if none is registered under `name`.
   [[nodiscard]] const ImageRepository* find(const std::string& name) const;
+
+  /// The image published at `location` now: the repository's lookup, or
+  /// repository_unavailable when no repository goes by its name.
+  [[nodiscard]] Result<ImagePtr> lookup(const ImageLocation& location) const;
 
   [[nodiscard]] std::size_t size() const noexcept { return by_name_.size(); }
 

@@ -329,9 +329,7 @@ struct MixedFleet {
     image::ImageRepository& repo = hup.add_repository("asp-repo");
     hup.agent().register_asp("asp", "key");
     location = must(repo.publish(image::web_content_image(4 * kMiB)));
-    manifest = image::build_manifest(
-        *must(repo.lookup(location.path)),
-        hup.master().config().distribution.chunk_bytes);
+    manifest = must(repo.lookup(location.path))->manifest;
 
     std::vector<std::string> warm;
     for (int i = 0; i < kHosts; ++i) {
@@ -488,7 +486,7 @@ TEST(Placement, AdmissionPlansMatchTheReferenceRule) {
       // planned again, and primes its image onto more caches.
       ASSERT_TRUE(fleet.create("web", 5, small_unit()).ok());
       const SodaMaster& master = fleet.hup.master();
-      const int cap = master.config().max_nodes_per_service;
+      const int cap = kMaxNodesPerService;
       host::MachineConfig too_big = one_per_host_unit();
       too_big.cpu_mhz = 2000;
       const struct {
@@ -707,7 +705,7 @@ void expect_every_consumer_matches(const SodaMaster& master,
                                    const image::ImageManifest& manifest,
                                    const std::string& label) {
   const PlacementPlanner& planner = master.planner();
-  const int cap = master.config().max_nodes_per_service;
+  const int cap = kMaxNodesPerService;
   std::vector<image::ServiceComponent> components;
   for (const int units : {3, 1, 1, 2, 1}) {
     image::ServiceComponent c;

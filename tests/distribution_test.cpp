@@ -366,12 +366,15 @@ TEST(Distribution, ConcurrentDuplicateFetchesCoalesce) {
                           sim::SimTime::microseconds(100));
   image::ImageRepository repo("repo", repo_node);
   const auto location = must(repo.publish(image::web_content_image(4 * 1024 * 1024)));
+  image::RepositoryDirectory directory;
+  directory.add(&repo);
 
   image::ImageDistributor distributor(engine, network, host_node, "host",
                                       cache_only());
+  distributor.set_directory(&directory);
   std::vector<sim::SimTime> finished;
   for (int i = 0; i < 2; ++i) {
-    distributor.fetch(repo, location, [&](auto image, sim::SimTime at) {
+    distributor.fetch(location, [&](auto image, sim::SimTime at) {
       ASSERT_TRUE(image.ok());
       finished.push_back(at);
     });
@@ -387,7 +390,7 @@ TEST(Distribution, ConcurrentDuplicateFetchesCoalesce) {
   // A third fetch after completion is served from the cache alone: no new
   // download, and the callback still arrives asynchronously.
   bool third = false;
-  distributor.fetch(repo, location, [&](auto image, sim::SimTime) {
+  distributor.fetch(location, [&](auto image, sim::SimTime) {
     ASSERT_TRUE(image.ok());
     third = true;
   });
@@ -473,8 +476,8 @@ TEST(Distribution, PeerToPeerPrimingSharesOriginLoad) {
     origin_bytes += distributor.bytes_from_origin();
     peer_bytes += distributor.bytes_from_peers();
   }
-  const auto manifest =
-      image::build_manifest(*must(repo.lookup(location.path)));
+  const image::ImageManifest manifest =
+      must(repo.lookup(location.path))->manifest;
   EXPECT_GT(peer_bytes, 0);
   // The origin served well under N full copies (the paper's repository
   // bottleneck), and the swarm covered the rest.
@@ -538,7 +541,7 @@ TEST(Distribution, ReplicasAreBitIdenticalUnderParallelRunner) {
     MasterConfig config;
     config.distribution = p2p_mode();
     // A tight cache bound forces LRU evictions mid-swarm.
-    config.distribution.cache_bytes = 3 * config.distribution.chunk_bytes;
+    config.distribution.cache_bytes = 3 * image::kChunkBytes;
     Hup hup(config);
     for (int i = 0; i < 3; ++i) {
       host::HostSpec spec = host::HostSpec::seattle();

@@ -14,7 +14,6 @@
 #include "core/switch.hpp"
 #include "net/address.hpp"
 #include "net/flow_network.hpp"
-#include "net/http.hpp"
 #include "os/filesystem.hpp"
 #include "sched/cpu_sim.hpp"
 #include "sim/engine.hpp"
@@ -444,68 +443,6 @@ TEST_P(FsProperty, RandomOpsAgreeWithShadowModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FsProperty, ::testing::Values(501, 502, 503));
-
-// ---------- HTTP: fuzz safety + valid-message round trips ----------
-
-class HttpFuzz : public SeededTest {};
-
-TEST_P(HttpFuzz, RandomBytesNeverCrashParsers) {
-  sim::Rng rng(GetParam());
-  for (int round = 0; round < 300; ++round) {
-    std::string junk;
-    const auto length = rng.uniform_int(0, 200);
-    for (std::int64_t i = 0; i < length; ++i) {
-      // Bias toward protocol-looking bytes so framing paths get exercised.
-      const char alphabet[] = "GETPOST/HTP1.:\r\n 0123456789abcdef-";
-      junk += alphabet[rng.uniform_int(0, sizeof(alphabet) - 2)];
-    }
-    (void)net::HttpRequest::parse(junk);
-    (void)net::HttpResponse::parse(junk);
-    (void)net::chunk_decode(junk);  // must return errors, not crash
-  }
-  SUCCEED();
-}
-
-TEST_P(HttpFuzz, RandomValidRequestsRoundTrip) {
-  sim::Rng rng(GetParam());
-  for (int round = 0; round < 100; ++round) {
-    net::HttpRequest request;
-    request.method = rng.bernoulli(0.5) ? "GET" : "POST";
-    request.target = "/p" + std::to_string(rng.uniform_int(0, 999));
-    const auto header_count = rng.uniform_int(0, 5);
-    for (std::int64_t h = 0; h < header_count; ++h) {
-      request.headers.append("X-H" + std::to_string(h),
-                             "v" + std::to_string(rng.uniform_int(0, 99)));
-    }
-    const auto body_len = rng.uniform_int(0, 64);
-    for (std::int64_t b = 0; b < body_len; ++b) {
-      request.body += static_cast<char>('a' + rng.uniform_int(0, 25));
-    }
-    const auto parsed = net::HttpRequest::parse(request.serialize());
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed.value().method, request.method);
-    EXPECT_EQ(parsed.value().target, request.target);
-    EXPECT_EQ(parsed.value().body, request.body);
-    EXPECT_GE(parsed.value().headers.size(), request.headers.size());
-  }
-}
-
-TEST_P(HttpFuzz, RandomBodiesSurviveChunkedCoding) {
-  sim::Rng rng(GetParam());
-  for (int round = 0; round < 100; ++round) {
-    std::string body;
-    const auto length = rng.uniform_int(0, 500);
-    for (std::int64_t i = 0; i < length; ++i) {
-      body += static_cast<char>(rng.uniform_int(0, 255));
-    }
-    const auto chunk = static_cast<std::size_t>(rng.uniform_int(1, 100));
-    const auto decoded = net::chunk_decode(net::chunk_encode(body, chunk));
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded.value(), body);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, HttpFuzz, ::testing::Values(601, 602, 603));
 
 // ---------- Rng: uniform_int covers its range ----------
 

@@ -14,6 +14,7 @@
 #include "sim/streaming_stats.hpp"
 #include "core/switch.hpp"
 #include "image/image.hpp"
+#include "image/repository.hpp"
 #include "snapshot/format.hpp"
 #include "workload/siege.hpp"
 #include "workload/traffic.hpp"
@@ -766,6 +767,31 @@ TEST(SnapshotHostile, RootfsEnablingAnUnknownServiceFails) {
   EXPECT_NE(status.error().message.find("rootfs enables an unknown service"),
             std::string::npos)
       << status.error().message;
+}
+
+TEST(SnapshotHostile, ImagePayloadSizeOutOfRange) {
+  // A restored image's manifest is built from its payload size, so a load
+  // must refuse a size that would make the manifest unbounded.
+  image::ImageRepository repo("asp-repo", net::NodeId{1});
+  must(repo.publish(
+      image::ServiceImageBuilder("img").add_file("/f", 10).build()));
+  snapshot::Writer writer;
+  writer.walk(repo);
+  std::string bytes = writer.finish();
+  // filesystem: the root directory (type, size, child count), the child's
+  // name "f", then the file's type and its size.
+  const std::size_t fs = section_payload(bytes, "filesystem");
+  const std::size_t size_at = fs + 1 + 8 + 8 + 4 + 1 + 1;
+  ASSERT_EQ(read_le(bytes, size_at, 8), 10u);
+  patch(bytes, size_at, std::uint64_t{1} << 62, 8);
+
+  image::ImageRepository restored;
+  snapshot::Reader reader(bytes);
+  reader.walk(restored);
+  EXPECT_FALSE(reader.ok());
+  EXPECT_NE(reader.error().find("image payload size out of range"),
+            std::string::npos)
+      << reader.error();
 }
 
 // --- Committed seeds re-save byte for byte ----------------------------------
