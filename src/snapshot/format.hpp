@@ -348,6 +348,10 @@ class Reader {
 
  private:
   [[nodiscard]] bool need(std::size_t n, const char* what);
+  /// The fixed-width little-endian field at the cursor, or 0 past the
+  /// section or snapshot (`what` names it in the error).
+  template <class T>
+  T fixed(const char* what);
   /// The whole section `name` that starts at the cursor, header included,
   /// framed as begin_section frames it; the cursor does not move.
   [[nodiscard]] std::string_view section_at_cursor(std::string_view name);
