@@ -218,26 +218,35 @@ TEST(ChunkRegistry, LoadRejectsUnsortedHolders) {
 /// name order, drop the requester and every host that is not an attached
 /// member, then index the rest by (fnv1a(requester) ^ digest) % count.
 /// A seeded walk attaches, detaches and replaces members, reports from
-/// hosts that never attach, and reports, drops and removes holdings; after
-/// every step every chunk is located for every requester.
+/// hosts that never attach, and reports, drops and removes holdings; hosts
+/// also join mid-walk under names that sort between existing holders and
+/// report at once into every held chunk. After every step every chunk is
+/// located for every requester. Every few steps the registry is saved and
+/// loaded into a fresh registry with the same members: the load must
+/// re-save the same bytes and locate exactly as the reference does.
 TEST(ChunkRegistry, LocateMatchesTheFilterThenIndexRule) {
   util::global_logger().set_level(util::LogLevel::kOff);
   sim::Engine engine;
   net::FlowNetwork network(engine);
   image::ChunkRegistry registry;  // outlives every distributor below
 
-  constexpr int kSlots = 6;
+  constexpr int kFirstSlots = 6;
   const std::vector<std::string> strays = {"stray-0", "stray-1"};
   std::vector<std::string> names;
-  for (int i = 0; i < kSlots; ++i) names.push_back("host-" + std::to_string(i));
-  std::vector<std::unique_ptr<image::ImageDistributor>> slots(kSlots);
-  std::vector<bool> attached(kSlots, false);
+  for (int i = 0; i < kFirstSlots; ++i) {
+    names.push_back("host-" + std::to_string(i));
+  }
+  // Hosts that join mid-walk, each under a name between two earlier ones.
+  const std::map<int, std::string> arrivals = {
+      {130, "host-2m"}, {260, "host-0a"}, {390, "host-4z"}, {520, "host-1b"}};
+  std::vector<std::unique_ptr<image::ImageDistributor>> slots(kFirstSlots);
+  std::vector<bool> attached(kFirstSlots, false);
   // The reference state: members by name, and holders by chunk.
   std::map<std::string, net::NodeId> members;
   std::map<std::uint64_t, std::set<std::string>> holders;
   const std::vector<std::uint64_t> chunks = {11, 12, 13, 0x5eedULL << 40};
 
-  const auto set_attached = [&](int i, bool attach) {
+  const auto set_attached = [&](std::size_t i, bool attach) {
     slots[i]->set_registry(attach ? &registry : nullptr);
     if (attach) {
       members[names[i]] = slots[i]->node();
@@ -248,7 +257,7 @@ TEST(ChunkRegistry, LocateMatchesTheFilterThenIndexRule) {
   };
   // A fresh distributor for slot `i` replaces (and destroys) the old one,
   // joining the registry when `attach` says so.
-  const auto replace = [&](int i, bool attach) {
+  const auto replace = [&](std::size_t i, bool attach) {
     auto fresh = std::make_unique<image::ImageDistributor>(
         engine, network, network.add_node(names[i]), names[i]);
     if (attach) fresh->set_registry(&registry);
@@ -259,6 +268,10 @@ TEST(ChunkRegistry, LocateMatchesTheFilterThenIndexRule) {
       members.erase(names[i]);
     }
     attached[i] = attach;
+  };
+  const auto report = [&](const std::string& host, std::uint64_t chunk) {
+    registry.report_chunk(host, image::ChunkId{chunk});
+    holders[chunk].insert(host);
   };
   const auto remove_host = [&](const std::string& host) {
     registry.remove_host(host);
@@ -282,26 +295,83 @@ TEST(ChunkRegistry, LocateMatchesTheFilterThenIndexRule) {
     const std::string& host = candidates[(key ^ digest) % candidates.size()];
     return std::make_pair(host, members.at(host));
   };
-  for (int i = 0; i < kSlots; ++i) replace(i, i % 2 == 0);
-
   std::vector<std::string> requesters = names;
   requesters.insert(requesters.end(), strays.begin(), strays.end());
   requesters.push_back("nobody");
+  // Every chunk located for every requester in `under_test`.
+  const auto check = [&](const image::ChunkRegistry& under_test, int step) {
+    for (const std::uint64_t digest : chunks) {
+      const image::ChunkId id{digest};
+      const auto held = holders.find(digest);
+      ASSERT_EQ(under_test.holder_count(id),
+                held == holders.end() ? 0u : held->second.size())
+          << "step " << step;
+      for (const std::string& requester : requesters) {
+        const auto got = under_test.locate(id, requester);
+        const auto want = reference(digest, requester);
+        ASSERT_EQ(got.has_value(), want.has_value())
+            << "step " << step << ", chunk " << digest << ", " << requester;
+        if (!got) continue;
+        ASSERT_EQ(std::string(got->host), want->first)
+            << "step " << step << ", chunk " << digest << ", " << requester;
+        ASSERT_EQ(got->node, want->second) << "step " << step;
+      }
+    }
+  };
+  // Saves the registry and loads it into a fresh one whose members are
+  // twins of the current ones (same names and nodes), attached in reverse
+  // name order so that they join in another order than the originals.
+  const auto round_trip = [&](int step) {
+    snapshot::Writer writer;
+    registry.serialize(writer);
+    const std::string bytes = writer.finish();
+    image::ChunkRegistry loaded;  // outlives the twins below
+    std::vector<std::unique_ptr<image::ImageDistributor>> twins;
+    for (auto it = members.rbegin(); it != members.rend(); ++it) {
+      twins.push_back(std::make_unique<image::ImageDistributor>(
+          engine, network, it->second, it->first));
+      twins.back()->set_registry(&loaded);
+    }
+    snapshot::Reader reader(bytes);
+    loaded.serialize(reader);
+    ASSERT_TRUE(reader.ok()) << "step " << step << ": " << reader.error();
+    snapshot::Writer again;
+    loaded.serialize(again);
+    ASSERT_EQ(again.finish(), bytes) << "step " << step;
+    check(loaded, step);
+  };
+  for (std::size_t i = 0; i < names.size(); ++i) replace(i, i % 2 == 0);
+
   sim::Rng rng(15);
   int steps_with_strays = 0;
   int steps_without_strays = 0;
+  int round_trips = 0;
   for (int step = 0; step < 600; ++step) {
     // Phases of 100 steps alternate. A clean phase starts with every slot
     // attached and no stray holdings, and keeps it so; a mixed phase also
     // detaches members that hold chunks and takes reports from strays.
     const bool mixed = (step / 100) % 2 == 1;
     if (step % 100 == 0 && !mixed) {
-      for (int i = 0; i < kSlots; ++i) {
+      for (std::size_t i = 0; i < names.size(); ++i) {
         if (!attached[i]) set_attached(i, true);
       }
       for (const std::string& stray : strays) remove_host(stray);
     }
-    const int slot = static_cast<int>(rng.uniform_int(0, kSlots - 1));
+    if (const auto arrival = arrivals.find(step); arrival != arrivals.end()) {
+      // A new member is located against before it holds anything, then
+      // reports into every chunk that has holders.
+      names.push_back(arrival->second);
+      requesters.push_back(arrival->second);
+      slots.emplace_back();
+      attached.push_back(false);
+      replace(names.size() - 1, true);
+      ASSERT_NO_FATAL_FAILURE(check(registry, step));
+      std::vector<std::uint64_t> held;
+      for (const auto& [digest, hosts] : holders) held.push_back(digest);
+      for (const std::uint64_t digest : held) report(arrival->second, digest);
+    }
+    const auto slot = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(names.size()) - 1));
     const std::uint64_t chunk =
         chunks[static_cast<std::size_t>(rng.uniform_int(0, 3))];
     const std::string& host =
@@ -312,8 +382,7 @@ TEST(ChunkRegistry, LocateMatchesTheFilterThenIndexRule) {
     } else if (roll < 14) {
       replace(slot, !mixed || rng.uniform_int(0, 3) != 0);
     } else if (roll < 64) {
-      registry.report_chunk(host, image::ChunkId{chunk});
-      holders[chunk].insert(host);
+      report(host, chunk);
     } else if (roll < 92) {
       registry.drop_chunk(host, image::ChunkId{chunk});
       if (auto it = holders.find(chunk); it != holders.end()) {
@@ -331,27 +400,16 @@ TEST(ChunkRegistry, LocateMatchesTheFilterThenIndexRule) {
       }
     }
     ++(any_stray ? steps_with_strays : steps_without_strays);
-    for (const std::uint64_t digest : chunks) {
-      const image::ChunkId id{digest};
-      const auto held = holders.find(digest);
-      ASSERT_EQ(registry.holder_count(id),
-                held == holders.end() ? 0u : held->second.size())
-          << "step " << step;
-      for (const std::string& requester : requesters) {
-        const auto got = registry.locate(id, requester);
-        const auto want = reference(digest, requester);
-        ASSERT_EQ(got.has_value(), want.has_value())
-            << "step " << step << ", chunk " << digest << ", " << requester;
-        if (!got) continue;
-        ASSERT_EQ(std::string(got->host), want->first)
-            << "step " << step << ", chunk " << digest << ", " << requester;
-        ASSERT_EQ(got->node, want->second) << "step " << step;
-      }
+    ASSERT_NO_FATAL_FAILURE(check(registry, step));
+    if (step % 5 == 4) {
+      ASSERT_NO_FATAL_FAILURE(round_trip(step));
+      ++round_trips;
     }
   }
   // The walk spends real time on both sides of "every holder is a member".
   EXPECT_GT(steps_with_strays, 150);
   EXPECT_GT(steps_without_strays, 250);
+  EXPECT_EQ(round_trips, 120);
 }
 
 /// Two concurrent fetches of the same image on one host must share one
