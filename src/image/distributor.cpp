@@ -14,52 +14,108 @@ namespace {
 /// Request overhead of one peer chunk fetch (the chunk protocol rides the
 /// daemons' existing LAN connections; no per-chunk handshake).
 constexpr std::int64_t kPeerRequestBytes = 64;
-/// In-flight chunk transfers per image job (p2p mode).
-constexpr std::size_t kMaxParallelChunkFetches = 4;
 }  // namespace
 
 // --- ChunkRegistry ----------------------------------------------------------
 
 ChunkRegistry::~ChunkRegistry() {
-  for (auto& [name, member] : members_) member->registry_ = nullptr;
+  for (ImageDistributor* member : members_) {
+    if (member != nullptr) member->registry_ = nullptr;
+  }
+}
+
+ChunkRegistry::Slot ChunkRegistry::intern(const std::string& name) {
+  SODA_EXPECTS(names_.size() < kNoSlot);
+  const auto [it, fresh] =
+      slots_.try_emplace(name, static_cast<Slot>(names_.size()));
+  if (fresh) {
+    names_.push_back(&it->first);
+    members_.push_back(nullptr);
+  }
+  return it->second;
+}
+
+void ChunkRegistry::rank_names() {
+  if (rank_.size() == names_.size()) return;
+  rank_.resize(names_.size());
+  Slot rank = 0;
+  for (const auto& [name, slot] : slots_) rank_[slot] = rank++;
+}
+
+std::vector<ChunkRegistry::Slot>::const_iterator ChunkRegistry::position(
+    const std::vector<Slot>& hosts, Slot host) const {
+  return std::lower_bound(
+      hosts.begin(), hosts.end(), rank_[host],
+      [this](Slot holder, Slot rank) { return rank_[holder] < rank; });
+}
+
+std::string_view ChunkRegistry::name(Slot slot) const {
+  SODA_EXPECTS(slot < names_.size());
+  return *names_[slot];
+}
+
+ChunkRegistry::Peer ChunkRegistry::peer(Slot host) const {
+  return Peer{*names_[host], members_[host]->node(), host};
 }
 
 void ChunkRegistry::attach(ImageDistributor* distributor) {
   SODA_EXPECTS(distributor != nullptr);
-  auto [it, fresh] =
-      members_.try_emplace(distributor->host_name(), distributor);
-  if (fresh) {
-    strays_ -= held_by(it->first);
+  const Slot slot = intern(distributor->host_name());
+  distributor->slot_ = slot;
+  ImageDistributor*& member = members_[slot];
+  if (member == nullptr) {
+    member = distributor;
+    strays_ -= held_by(slot);
     return;
   }
   // The displaced distributor may outlive this registry: it must not
   // detach from it later.
-  if (it->second != distributor) it->second->registry_ = nullptr;
-  it->second = distributor;
+  if (member != distributor) member->registry_ = nullptr;
+  member = distributor;
 }
 
 void ChunkRegistry::detach(const ImageDistributor* distributor) {
   if (distributor == nullptr) return;
-  auto it = members_.find(distributor->host_name());
-  if (it == members_.end() || it->second != distributor) return;
-  members_.erase(it);
-  strays_ += held_by(distributor->host_name());
+  const Slot slot = distributor->slot_;
+  if (slot >= members_.size() || members_[slot] != distributor) return;
+  members_[slot] = nullptr;
+  strays_ += held_by(slot);
 }
 
 void ChunkRegistry::report_chunk(const std::string& host, ChunkId chunk) {
+  report_chunk(intern(host), chunk);
+}
+
+void ChunkRegistry::drop_chunk(const std::string& host, ChunkId chunk) {
+  if (const auto it = slots_.find(host); it != slots_.end()) {
+    drop_chunk(it->second, chunk);
+  }
+}
+
+void ChunkRegistry::remove_host(const std::string& host) {
+  // A name never seen holds nothing, and no transfer can be sourced from it.
+  if (const auto it = slots_.find(host); it != slots_.end()) {
+    remove_host(it->second);
+  }
+}
+
+void ChunkRegistry::report_chunk(Slot host, ChunkId chunk) {
+  SODA_EXPECTS(host < names_.size());
+  rank_names();
   auto& hosts = holders_[chunk.digest];
-  auto it = std::lower_bound(hosts.begin(), hosts.end(), host);
+  const auto it = position(hosts, host);
   if (it != hosts.end() && *it == host) return;
   if (!is_member(host)) ++strays_;
   hosts.insert(it, host);
   ++reports_;
 }
 
-void ChunkRegistry::drop_chunk(const std::string& host, ChunkId chunk) {
-  auto holder_it = holders_.find(chunk.digest);
+void ChunkRegistry::drop_chunk(Slot host, ChunkId chunk) {
+  if (!ranked(host)) return;
+  const auto holder_it = holders_.find(chunk.digest);
   if (holder_it == holders_.end()) return;
   auto& hosts = holder_it->second;
-  auto it = std::lower_bound(hosts.begin(), hosts.end(), host);
+  const auto it = position(hosts, host);
   if (it == hosts.end() || *it != host) return;
   if (!is_member(host)) --strays_;
   hosts.erase(it);
@@ -67,41 +123,47 @@ void ChunkRegistry::drop_chunk(const std::string& host, ChunkId chunk) {
   if (hosts.empty()) holders_.erase(holder_it);
 }
 
-void ChunkRegistry::remove_host(const std::string& host) {
-  const bool attached = is_member(host);
+void ChunkRegistry::remove_host(Slot host) {
+  SODA_EXPECTS(host < names_.size());
   std::size_t held = 0;
-  for (auto it = holders_.begin(); it != holders_.end();) {
-    auto& hosts = it->second;
-    auto pos = std::lower_bound(hosts.begin(), hosts.end(), host);
-    if (pos != hosts.end() && *pos == host) {
-      hosts.erase(pos);
-      ++held;
+  if (ranked(host)) {
+    for (auto it = holders_.begin(); it != holders_.end();) {
+      auto& hosts = it->second;
+      const auto pos = position(hosts, host);
+      if (pos != hosts.end() && *pos == host) {
+        hosts.erase(pos);
+        ++held;
+      }
+      it = hosts.empty() ? holders_.erase(it) : std::next(it);
     }
-    it = hosts.empty() ? holders_.erase(it) : std::next(it);
   }
-  if (!attached) strays_ -= held;
+  if (!is_member(host)) strays_ -= held;
   if (held > 0) ++removals_;
   // Tell the survivors even if the host held nothing: they may have flows
   // in flight from it that were dispatched before its last drop.
-  for (auto& [name, member] : members_) {
-    if (name != host) member->on_peer_lost(host);
+  for (const auto& [name, slot] : slots_) {
+    if (slot != host && is_member(slot)) members_[slot]->on_peer_lost(host);
   }
 }
 
 std::optional<ChunkRegistry::Peer> ChunkRegistry::locate(
     ChunkId chunk, const std::string& requester) const {
+  const auto it = slots_.find(requester);
+  return locate(chunk, it == slots_.end() ? kNoSlot : it->second,
+                util::fnv1a(util::kFnvBasis, requester));
+}
+
+std::optional<ChunkRegistry::Peer> ChunkRegistry::locate(
+    ChunkId chunk, Slot requester, std::uint64_t requester_hash) const {
   const auto it = holders_.find(chunk.digest);
   if (it == holders_.end()) return std::nullopt;
-  const std::vector<std::string>& hosts = it->second;
-  const std::uint64_t key =
-      util::fnv1a(util::kFnvBasis, requester) ^ chunk.digest;
-  const auto peer = [this](const std::string& host) {
-    return Peer{host, members_.at(host)->node()};
-  };
+  const std::vector<Slot>& hosts = it->second;
+  const std::uint64_t key = requester_hash ^ chunk.digest;
   if (strays_ == 0) {
     // Every holder is a member, so the candidates are the holders less the
     // requester: index them as if the requester's slot were not there.
-    const auto self = std::lower_bound(hosts.begin(), hosts.end(), requester);
+    const auto self =
+        ranked(requester) ? position(hosts, requester) : hosts.end();
     const bool holds = self != hosts.end() && *self == requester;
     const std::size_t count = hosts.size() - (holds ? 1 : 0);
     if (count == 0) return std::nullopt;
@@ -111,14 +173,14 @@ std::optional<ChunkRegistry::Peer> ChunkRegistry::locate(
     }
     return peer(hosts[index]);
   }
-  const auto eligible = [&](const std::string& host) {
+  const auto eligible = [&](Slot host) {
     return host != requester && is_member(host);
   };
   const auto count = static_cast<std::size_t>(
       std::count_if(hosts.begin(), hosts.end(), eligible));
   if (count == 0) return std::nullopt;
   auto index = static_cast<std::size_t>(key % count);
-  for (const std::string& host : hosts) {
+  for (const Slot host : hosts) {
     if (eligible(host) && index-- == 0) return peer(host);
   }
   return std::nullopt;  // unreachable: `count` hosts are eligible
@@ -129,10 +191,12 @@ std::size_t ChunkRegistry::holder_count(ChunkId chunk) const {
   return it == holders_.end() ? 0 : it->second.size();
 }
 
-std::size_t ChunkRegistry::held_by(const std::string& host) const {
+std::size_t ChunkRegistry::held_by(Slot host) const {
+  if (!ranked(host)) return 0;
   std::size_t held = 0;
   for (const auto& [digest, hosts] : holders_) {
-    if (std::binary_search(hosts.begin(), hosts.end(), host)) ++held;
+    const auto it = position(hosts, host);
+    if (it != hosts.end() && *it == host) ++held;
   }
   return held;
 }
@@ -140,7 +204,7 @@ std::size_t ChunkRegistry::held_by(const std::string& host) const {
 void ChunkRegistry::count_strays() {
   strays_ = 0;
   for (const auto& [digest, hosts] : holders_) {
-    for (const std::string& host : hosts) {
+    for (const Slot host : hosts) {
       if (!is_member(host)) ++strays_;
     }
   }
@@ -156,6 +220,7 @@ ImageDistributor::ImageDistributor(sim::Engine& engine,
       network_(network),
       host_node_(host_node),
       host_name_(std::move(host_name)),
+      name_hash_(util::fnv1a(util::kFnvBasis, host_name_)),
       config_(config),
       downloader_(engine, network, host_node),
       cache_(config.cache_bytes) {}
@@ -216,12 +281,8 @@ void ImageDistributor::fetch(const ImageLocation& location, Callback on_done) {
     // priming simultaneously pull distinct chunks from the origin first
     // and can then trade the remainder peer-to-peer.
     const std::size_t count = job->image->manifest.chunks.size();
-    const std::uint64_t key = util::fnv1a(util::kFnvBasis, host_name_);
-    const std::size_t offset =
-        count > 0 ? static_cast<std::size_t>(key % count) : 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      job->queue.push_back((offset + i) % count);
-    }
+    job->cursor = count > 0 ? static_cast<std::size_t>(name_hash_ % count) : 0;
+    job->undispatched = count;
     pump(job);
     return;
   }
@@ -265,11 +326,12 @@ void ImageDistributor::fetch(const ImageLocation& location, Callback on_done) {
 
 void ImageDistributor::pump(const JobPtr& job) {
   if (job->dead) return;
-  while (!job->queue.empty() &&
-         job->inflight.size() < kMaxParallelChunkFetches) {
-    const std::size_t index = job->queue.front();
-    job->queue.pop_front();
-    const ChunkInfo& chunk = job->image->manifest.chunks[index];
+  const std::vector<ChunkInfo>& chunks = job->image->manifest.chunks;
+  while (job->undispatched > 0 &&
+         job->inflight_count < kMaxParallelChunkFetches) {
+    const ChunkInfo& chunk = chunks[job->cursor];
+    job->cursor = job->cursor + 1 == chunks.size() ? 0 : job->cursor + 1;
+    --job->undispatched;
     if (cache_.touch(chunk.id)) {
       ++chunks_from_cache_;
       cache_bytes_read_ += chunk.bytes;
@@ -284,39 +346,56 @@ void ImageDistributor::pump(const JobPtr& job) {
 
 void ImageDistributor::begin_chunk_fetch(const JobPtr& job,
                                          const ChunkInfo& chunk) {
-  auto [it, fresh] = transfers_.try_emplace(chunk.id.digest);
-  Transfer& transfer = it->second;
-  transfer.jobs.push_back(job);
-  job->inflight.insert(chunk.id.digest);
-  if (!fresh) {
+  job->inflight[job->inflight_count++] = chunk.id.digest;
+  auto it = transfer_at(chunk.id.digest);
+  if (it != transfers_.end() && it->chunk.id == chunk.id) {
+    it->joined.push_back(job);
     ++chunks_coalesced_;
     return;
   }
-  transfer.chunk = chunk;
-  start_transfer(transfer);
+  it = transfers_.insert(it, Transfer{});
+  it->chunk = chunk;
+  it->job = job;
+  start_transfer(*it);
+}
+
+std::vector<ImageDistributor::Transfer>::iterator
+ImageDistributor::transfer_at(std::uint64_t digest) {
+  return std::lower_bound(transfers_.begin(), transfers_.end(), digest,
+                          [](const Transfer& transfer, std::uint64_t d) {
+                            return transfer.chunk.id.digest < d;
+                          });
+}
+
+std::vector<ImageDistributor::Transfer>::iterator
+ImageDistributor::find_transfer(std::uint64_t digest) {
+  const auto it = transfer_at(digest);
+  return it != transfers_.end() && it->chunk.id.digest == digest
+             ? it
+             : transfers_.end();
 }
 
 void ImageDistributor::start_transfer(Transfer& transfer) {
   const std::uint64_t digest = transfer.chunk.id.digest;
   if (config_.p2p && registry_ != nullptr) {
-    if (auto peer = registry_->locate(transfer.chunk.id, host_name_)) {
+    if (auto peer = registry_->locate(transfer.chunk.id, slot_, name_hash_)) {
       auto flow = network_.start_flow(
           peer->node, host_node_, transfer.chunk.bytes + kPeerRequestBytes,
-          [this, digest](sim::SimTime at) {
-            finish_transfer(digest, at, /*from_peer=*/true);
+          [this, digest](sim::SimTime) {
+            finish_transfer(digest, /*from_peer=*/true);
           });
       if (flow.ok()) {
         transfer.from_peer = true;
-        transfer.peer = peer->host;
+        transfer.peer = peer->slot;
         transfer.flow = flow.value();
         return;
       }
     }
   }
   transfer.from_peer = false;
-  transfer.peer.clear();
+  transfer.peer = ChunkRegistry::kNoSlot;
   transfer.flow = net::FlowId{};
-  const ImageLocation& location = transfer.jobs.front()->location;
+  const ImageLocation& location = transfer.job->location;
   if (directory_->find(location.repository) == nullptr) {
     fail_transfer(digest, repository_unavailable(location.repository));
     return;
@@ -325,23 +404,22 @@ void ImageDistributor::start_transfer(Transfer& transfer) {
   // downloader callback; nothing below may touch it.
   downloader_.download_range(
       location, transfer.chunk.bytes,
-      [this, digest](Result<std::int64_t> got, sim::SimTime at) {
-        auto it = transfers_.find(digest);
-        if (it == transfers_.end()) return;         // aborted (host crash)
-        if (it->second.from_peer) return;           // superseded by a peer
+      [this, digest](Result<std::int64_t> got, sim::SimTime) {
+        const auto it = find_transfer(digest);
+        if (it == transfers_.end()) return;  // aborted (host crash)
+        if (it->from_peer) return;           // superseded by a peer
         if (!got.ok()) {
           fail_transfer(digest, got.error());
           return;
         }
-        finish_transfer(digest, at, /*from_peer=*/false);
+        finish_transfer(digest, /*from_peer=*/false);
       });
 }
 
-void ImageDistributor::finish_transfer(std::uint64_t digest, sim::SimTime at,
-                                       bool from_peer) {
-  auto it = transfers_.find(digest);
+void ImageDistributor::finish_transfer(std::uint64_t digest, bool from_peer) {
+  const auto it = find_transfer(digest);
   if (it == transfers_.end()) return;
-  Transfer transfer = std::move(it->second);
+  Transfer transfer = std::move(*it);
   transfers_.erase(it);
   if (from_peer) {
     ++chunks_from_peers_;
@@ -351,23 +429,31 @@ void ImageDistributor::finish_transfer(std::uint64_t digest, sim::SimTime at,
     origin_bytes_ += transfer.chunk.bytes;
   }
   store_chunk(transfer.chunk);
-  for (const JobPtr& job : transfer.jobs) {
-    if (job->dead) continue;
-    job->inflight.erase(digest);
-    ++job->done;
-  }
-  for (const JobPtr& job : transfer.jobs) {
+  const auto arrived = [digest](Job& job) {
+    if (job.dead) return;
+    const auto end = job.inflight.begin() +
+                     static_cast<std::ptrdiff_t>(job.inflight_count);
+    const auto awaited = std::find(job.inflight.begin(), end, digest);
+    SODA_ENSURES(awaited != end);
+    *awaited = *(end - 1);
+    --job.inflight_count;
+    ++job.done;
+  };
+  arrived(*transfer.job);
+  for (const JobPtr& job : transfer.joined) arrived(*job);
+  if (!transfer.job->dead) pump(transfer.job);
+  for (const JobPtr& job : transfer.joined) {
     if (!job->dead) pump(job);
   }
-  (void)at;
 }
 
 void ImageDistributor::fail_transfer(std::uint64_t digest, const Error& error) {
-  auto it = transfers_.find(digest);
+  const auto it = find_transfer(digest);
   if (it == transfers_.end()) return;
-  Transfer transfer = std::move(it->second);
+  Transfer transfer = std::move(*it);
   transfers_.erase(it);
-  for (const JobPtr& job : transfer.jobs) {
+  if (!transfer.job->dead) fail_job(transfer.job, error);
+  for (const JobPtr& job : transfer.joined) {
     if (!job->dead) fail_job(job, error);
   }
 }
@@ -375,14 +461,12 @@ void ImageDistributor::fail_transfer(std::uint64_t digest, const Error& error) {
 void ImageDistributor::store_chunk(const ChunkInfo& chunk) {
   const std::vector<ChunkId> evicted = cache_.insert(chunk);
   if (registry_ == nullptr) return;
-  if (cache_.contains(chunk.id)) registry_->report_chunk(host_name_, chunk.id);
-  for (const ChunkId victim : evicted) {
-    registry_->drop_chunk(host_name_, victim);
-  }
+  if (cache_.contains(chunk.id)) registry_->report_chunk(slot_, chunk.id);
+  for (const ChunkId victim : evicted) registry_->drop_chunk(slot_, victim);
 }
 
 void ImageDistributor::maybe_complete(const JobPtr& job) {
-  if (job->dead || !job->queue.empty() || !job->inflight.empty() ||
+  if (job->dead || job->undispatched > 0 || job->inflight_count > 0 ||
       !job->missing.empty()) {
     return;
   }
@@ -419,7 +503,7 @@ void ImageDistributor::fail_job(const JobPtr& job, const Error& error) {
 }
 
 void ImageDistributor::handle_local_crash() {
-  for (auto& [digest, transfer] : transfers_) {
+  for (const Transfer& transfer : transfers_) {
     if (transfer.from_peer && transfer.flow.valid()) {
       network_.cancel_flow(transfer.flow);
     }
@@ -440,31 +524,34 @@ void ImageDistributor::handle_local_crash() {
   }
   cache_.clear();
   downloader_.reset_connections();
-  if (registry_ != nullptr) registry_->remove_host(host_name_);
+  if (registry_ != nullptr) registry_->remove_host(slot_);
 }
 
-void ImageDistributor::on_peer_lost(const std::string& host) {
-  if (host == host_name_) return;
+void ImageDistributor::on_peer_lost(ChunkRegistry::Slot host) {
+  if (host == slot_) return;
   std::vector<std::uint64_t> affected;
-  for (const auto& [digest, transfer] : transfers_) {
-    if (transfer.from_peer && transfer.peer == host) affected.push_back(digest);
+  for (const Transfer& transfer : transfers_) {
+    if (transfer.from_peer && transfer.peer == host) {
+      affected.push_back(transfer.chunk.id.digest);
+    }
   }
   for (const std::uint64_t digest : affected) {
-    auto it = transfers_.find(digest);
+    const auto it = find_transfer(digest);
     if (it == transfers_.end()) continue;
-    network_.cancel_flow(it->second.flow);
+    network_.cancel_flow(it->flow);
     ++peer_failovers_;
     util::global_logger().warn(
         "distributor@" + host_name_,
-        "peer " + host + " lost mid-chunk; re-dispatching");
-    start_transfer(it->second);
+        "peer " + std::string(registry_->name(host)) +
+            " lost mid-chunk; re-dispatching");
+    start_transfer(*it);
   }
 }
 
 void ImageDistributor::drop_cache() {
   if (registry_ != nullptr) {
     for (const ChunkId id : cache_.chunks()) {
-      registry_->drop_chunk(host_name_, id);
+      registry_->drop_chunk(slot_, id);
     }
   }
   cache_.clear();

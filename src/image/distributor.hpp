@@ -22,13 +22,13 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,13 +64,26 @@ struct DistributionConfig {
 /// what lets simultaneous replicas swarm. remove_host() severs a crashed
 /// host: its holdings vanish and every other member is told to fail over
 /// in-flight transfers from it.
+///
+/// Hosts are dense slots into one table of names. A chunk's holders are a
+/// sorted array of slots, kept in name order through each slot's name
+/// rank; the ranks are recomputed, in one walk of the names, only when a
+/// host whose name arrived since the last ranking reports a chunk (or a
+/// load brings new names), so building a fleet ranks nothing.
 class ChunkRegistry {
  public:
-  /// `host` views the registry's own copy of the name: valid until the
-  /// registry next changes.
+  /// A host name's index in the registry's name table; a name keeps its
+  /// slot for the registry's life.
+  using Slot = std::uint32_t;
+  /// No slot: a name the registry has never seen.
+  static constexpr Slot kNoSlot = std::numeric_limits<Slot>::max();
+
+  /// `host` views the registry's own copy of the name, which lives as long
+  /// as the registry.
   struct Peer {
     std::string_view host;
     net::NodeId node;
+    Slot slot;
   };
 
   ChunkRegistry() = default;
@@ -82,17 +95,23 @@ class ChunkRegistry {
 
   /// Adds a host's distributor as a registry member (idempotent per host;
   /// the latest distributor under a name wins, and the one it displaces
-  /// forgets the registry).
+  /// forgets the registry). The member learns its slot.
   void attach(ImageDistributor* distributor);
   void detach(const ImageDistributor* distributor);
 
+  /// Holdings by host name; a report takes a name the registry has not
+  /// seen (a host that never attached is a stray holder).
   void report_chunk(const std::string& host, ChunkId chunk);
   void drop_chunk(const std::string& host, ChunkId chunk);
+  /// The same by slot, as members report.
+  void report_chunk(Slot host, ChunkId chunk);
+  void drop_chunk(Slot host, ChunkId chunk);
 
-  /// Forgets every chunk `host` held and notifies the other members so
-  /// they fail over transfers sourced from it. The membership survives —
-  /// a recovered host reports afresh.
+  /// Forgets every chunk `host` held and notifies the other members, in
+  /// name order, so they fail over transfers sourced from it. The
+  /// membership survives — a recovered host reports afresh.
   void remove_host(const std::string& host);
+  void remove_host(Slot host);
 
   /// A live holder of `chunk` other than `requester`, or nullopt. The
   /// choice spreads load deterministically: of the chunk's holders sorted
@@ -101,7 +120,13 @@ class ChunkRegistry {
   /// while every holder is a member it costs one binary search.
   [[nodiscard]] std::optional<Peer> locate(ChunkId chunk,
                                            const std::string& requester) const;
+  /// The same for a requester known by slot (kNoSlot for a name the
+  /// registry has not seen) and `requester_hash`, the FNV-1a of its name
+  /// from util::kFnvBasis. Writes nothing.
+  [[nodiscard]] std::optional<Peer> locate(ChunkId chunk, Slot requester,
+                                           std::uint64_t requester_hash) const;
 
+  [[nodiscard]] std::string_view name(Slot slot) const;
   [[nodiscard]] std::size_t holder_count(ChunkId chunk) const;
   [[nodiscard]] std::size_t tracked_chunks() const noexcept {
     return holders_.size();
@@ -114,20 +139,31 @@ class ChunkRegistry {
   /// Holder entries whose host is not an attached member.
   [[nodiscard]] std::size_t strays() const noexcept { return strays_; }
 
-  /// Checkpoints chunk holdings and counters. Membership is wiring, not
-  /// state: restore re-attaches each distributor as its host is rebuilt,
-  /// and a load counts the strays afresh against those members.
+  /// Checkpoints chunk holdings (each chunk's holder names, in name order)
+  /// and counters. Membership is wiring, not state: restore re-attaches
+  /// each distributor as its host is rebuilt, and a load counts the strays
+  /// afresh against those members.
   template <class Ar>
   void serialize(Ar& ar) {
     ar.begin_section("chunk_registry");
-    ar.seq(holders_, [&ar](auto& chunk) {
+    ar.seq(holders_, [this, &ar](auto& chunk) {
       ar.u64(chunk.first);
-      ar.seq(chunk.second, [&ar](auto& host) { ar.str(host); });
+      ar.seq(chunk.second, [this, &ar](auto& host) {
+        if constexpr (Ar::kLoading) {
+          std::string name;
+          ar.str(name);
+          if (ar.ok()) host = intern(name);
+        } else {
+          ar.str(*names_[host]);
+        }
+      });
       if constexpr (Ar::kLoading) {
         // locate() and the holder updates binary-search each list.
         const auto& hosts = chunk.second;
         ar.check(std::adjacent_find(hosts.begin(), hosts.end(),
-                                    std::greater_equal<>{}) == hosts.end(),
+                                    [this](Slot a, Slot b) {
+                                      return *names_[a] >= *names_[b];
+                                    }) == hosts.end(),
                  "chunk holders not in strictly ascending order");
       }
     });
@@ -135,19 +171,39 @@ class ChunkRegistry {
     ar.u64(drops_);
     ar.u64(removals_);
     ar.end_section();
-    if constexpr (Ar::kLoading) count_strays();
+    if constexpr (Ar::kLoading) {
+      rank_names();
+      count_strays();
+    }
   }
 
  private:
-  [[nodiscard]] bool is_member(const std::string& host) const {
-    return members_.count(host) != 0;
+  /// The slot of `name`, given one if the name is new.
+  Slot intern(const std::string& name);
+  [[nodiscard]] bool is_member(Slot host) const {
+    return members_[host] != nullptr;
   }
+  /// Recomputes every slot's name rank if a name arrived since the last
+  /// ranking.
+  void rank_names();
+  /// False for a slot newer than the last ranking, which holds nothing.
+  [[nodiscard]] bool ranked(Slot host) const { return host < rank_.size(); }
+  /// Where the ranked `host` sits, or would sit, in a holder list.
+  [[nodiscard]] std::vector<Slot>::const_iterator position(
+      const std::vector<Slot>& hosts, Slot host) const;
+  [[nodiscard]] Peer peer(Slot host) const;
   /// Holder entries under `host`, one per chunk it holds.
-  [[nodiscard]] std::size_t held_by(const std::string& host) const;
+  [[nodiscard]] std::size_t held_by(Slot host) const;
   void count_strays();
 
-  std::map<std::uint64_t, std::vector<std::string>> holders_;  // sorted hosts
-  std::map<std::string, ImageDistributor*> members_;
+  std::map<std::string, Slot> slots_;       // name -> slot, in name order
+  std::vector<const std::string*> names_;   // slot -> key of slots_
+  std::vector<ImageDistributor*> members_;  // slot -> member or null
+  /// slot -> position of its name in name order, for the slots that
+  /// existed at the last ranking. Every holder is ranked; a newer slot
+  /// holds nothing until its first report ranks it.
+  std::vector<Slot> rank_;
+  std::map<std::uint64_t, std::vector<Slot>> holders_;  // by name rank
   /// Only direct use of the API makes a stray (a report from a host that
   /// never attached, or holdings left by a detached member); while there is
   /// none, locate() need not test the holders for membership.
@@ -194,10 +250,6 @@ class ImageDistributor {
   /// completions find no job).
   void handle_local_crash();
 
-  /// Registry callback: `host` crashed. Cancels transfers sourced from it
-  /// and re-dispatches them (another peer, else origin).
-  void on_peer_lost(const std::string& host);
-
   /// Evicts everything, reporting the drops to the registry.
   void drop_cache();
 
@@ -205,6 +257,13 @@ class ImageDistributor {
     return host_name_;
   }
   [[nodiscard]] net::NodeId node() const noexcept { return host_node_; }
+  /// What this host reports and locates by: its slot in the registry it is
+  /// attached to (kNoSlot before it first attaches), and the FNV-1a of its
+  /// name from util::kFnvBasis.
+  [[nodiscard]] ChunkRegistry::Slot registry_slot() const noexcept {
+    return slot_;
+  }
+  [[nodiscard]] std::uint64_t name_hash() const noexcept { return name_hash_; }
   [[nodiscard]] const DistributionConfig& config() const noexcept {
     return config_;
   }
@@ -256,7 +315,12 @@ class ImageDistributor {
   void serialize(Ar& ar);
 
  private:
-  friend class ChunkRegistry;  // nulls registry_ when it dies first
+  // The registry sets slot_, nulls registry_ when it dies first, and calls
+  // on_peer_lost.
+  friend class ChunkRegistry;
+
+  /// In-flight chunk transfers per image job (p2p mode).
+  static constexpr std::size_t kMaxParallelChunkFetches = 4;
 
   /// One coalesced image fetch (all callbacks waiting on one location).
   struct Job {
@@ -266,29 +330,43 @@ class ImageDistributor {
     /// the chunks to assemble.
     ImagePtr image;
     std::vector<Callback> callbacks;
-    std::deque<std::size_t> queue;       // chunk indices still to dispatch
-    std::set<std::uint64_t> inflight;    // chunk digests awaited
-    std::vector<ChunkInfo> missing;      // p2p-off: chunks in the range fetch
+    /// p2p rotation cursor: the chunk index dispatched next, and how many
+    /// chunks from it (wrapping past the last) are still to dispatch.
+    std::size_t cursor = 0;
+    std::size_t undispatched = 0;
+    /// Digests of the chunks awaited, in no order.
+    std::array<std::uint64_t, kMaxParallelChunkFetches> inflight{};
+    std::size_t inflight_count = 0;
+    std::vector<ChunkInfo> missing;  // p2p-off: chunks in the range fetch
     std::size_t done = 0;
     bool dead = false;
   };
   using JobPtr = std::shared_ptr<Job>;
 
-  /// One in-flight chunk transfer, shared by every job that wants it. The
-  /// first job started it; its origin fetches use that job's location.
+  /// One in-flight chunk transfer, shared by every job that wants it.
   struct Transfer {
     ChunkInfo chunk;
     bool from_peer = false;
-    std::string peer;
+    ChunkRegistry::Slot peer = ChunkRegistry::kNoSlot;
     net::FlowId flow{};
-    std::vector<JobPtr> jobs;
+    /// The job that started the transfer (its origin fetches use that
+    /// job's location), then any that joined it.
+    JobPtr job;
+    std::vector<JobPtr> joined;
   };
 
+  /// Registry callback: `host` crashed. Cancels transfers sourced from it
+  /// and re-dispatches them (another peer, else origin), in digest order.
+  void on_peer_lost(ChunkRegistry::Slot host);
   void pump(const JobPtr& job);
   void begin_chunk_fetch(const JobPtr& job, const ChunkInfo& chunk);
+  /// The transfer of `digest`, or where it would go in transfers_.
+  std::vector<Transfer>::iterator transfer_at(std::uint64_t digest);
+  /// The transfer of `digest`, or transfers_.end().
+  std::vector<Transfer>::iterator find_transfer(std::uint64_t digest);
   /// Dispatches (or re-dispatches) the transfer: preferred peer, else origin.
   void start_transfer(Transfer& transfer);
-  void finish_transfer(std::uint64_t digest, sim::SimTime at, bool from_peer);
+  void finish_transfer(std::uint64_t digest, bool from_peer);
   void fail_transfer(std::uint64_t digest, const Error& error);
   /// Caches the chunk and reports it (and any evictions) to the registry.
   void store_chunk(const ChunkInfo& chunk);
@@ -301,13 +379,17 @@ class ImageDistributor {
   net::FlowNetwork& network_;
   net::NodeId host_node_;
   std::string host_name_;
+  std::uint64_t name_hash_;
+  ChunkRegistry::Slot slot_ = ChunkRegistry::kNoSlot;
   DistributionConfig config_;
   HttpDownloader downloader_;
   ImageCache cache_;
   ChunkRegistry* registry_ = nullptr;
   const RepositoryDirectory* directory_ = nullptr;
-  std::map<std::string, JobPtr> jobs_;          // location url -> job
-  std::map<std::uint64_t, Transfer> transfers_;  // chunk digest -> transfer
+  std::map<std::string, JobPtr> jobs_;  // location url -> job
+  /// In-flight chunk transfers, sorted by chunk digest; at most a few per
+  /// job, so a flat table (its capacity reused) serves every lookup.
+  std::vector<Transfer> transfers_;
 
   std::uint64_t images_fetched_ = 0;
   std::uint64_t images_coalesced_ = 0;
