@@ -5,12 +5,14 @@
 // would make the paper-scale experiments unpleasant to run.
 //
 // After the google-benchmark pass, main() hand-times the event queue's
-// schedule/pop and cancel churn, a fleet-size flow-network reallocation and
-// a fleet-size chunk peer choice (with allocation counts from
-// alloc_counter.cpp) and records the results in BENCH_sim_core.json via
-// BenchReport.
+// schedule/pop and cancel churn, a fleet-size flow-network reallocation, and
+// a fleet-size chunk peer choice (by the requester's registry slot, as the
+// distributor locates, and by name) and holder report-and-drop pair (with
+// allocation counts from alloc_counter.cpp) and records the results in
+// BENCH_sim_core.json via BenchReport.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <ctime>
 #include <memory>
@@ -263,10 +265,10 @@ void write_sim_core_report() {
                                  std::thread::hardware_concurrency())}});
   }
 
-  // A chunk's peer choice at fleet size: 2,500 attached members, each chunk
-  // held by 700 of them, as once priming has spread an image across a
-  // fleet. Requesters cycle through every host, holders and not. Batches
-  // run until 0.2 s of CPU time is spent.
+  // A chunk's peer choice and holder updates at fleet size: 2,500 attached
+  // members, each chunk held by 700 of them, as once priming has spread an
+  // image across a fleet. Requesters cycle through every host, holders and
+  // not. Each measurement runs batches until 0.2 s of CPU time is spent.
   {
     constexpr int kHosts = 2'500;
     constexpr int kHolders = 700;
@@ -288,33 +290,74 @@ void write_sim_core_report() {
                               image::ChunkId{c + 1});
       }
     }
+    struct Timed {
+      double ns_per_op;
+      double allocs_per_op;
+    };
+    // Runs `batch(first, count)` over consecutive operation indices, after
+    // one warm-up batch.
+    const auto timed = [](const auto& batch) {
+      constexpr std::size_t kBatch = 10'000;
+      batch(0, kBatch);
+      std::size_t done = 0;
+      const std::uint64_t allocs_before = bench::allocation_count();
+      const double start = cpu_seconds();
+      double cpu = 0;
+      do {
+        batch(done, kBatch);
+        done += kBatch;
+        cpu = cpu_seconds() - start;
+      } while (cpu < 0.2);
+      const auto ops = static_cast<double>(done);
+      return Timed{cpu * 1e9 / ops,
+                   static_cast<double>(bench::allocation_count() -
+                                       allocs_before) /
+                       ops};
+    };
     std::size_t sink = 0;
-    const auto locate_batch = [&](std::size_t first, std::size_t count) {
+    // The distributor's entry point: the requester's slot and cached hash.
+    const Timed by_slot = timed([&](std::size_t first, std::size_t count) {
+      for (std::size_t i = first; i < first + count; ++i) {
+        const image::ImageDistributor& requester = *members[(i * 7) % kHosts];
+        const auto peer =
+            registry.locate(image::ChunkId{i % kChunks + 1},
+                            requester.registry_slot(), requester.name_hash());
+        sink += peer ? peer->node.value : 0;
+      }
+    });
+    const Timed by_name = timed([&](std::size_t first, std::size_t count) {
       for (std::size_t i = first; i < first + count; ++i) {
         const auto peer = registry.locate(image::ChunkId{i % kChunks + 1},
                                           names[(i * 7) % kHosts]);
         sink += peer ? peer->node.value : 0;
       }
-    };
-    constexpr std::size_t kBatch = 10'000;
-    locate_batch(0, kBatch);  // warm-up
-    std::size_t located = 0;
-    const std::uint64_t allocs_before = bench::allocation_count();
-    const double start = cpu_seconds();
-    double cpu = 0;
-    do {
-      locate_batch(located, kBatch);
-      located += kBatch;
-      cpu = cpu_seconds() - start;
-    } while (cpu < 0.2);
-    const std::uint64_t allocs = bench::allocation_count() - allocs_before;
+    });
+    // One report that adds a holder to a 700-holder list, then the drop
+    // that takes it out again; the host cycles through the chunk's
+    // non-holders, so the insertion point moves along the list.
+    const Timed update = timed([&](std::size_t first, std::size_t count) {
+      for (std::size_t i = first; i < first + count; ++i) {
+        const std::uint64_t c = i % kChunks;
+        const auto host = members[(c * 151 + kHolders +
+                                   (i * 7) % (kHosts - kHolders)) %
+                                  kHosts]
+                              ->registry_slot();
+        registry.report_chunk(host, image::ChunkId{c + 1});
+        registry.drop_chunk(host, image::ChunkId{c + 1});
+      }
+    });
     benchmark::DoNotOptimize(sink);
+    const auto cores = static_cast<double>(std::thread::hardware_concurrency());
     report.record("chunk_locate_h2500",
-                  {{"ns_per_locate", cpu * 1e9 / static_cast<double>(located)},
-                   {"allocs_per_locate", static_cast<double>(allocs) /
-                                             static_cast<double>(located)},
-                   {"cores", static_cast<double>(
-                                 std::thread::hardware_concurrency())}});
+                  {{"ns_per_locate", by_slot.ns_per_op},
+                   {"ns_per_locate_by_name", by_name.ns_per_op},
+                   {"allocs_per_locate",
+                    std::max(by_slot.allocs_per_op, by_name.allocs_per_op)},
+                   {"cores", cores}});
+    report.record("chunk_report_h2500",
+                  {{"ns_per_report_and_drop", update.ns_per_op},
+                   {"allocs_per_report", update.allocs_per_op},
+                   {"cores", cores}});
   }
 
   if (report.write()) {

@@ -1,6 +1,7 @@
 // Decomposition of the admission-path allocation count: runs the fig_fleet
 // ramp admission under ablations (node count, image size, rootfs
-// customization) and prints allocs/admission for each, plus a per-call
+// customization, chunked peer-to-peer distribution instead of whole-image
+// downloads) and prints allocs/admission for each, plus a per-call
 // breakdown of the rootfs pipeline, so future shaves target the dominant
 // term instead of a guess. fig_fleet records the headline number; this tool
 // explains it.
@@ -35,11 +36,14 @@ host::MachineConfig fleet_unit() {
   return m;
 }
 
-double measure(int units, std::int64_t image_bytes, bool customize) {
+double measure(int units, std::int64_t image_bytes, bool customize,
+               bool chunked = false) {
   util::global_logger().set_level(util::LogLevel::kOff);
   core::MasterConfig config;
   config.placement = core::PlacementPolicy::kWorstFit;
   config.customize_rootfs = customize;
+  config.distribution.enabled = chunked;
+  config.distribution.p2p = true;
   core::Hup hup(config);
   for (int i = 0; i < 150; ++i) {
     host::HostSpec spec = host::HostSpec::tacoma();
@@ -130,6 +134,8 @@ int main() {
               measure(2, 64 << 10, true));
   std::printf("untailored (2 nodes, 1MiB, raw):      %8.1f\n",
               measure(2, 1 << 20, false));
+  std::printf("chunked p2p (2 nodes, 4MiB, customize): %5.1f\n",
+              measure(2, 4 << 20, true, true));
   std::printf("per-call rootfs breakdown (16 reps):\n");
   const double hit_allocs = rootfs_breakdown();
   std::printf("shared-tree lookup: %.1f allocs/call (gate 0)\n", hit_allocs);
