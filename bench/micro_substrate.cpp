@@ -276,17 +276,16 @@ void write_sim_core_report() {
     sim::Engine engine;
     net::FlowNetwork network(engine);
     image::ChunkRegistry registry;  // outlives the distributors below
-    std::vector<std::string> names;
     std::vector<std::unique_ptr<image::ImageDistributor>> members;
     for (int i = 0; i < kHosts; ++i) {
-      names.push_back("host-" + std::to_string(i));
+      const std::string name = "host-" + std::to_string(i);
       members.push_back(std::make_unique<image::ImageDistributor>(
-          engine, network, network.add_node(names.back()), names.back()));
+          engine, network, network.add_node(name), name));
       members.back()->set_registry(&registry);
     }
     for (std::uint64_t c = 0; c < kChunks; ++c) {
       for (int h = 0; h < kHolders; ++h) {
-        registry.report_chunk(names[(c * 151 + h) % kHosts],
+        registry.report_chunk(members[(c * 151 + h) % kHosts]->registry_slot(),
                               image::ChunkId{c + 1});
       }
     }
@@ -315,20 +314,13 @@ void write_sim_core_report() {
                        ops};
     };
     std::size_t sink = 0;
-    // The distributor's entry point: the requester's slot and cached hash.
-    const Timed by_slot = timed([&](std::size_t first, std::size_t count) {
+    // The distributor's call: the requester's slot and cached hash.
+    const Timed locate = timed([&](std::size_t first, std::size_t count) {
       for (std::size_t i = first; i < first + count; ++i) {
         const image::ImageDistributor& requester = *members[(i * 7) % kHosts];
         const auto peer =
             registry.locate(image::ChunkId{i % kChunks + 1},
                             requester.registry_slot(), requester.name_hash());
-        sink += peer ? peer->node.value : 0;
-      }
-    });
-    const Timed by_name = timed([&](std::size_t first, std::size_t count) {
-      for (std::size_t i = first; i < first + count; ++i) {
-        const auto peer = registry.locate(image::ChunkId{i % kChunks + 1},
-                                          names[(i * 7) % kHosts]);
         sink += peer ? peer->node.value : 0;
       }
     });
@@ -349,10 +341,8 @@ void write_sim_core_report() {
     benchmark::DoNotOptimize(sink);
     const auto cores = static_cast<double>(std::thread::hardware_concurrency());
     report.record("chunk_locate_h2500",
-                  {{"ns_per_locate", by_slot.ns_per_op},
-                   {"ns_per_locate_by_name", by_name.ns_per_op},
-                   {"allocs_per_locate",
-                    std::max(by_slot.allocs_per_op, by_name.allocs_per_op)},
+                  {{"ns_per_locate", locate.ns_per_op},
+                   {"allocs_per_locate", locate.allocs_per_op},
                    {"cores", cores}});
     report.record("chunk_report_h2500",
                   {{"ns_per_report_and_drop", update.ns_per_op},

@@ -165,7 +165,7 @@ void Hup::serialize(Ar& ar, std::vector<TimerRecord>& timers) {
   ar.walk(*network_);
   ar.u64(lan_switch_.value);
   ar.walk(trace());
-  // Hosts in daemon-registration order, so restore re-attaches them into
+  // Hosts in daemon-registration order, so restore re-registers them into
   // the same dense HostId space.
   std::size_t host_count = master_->daemons().size();
   ar.count(host_count);
@@ -198,10 +198,6 @@ void Hup::serialize(Ar& ar, std::vector<TimerRecord>& timers) {
     ar.check(bundle->uplink_mbps > 0, "host uplink rate out of range");
     if constexpr (Ar::kLoading) {
       if (!ar.ok()) return;
-      ar.check(master_->pool_overlap(net::Ipv4Address{pool_start},
-                                     pool_size) == nullptr,
-               "host address pools overlap");
-      if (!ar.ok()) return;
       // The LAN node, uplink links, bridge entries, and shaper shares were
       // restored wholesale with the network — construct alongside, not into.
       bundle->host = std::make_unique<host::HupHost>(
@@ -213,13 +209,21 @@ void Hup::serialize(Ar& ar, std::vector<TimerRecord>& timers) {
     ar.walk(*bundle->host);
     ar.walk(*bundle->shaper);
     if constexpr (Ar::kLoading) {
-      master_->attach_restored_daemon(bundle->daemon.get());
+      // Registered as add_host registers, after the host's walk (the
+      // planner ranks its restored reservations), and owned by the Hup
+      // before anything else can fail.
+      if (!ar.ok()) return;
+      const Status registered = master_->register_daemon(bundle->daemon.get());
+      if (!registered.ok()) {
+        ar.fail(registered.error().message);
+        return;
+      }
+      const auto [it, inserted] =
+          hosts_.emplace(spec.name, std::move(restored));
+      SODA_ENSURES(inserted);
+      bundle = &it->second;
     }
     ar.walk(*bundle->daemon);
-    if constexpr (Ar::kLoading) {
-      if (!ar.ok()) return;
-      hosts_.emplace(spec.name, std::move(restored));
-    }
   }
   ar.seq(repositories_, [&ar](auto& repository) {
     if constexpr (Ar::kLoading) {

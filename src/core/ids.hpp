@@ -87,6 +87,11 @@ class InternTable {
 
   [[nodiscard]] std::size_t size() const noexcept { return names_.size(); }
 
+  /// The same names under the same ids.
+  [[nodiscard]] bool operator==(const InternTable& other) const {
+    return names_ == other.names_;
+  }
+
   /// Checkpoints names in intern order — ids are positions, so restoring
   /// the sequence restores every dense id bit-for-bit.
   template <class Ar>

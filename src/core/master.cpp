@@ -84,14 +84,30 @@ Status SodaMaster::register_daemon(SodaDaemon* daemon) {
   // indexed by.
   const HostId id{host_names_.intern(daemon->host_name())};
   SODA_ENSURES(id.index() == daemons_.size());
-  attach(*daemon);
+  daemon->set_host_id(id);
+  daemons_.push_back(daemon);
+  const PoolRange range{
+      pool.first().value(),
+      static_cast<std::uint32_t>(pool.first().value() + pool.capacity() - 1),
+      id};
+  pools_.insert(std::upper_bound(pools_.begin(), pools_.end(), range,
+                                 [](const PoolRange& a, const PoolRange& b) {
+                                   return a.first < b.first;
+                                 }),
+                range);
+  planner_.add_host(*daemon);
+  // Wire the host's image-distribution front end into the HUP: shared
+  // repository directory (per-attempt name resolution), shared chunk
+  // registry (P2P priming), and the Master's distribution policy. The
+  // daemon's control-plane events flow into the Master's bus, and its
+  // guests' trees come from the world's table.
+  daemon->distributor().configure(config_.distribution);
+  daemon->distributor().set_directory(&directory_);
+  daemon->distributor().set_registry(&chunk_registry_);
+  daemon->set_bus(&bus_);
+  daemon->set_rootfs_table(&rootfs_table_);
   recovery_.on_host_registered(*daemon);
   return {};
-}
-
-void SodaMaster::attach_restored_daemon(SodaDaemon* daemon) {
-  SODA_EXPECTS(daemon != nullptr);
-  attach(*daemon);
 }
 
 const SodaDaemon* SodaMaster::pool_overlap(net::Ipv4Address first,
@@ -114,33 +130,6 @@ const SodaDaemon* SodaMaster::pool_overlap(net::Ipv4Address first,
   return earliest;
 }
 
-void SodaMaster::attach(SodaDaemon& daemon) {
-  const HostId id{static_cast<std::uint32_t>(daemons_.size())};
-  daemon.set_host_id(id);
-  daemons_.push_back(&daemon);
-  const net::IpPool& pool = daemon.host().ip_pool();
-  const PoolRange range{
-      pool.first().value(),
-      static_cast<std::uint32_t>(pool.first().value() + pool.capacity() - 1),
-      id};
-  pools_.insert(std::upper_bound(pools_.begin(), pools_.end(), range,
-                                 [](const PoolRange& a, const PoolRange& b) {
-                                   return a.first < b.first;
-                                 }),
-                range);
-  planner_.add_host(daemon);
-  // Wire the host's image-distribution front end into the HUP: shared
-  // repository directory (per-attempt name resolution), shared chunk
-  // registry (P2P priming), and the Master's distribution policy. The
-  // daemon's control-plane events flow into the Master's bus, and its
-  // guests' trees come from the world's table.
-  daemon.distributor().configure(config_.distribution);
-  daemon.distributor().set_directory(&directory_);
-  daemon.distributor().set_registry(&chunk_registry_);
-  daemon.set_bus(&bus_);
-  daemon.set_rootfs_table(&rootfs_table_);
-}
-
 template <class Ar>
 void SodaMaster::serialize(Ar& ar) {
   ar.begin_section("master");
@@ -150,12 +139,19 @@ void SodaMaster::serialize(Ar& ar) {
   same.boolean(config_.customize_rootfs);
   same.u8(config_.address_mode);
   same.i64(kMaxNodesPerService);
-  ar.expect("daemon count mismatch (attach restored daemons before load)")
+  ar.expect("daemon count mismatch (register restored daemons before load)")
       .u64(daemons_.size());
-  ar.walk(host_names_);
-  // daemon_for() indexes daemons_ by the interned host id.
-  ar.check(host_names_.size() == daemons_.size(),
-           "host name table disagrees with the daemon count");
+  // Registration interned the restored daemons; the saved table must name
+  // the same hosts in the same order, since daemon_for() and every HostId
+  // index by it.
+  if constexpr (Ar::kLoading) {
+    InternTable saved;
+    ar.walk(saved);
+    ar.check(saved == host_names_,
+             "host name table disagrees with the registered hosts");
+  } else {
+    ar.walk(host_names_);
+  }
   ar.walk(down_hosts_);
   ar.walk(chunk_registry_);
   ar.walk(bus_);

@@ -73,7 +73,8 @@ class SodaMaster {
 
   /// Wires a host's daemon into the HUP (registration order defines
   /// first-fit order). Pool disjointness against every registered host is
-  /// enforced here — the cross-host invariant of §4.3.
+  /// enforced here — the cross-host invariant of §4.3. A restore registers
+  /// each rebuilt daemon, in the saved order, before the master's walk.
   Status register_daemon(SodaDaemon* daemon);
 
   /// The earliest-registered daemon whose address pool overlaps the `count`
@@ -247,26 +248,17 @@ class SodaMaster {
 
   // --- Checkpoint / restore ------------------------------------------------
 
-  /// Restore-time wiring: re-attaches a reconstructed daemon without the
-  /// registration side effects (no disjointness probe, no detector arming —
-  /// the detector's state is restored wholesale by the master's walk).
-  /// Call once per daemon, in the saved registration order, before the
-  /// master itself is loaded.
-  void attach_restored_daemon(SodaDaemon* daemon);
-
   /// The recovery subsystem's pending detector tick (checkpoint plumbing).
   [[nodiscard]] RecoveryManager& recovery() noexcept { return recovery_; }
 
   /// Checkpoints the whole control plane: host intern table, down-host set,
   /// chunk registry, bus metrics, priming counters, detector wheel, and the
   /// full service table (switches and policy state included). Repositories
-  /// and daemons are owned by the caller — attach/register them first.
+  /// and daemons are owned by the caller — register them first.
   template <class Ar>
   void serialize(Ar& ar);
 
  private:
-  /// Indexes `daemon` at the next HostId and wires it into the HUP.
-  void attach(SodaDaemon& daemon);
   void finish_creation(ServiceRecord& record, CreateCallback done);
   /// Tears the record's booted nodes down on their (still-alive) daemons,
   /// found through the host index.

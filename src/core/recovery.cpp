@@ -205,7 +205,7 @@ void RecoveryManager::handle_host_failure(SodaDaemon& daemon) {
   bus_.publish(engine_.now(), TraceKind::kHostDown, "master", host);
   // The crashed host's chunks are unreachable: purge them from the registry
   // so peers stop selecting it and fail over their in-flight transfers.
-  view_.chunk_registry.remove_host(host);
+  view_.chunk_registry.remove_host(daemon.distributor().registry_slot());
 
   std::vector<std::string> degraded;
   view_.services.for_each([&](const std::string& name, ServiceRecord& record) {

@@ -63,14 +63,9 @@ void ChunkRegistry::attach(ImageDistributor* distributor) {
   const Slot slot = intern(distributor->host_name());
   distributor->slot_ = slot;
   ImageDistributor*& member = members_[slot];
-  if (member == nullptr) {
-    member = distributor;
-    strays_ -= held_by(slot);
-    return;
-  }
   // The displaced distributor may outlive this registry: it must not
   // detach from it later.
-  if (member != distributor) member->registry_ = nullptr;
+  if (member != nullptr && member != distributor) member->registry_ = nullptr;
   member = distributor;
 }
 
@@ -78,67 +73,48 @@ void ChunkRegistry::detach(const ImageDistributor* distributor) {
   if (distributor == nullptr) return;
   const Slot slot = distributor->slot_;
   if (slot >= members_.size() || members_[slot] != distributor) return;
+  remove_host(slot);
   members_[slot] = nullptr;
-  strays_ += held_by(slot);
-}
-
-void ChunkRegistry::report_chunk(const std::string& host, ChunkId chunk) {
-  report_chunk(intern(host), chunk);
-}
-
-void ChunkRegistry::drop_chunk(const std::string& host, ChunkId chunk) {
-  if (const auto it = slots_.find(host); it != slots_.end()) {
-    drop_chunk(it->second, chunk);
-  }
-}
-
-void ChunkRegistry::remove_host(const std::string& host) {
-  // A name never seen holds nothing, and no transfer can be sourced from it.
-  if (const auto it = slots_.find(host); it != slots_.end()) {
-    remove_host(it->second);
-  }
 }
 
 void ChunkRegistry::report_chunk(Slot host, ChunkId chunk) {
-  SODA_EXPECTS(host < names_.size());
+  SODA_EXPECTS(is_member(host));
   rank_names();
   auto& hosts = holders_[chunk.digest];
   const auto it = position(hosts, host);
   if (it != hosts.end() && *it == host) return;
-  if (!is_member(host)) ++strays_;
   hosts.insert(it, host);
   ++reports_;
 }
 
 void ChunkRegistry::drop_chunk(Slot host, ChunkId chunk) {
+  SODA_EXPECTS(is_member(host));
   if (!ranked(host)) return;
   const auto holder_it = holders_.find(chunk.digest);
   if (holder_it == holders_.end()) return;
   auto& hosts = holder_it->second;
   const auto it = position(hosts, host);
   if (it == hosts.end() || *it != host) return;
-  if (!is_member(host)) --strays_;
   hosts.erase(it);
   ++drops_;
   if (hosts.empty()) holders_.erase(holder_it);
 }
 
 void ChunkRegistry::remove_host(Slot host) {
-  SODA_EXPECTS(host < names_.size());
-  std::size_t held = 0;
+  SODA_EXPECTS(is_member(host));
+  bool held = false;
   if (ranked(host)) {
     for (auto it = holders_.begin(); it != holders_.end();) {
       auto& hosts = it->second;
       const auto pos = position(hosts, host);
       if (pos != hosts.end() && *pos == host) {
         hosts.erase(pos);
-        ++held;
+        held = true;
       }
       it = hosts.empty() ? holders_.erase(it) : std::next(it);
     }
   }
-  if (!is_member(host)) strays_ -= held;
-  if (held > 0) ++removals_;
+  if (held) ++removals_;
   // Tell the survivors even if the host held nothing: they may have flows
   // in flight from it that were dispatched before its last drop.
   for (const auto& [name, slot] : slots_) {
@@ -147,67 +123,29 @@ void ChunkRegistry::remove_host(Slot host) {
 }
 
 std::optional<ChunkRegistry::Peer> ChunkRegistry::locate(
-    ChunkId chunk, const std::string& requester) const {
-  const auto it = slots_.find(requester);
-  return locate(chunk, it == slots_.end() ? kNoSlot : it->second,
-                util::fnv1a(util::kFnvBasis, requester));
-}
-
-std::optional<ChunkRegistry::Peer> ChunkRegistry::locate(
     ChunkId chunk, Slot requester, std::uint64_t requester_hash) const {
+  SODA_EXPECTS(is_member(requester));
   const auto it = holders_.find(chunk.digest);
   if (it == holders_.end()) return std::nullopt;
+  // Every holder is a member, so the candidates are the holders less the
+  // requester: index them as if the requester's slot were not there.
   const std::vector<Slot>& hosts = it->second;
-  const std::uint64_t key = requester_hash ^ chunk.digest;
-  if (strays_ == 0) {
-    // Every holder is a member, so the candidates are the holders less the
-    // requester: index them as if the requester's slot were not there.
-    const auto self =
-        ranked(requester) ? position(hosts, requester) : hosts.end();
-    const bool holds = self != hosts.end() && *self == requester;
-    const std::size_t count = hosts.size() - (holds ? 1 : 0);
-    if (count == 0) return std::nullopt;
-    auto index = static_cast<std::size_t>(key % count);
-    if (holds && index >= static_cast<std::size_t>(self - hosts.begin())) {
-      ++index;
-    }
-    return peer(hosts[index]);
-  }
-  const auto eligible = [&](Slot host) {
-    return host != requester && is_member(host);
-  };
-  const auto count = static_cast<std::size_t>(
-      std::count_if(hosts.begin(), hosts.end(), eligible));
+  const auto self =
+      ranked(requester) ? position(hosts, requester) : hosts.end();
+  const bool holds = self != hosts.end() && *self == requester;
+  const std::size_t count = hosts.size() - (holds ? 1 : 0);
   if (count == 0) return std::nullopt;
+  const std::uint64_t key = requester_hash ^ chunk.digest;
   auto index = static_cast<std::size_t>(key % count);
-  for (const Slot host : hosts) {
-    if (eligible(host) && index-- == 0) return peer(host);
+  if (holds && index >= static_cast<std::size_t>(self - hosts.begin())) {
+    ++index;
   }
-  return std::nullopt;  // unreachable: `count` hosts are eligible
+  return peer(hosts[index]);
 }
 
 std::size_t ChunkRegistry::holder_count(ChunkId chunk) const {
   auto it = holders_.find(chunk.digest);
   return it == holders_.end() ? 0 : it->second.size();
-}
-
-std::size_t ChunkRegistry::held_by(Slot host) const {
-  if (!ranked(host)) return 0;
-  std::size_t held = 0;
-  for (const auto& [digest, hosts] : holders_) {
-    const auto it = position(hosts, host);
-    if (it != hosts.end() && *it == host) ++held;
-  }
-  return held;
-}
-
-void ChunkRegistry::count_strays() {
-  strays_ = 0;
-  for (const auto& [digest, hosts] : holders_) {
-    for (const Slot host : hosts) {
-      if (!is_member(host)) ++strays_;
-    }
-  }
 }
 
 // --- ImageDistributor -------------------------------------------------------

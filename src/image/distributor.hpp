@@ -65,17 +65,19 @@ struct DistributionConfig {
 /// host: its holdings vanish and every other member is told to fail over
 /// in-flight transfers from it.
 ///
-/// Hosts are dense slots into one table of names. A chunk's holders are a
-/// sorted array of slots, kept in name order through each slot's name
-/// rank; the ranks are recomputed, in one walk of the names, only when a
-/// host whose name arrived since the last ranking reports a chunk (or a
-/// load brings new names), so building a fleet ranks nothing.
+/// A host holds chunks only as an attached member, and only for as long
+/// as it stays one: every holder is a member. Hosts are dense slots into
+/// one table of names. A chunk's holders are a sorted array of slots, kept
+/// in name order through each slot's name rank; the ranks are recomputed,
+/// in one walk of the names, only when a host whose name arrived since the
+/// last ranking reports a chunk (or a load lists it as a holder), so
+/// building a fleet ranks nothing.
 class ChunkRegistry {
  public:
   /// A host name's index in the registry's name table; a name keeps its
   /// slot for the registry's life.
   using Slot = std::uint32_t;
-  /// No slot: a name the registry has never seen.
+  /// No slot: a distributor that has never attached.
   static constexpr Slot kNoSlot = std::numeric_limits<Slot>::max();
 
   /// `host` views the registry's own copy of the name, which lives as long
@@ -94,35 +96,27 @@ class ChunkRegistry {
   ~ChunkRegistry();
 
   /// Adds a host's distributor as a registry member (idempotent per host;
-  /// the latest distributor under a name wins, and the one it displaces
-  /// forgets the registry). The member learns its slot.
+  /// the latest distributor under a name wins, holdings included, and the
+  /// one it displaces forgets the registry). The member learns its slot.
   void attach(ImageDistributor* distributor);
+  /// Removes the host as remove_host() does, then ends its membership.
   void detach(const ImageDistributor* distributor);
 
-  /// Holdings by host name; a report takes a name the registry has not
-  /// seen (a host that never attached is a stray holder).
-  void report_chunk(const std::string& host, ChunkId chunk);
-  void drop_chunk(const std::string& host, ChunkId chunk);
-  /// The same by slot, as members report.
+  /// Holdings of the member at slot `host`.
   void report_chunk(Slot host, ChunkId chunk);
   void drop_chunk(Slot host, ChunkId chunk);
 
-  /// Forgets every chunk `host` held and notifies the other members, in
-  /// name order, so they fail over transfers sourced from it. The
-  /// membership survives — a recovered host reports afresh.
-  void remove_host(const std::string& host);
+  /// Forgets every chunk the member `host` held and notifies the other
+  /// members, in name order, so they fail over transfers sourced from it.
+  /// The membership survives — a recovered host reports afresh.
   void remove_host(Slot host);
 
-  /// A live holder of `chunk` other than `requester`, or nullopt. The
-  /// choice spreads load deterministically: of the chunk's holders sorted
-  /// by name, less the requester and every host that is not a member,
-  /// the one at (fnv1a(requester) ^ digest) % count. Allocates nothing;
-  /// while every holder is a member it costs one binary search.
-  [[nodiscard]] std::optional<Peer> locate(ChunkId chunk,
-                                           const std::string& requester) const;
-  /// The same for a requester known by slot (kNoSlot for a name the
-  /// registry has not seen) and `requester_hash`, the FNV-1a of its name
-  /// from util::kFnvBasis. Writes nothing.
+  /// A holder of `chunk` other than the member `requester`, or nullopt.
+  /// The choice spreads load deterministically: of the chunk's holders
+  /// sorted by name, less the requester, the one at
+  /// (requester_hash ^ digest) % count, where `requester_hash` is the
+  /// FNV-1a of the requester's name from util::kFnvBasis. One binary
+  /// search; allocates and writes nothing.
   [[nodiscard]] std::optional<Peer> locate(ChunkId chunk, Slot requester,
                                            std::uint64_t requester_hash) const;
 
@@ -136,13 +130,11 @@ class ChunkRegistry {
   [[nodiscard]] std::uint64_t hosts_removed() const noexcept {
     return removals_;
   }
-  /// Holder entries whose host is not an attached member.
-  [[nodiscard]] std::size_t strays() const noexcept { return strays_; }
 
   /// Checkpoints chunk holdings (each chunk's holder names, in name order)
   /// and counters. Membership is wiring, not state: restore re-attaches
-  /// each distributor as its host is rebuilt, and a load counts the strays
-  /// afresh against those members.
+  /// each distributor as its host is rebuilt, before this load, which
+  /// refuses a holder that is not an attached member.
   template <class Ar>
   void serialize(Ar& ar) {
     ar.begin_section("chunk_registry");
@@ -152,7 +144,12 @@ class ChunkRegistry {
         if constexpr (Ar::kLoading) {
           std::string name;
           ar.str(name);
-          if (ar.ok()) host = intern(name);
+          const auto it = slots_.find(name);
+          if (it != slots_.end() && is_member(it->second)) {
+            host = it->second;
+          } else {
+            ar.fail("chunk holder '" + name + "' is not an attached host");
+          }
         } else {
           ar.str(*names_[host]);
         }
@@ -171,17 +168,14 @@ class ChunkRegistry {
     ar.u64(drops_);
     ar.u64(removals_);
     ar.end_section();
-    if constexpr (Ar::kLoading) {
-      rank_names();
-      count_strays();
-    }
+    if constexpr (Ar::kLoading) rank_names();
   }
 
  private:
   /// The slot of `name`, given one if the name is new.
   Slot intern(const std::string& name);
   [[nodiscard]] bool is_member(Slot host) const {
-    return members_[host] != nullptr;
+    return host < members_.size() && members_[host] != nullptr;
   }
   /// Recomputes every slot's name rank if a name arrived since the last
   /// ranking.
@@ -192,9 +186,6 @@ class ChunkRegistry {
   [[nodiscard]] std::vector<Slot>::const_iterator position(
       const std::vector<Slot>& hosts, Slot host) const;
   [[nodiscard]] Peer peer(Slot host) const;
-  /// Holder entries under `host`, one per chunk it holds.
-  [[nodiscard]] std::size_t held_by(Slot host) const;
-  void count_strays();
 
   std::map<std::string, Slot> slots_;       // name -> slot, in name order
   std::vector<const std::string*> names_;   // slot -> key of slots_
@@ -204,10 +195,6 @@ class ChunkRegistry {
   /// holds nothing until its first report ranks it.
   std::vector<Slot> rank_;
   std::map<std::uint64_t, std::vector<Slot>> holders_;  // by name rank
-  /// Only direct use of the API makes a stray (a report from a host that
-  /// never attached, or holdings left by a detached member); while there is
-  /// none, locate() need not test the holders for membership.
-  std::size_t strays_ = 0;
   std::uint64_t reports_ = 0;
   std::uint64_t drops_ = 0;
   std::uint64_t removals_ = 0;

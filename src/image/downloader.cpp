@@ -25,17 +25,17 @@ HttpDownloader::HttpDownloader(sim::Engine& engine, net::FlowNetwork& network,
       rng_(0x0DA1'10AD ^ (static_cast<std::uint64_t>(host_node.value) << 17)) {}
 
 sim::SimTime HttpDownloader::backoff_delay(int attempts_made) noexcept {
-  double delay_sec = policy_.base_delay.to_seconds();
-  for (int i = 1; i < attempts_made; ++i) delay_sec *= policy_.multiplier;
-  delay_sec = std::min(delay_sec, policy_.max_delay.to_seconds());
-  delay_sec *= rng_.uniform(1.0 - policy_.jitter, 1.0 + policy_.jitter);
+  double delay_sec = RetryPolicy::kBaseDelay.to_seconds();
+  for (int i = 1; i < attempts_made; ++i) delay_sec *= RetryPolicy::kMultiplier;
+  delay_sec = std::min(delay_sec, RetryPolicy::kMaxDelay.to_seconds());
+  delay_sec *= rng_.uniform(1.0 - RetryPolicy::kJitter,
+                            1.0 + RetryPolicy::kJitter);
   return sim::SimTime::seconds(delay_sec);
 }
 
 void HttpDownloader::download(const ImageLocation& location, Callback on_done) {
   SODA_EXPECTS(on_done != nullptr);
   SODA_EXPECTS(directory_ != nullptr);
-  SODA_EXPECTS(policy_.max_attempts >= 1);
   attempt(Transfer{location, -1},
           [this, location, on_done = std::move(on_done)](
               Result<std::int64_t> bytes, sim::SimTime finished) mutable {
@@ -53,16 +53,16 @@ void HttpDownloader::download(const ImageLocation& location, Callback on_done) {
             }
             on_done(std::move(lookup), finished);
           },
-          policy_.max_attempts);
+          RetryPolicy::kMaxAttempts);
 }
 
 void HttpDownloader::download_range(const ImageLocation& location,
                                     std::int64_t bytes, RangeCallback on_done) {
   SODA_EXPECTS(on_done != nullptr);
   SODA_EXPECTS(directory_ != nullptr);
-  SODA_EXPECTS(policy_.max_attempts >= 1);
   SODA_EXPECTS(bytes >= 1);
-  attempt(Transfer{location, bytes}, std::move(on_done), policy_.max_attempts);
+  attempt(Transfer{location, bytes}, std::move(on_done),
+          RetryPolicy::kMaxAttempts);
 }
 
 void HttpDownloader::attempt(Transfer transfer, RangeCallback on_done,
@@ -96,7 +96,7 @@ void HttpDownloader::attempt(Transfer transfer, RangeCallback on_done,
           // backoff cannot dangle. Permanent errors (404) fall through and
           // fail immediately.
           ++retries_;
-          const int attempts_made = policy_.max_attempts - tries_left + 1;
+          const int attempts_made = RetryPolicy::kMaxAttempts - tries_left + 1;
           const sim::SimTime delay = backoff_delay(attempts_made);
           util::global_logger().warn(
               "downloader", "HTTP " + std::to_string(reply.status) +

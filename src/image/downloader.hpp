@@ -25,12 +25,12 @@ namespace soda::image {
 /// stream, so every replica of a seeded experiment retries at identical
 /// sim-times. Permanent errors (404) are never retried.
 struct RetryPolicy {
-  int max_attempts = 4;  // total tries, including the first
-  sim::SimTime base_delay = sim::SimTime::milliseconds(200);
-  double multiplier = 2.0;
-  sim::SimTime max_delay = sim::SimTime::seconds(5);
-  /// Each delay is scaled by uniform(1 - jitter, 1 + jitter).
-  double jitter = 0.1;
+  static constexpr int kMaxAttempts = 4;  // total tries, including the first
+  static constexpr sim::SimTime kBaseDelay = sim::SimTime::milliseconds(200);
+  static constexpr double kMultiplier = 2.0;
+  static constexpr sim::SimTime kMaxDelay = sim::SimTime::seconds(5);
+  /// Each delay is scaled by uniform(1 - kJitter, 1 + kJitter).
+  static constexpr double kJitter = 0.1;
 };
 
 /// Downloads images from repositories for one HUP host.
@@ -74,11 +74,6 @@ class HttpDownloader {
   /// fail-stop path — a rebooted host has no live TCP connections.
   void reset_connections() noexcept { connected_.clear(); }
 
-  void set_retry_policy(RetryPolicy policy) { policy_ = policy; }
-  [[nodiscard]] const RetryPolicy& retry_policy() const noexcept {
-    return policy_;
-  }
-
   [[nodiscard]] std::uint64_t downloads_completed() const noexcept {
     return completed_;
   }
@@ -87,18 +82,20 @@ class HttpDownloader {
   [[nodiscard]] std::uint64_t retries() const noexcept { return retries_; }
   [[nodiscard]] std::int64_t bytes_downloaded() const noexcept { return bytes_; }
 
-  /// Checkpoints the jitter RNG stream, keep-alive connection set, retry
-  /// policy, and counters. Transfers in flight hold closures and cannot be
-  /// checkpointed — the owner quiesces the world before saving.
+  /// Checkpoints the jitter RNG stream, keep-alive connection set and
+  /// counters; the retry policy is written for a load to check. Transfers
+  /// in flight hold closures and cannot be checkpointed — the owner
+  /// quiesces the world before saving.
   template <class Ar>
   void serialize(Ar& ar) {
     ar.begin_section("downloader");
     ar.walk(rng_);
-    ar.i64(policy_.max_attempts);
-    ar.time(policy_.base_delay);
-    ar.f64(policy_.multiplier);
-    ar.time(policy_.max_delay);
-    ar.f64(policy_.jitter);
+    auto&& policy = ar.expect("downloader retry policy mismatch");
+    policy.i64(RetryPolicy::kMaxAttempts);
+    policy.time(RetryPolicy::kBaseDelay);
+    policy.f64(RetryPolicy::kMultiplier);
+    policy.time(RetryPolicy::kMaxDelay);
+    policy.f64(RetryPolicy::kJitter);
     ar.seq(connected_, [&ar](auto& repo) { ar.str(repo); });
     ar.u64(completed_);
     ar.u64(failed_);
@@ -121,7 +118,6 @@ class HttpDownloader {
   sim::Engine& engine_;
   net::FlowNetwork& network_;
   net::NodeId host_node_;
-  RetryPolicy policy_;
   sim::Rng rng_;
   const RepositoryDirectory* directory_ = nullptr;
   std::set<std::string> connected_;  // repositories with a live keep-alive

@@ -4,6 +4,7 @@
 // replica determinism of the whole stack under the parallel runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -109,22 +110,75 @@ TEST(ChunkCache, LruEvictionIsDeterministic) {
   EXPECT_FALSE(cache.contains(image::ChunkId{9}));
 }
 
-TEST(ChunkRegistry, LocatesSpreadsAndForgetsCrashedHosts) {
+/// A chunk registry and its members: one distributor per host name, all
+/// on one network. The members die before the registry, detaching as they
+/// go.
+struct Members {
+  Members(sim::Engine& engine, net::FlowNetwork& network)
+      : engine(engine), network(network) {}
+
+  sim::Engine& engine;
+  net::FlowNetwork& network;
   image::ChunkRegistry registry;
-  const image::ChunkId chunk{42};
-  registry.report_chunk("host-0", chunk);
-  registry.report_chunk("host-1", chunk);
-  registry.report_chunk("host-1", chunk);  // duplicate report is idempotent
-  EXPECT_EQ(registry.holder_count(chunk), 2u);
-  EXPECT_EQ(registry.reports(), 2u);
-  // Only attached members are eligible peers, and never the requester —
-  // with no members attached there is nobody to fetch from.
-  EXPECT_FALSE(registry.locate(chunk, "host-2").has_value());
-  registry.remove_host("host-0");
-  EXPECT_EQ(registry.holder_count(chunk), 1u);
-  registry.drop_chunk("host-1", chunk);
-  EXPECT_EQ(registry.holder_count(chunk), 0u);
-  EXPECT_EQ(registry.tracked_chunks(), 0u);
+  std::map<std::string, std::unique_ptr<image::ImageDistributor>> by_name;
+
+  /// A fresh distributor for `name` at `node` joins the registry and
+  /// displaces any earlier one under the name, which then dies.
+  image::ImageDistributor& join(const std::string& name, net::NodeId node) {
+    auto fresh = std::make_unique<image::ImageDistributor>(engine, network,
+                                                           node, name);
+    fresh->set_registry(&registry);
+    std::swap(by_name[name], fresh);
+    return *by_name[name];
+  }
+  image::ImageDistributor& join(const std::string& name) {
+    return join(name, network.add_node(name));
+  }
+  [[nodiscard]] image::ChunkRegistry::Slot slot(const std::string& name) const {
+    return by_name.at(name)->registry_slot();
+  }
+  void report(const std::string& host, std::uint64_t chunk) {
+    registry.report_chunk(slot(host), image::ChunkId{chunk});
+  }
+  void drop(const std::string& host, std::uint64_t chunk) {
+    registry.drop_chunk(slot(host), image::ChunkId{chunk});
+  }
+  void remove(const std::string& host) { registry.remove_host(slot(host)); }
+  /// The peer the distributor of `requester` would fetch `chunk` from.
+  [[nodiscard]] std::optional<image::ChunkRegistry::Peer> locate(
+      std::uint64_t chunk, const std::string& requester) const {
+    const image::ImageDistributor& member = *by_name.at(requester);
+    return registry.locate(image::ChunkId{chunk}, member.registry_slot(),
+                           member.name_hash());
+  }
+  [[nodiscard]] std::size_t holders(std::uint64_t chunk) const {
+    return registry.holder_count(image::ChunkId{chunk});
+  }
+};
+
+TEST(ChunkRegistry, LocatesSpreadsAndForgetsCrashedHosts) {
+  sim::Engine engine;
+  net::FlowNetwork network(engine);
+  Members fleet{engine, network};
+  for (const char* host : {"host-0", "host-1", "host-2"}) fleet.join(host);
+  constexpr std::uint64_t kChunk = 42;
+  fleet.report("host-0", kChunk);
+  fleet.report("host-1", kChunk);
+  fleet.report("host-1", kChunk);  // duplicate report is idempotent
+  EXPECT_EQ(fleet.holders(kChunk), 2u);
+  EXPECT_EQ(fleet.registry.reports(), 2u);
+  // Never the requester itself.
+  EXPECT_EQ(fleet.locate(kChunk, "host-0")->host, "host-1");
+  EXPECT_EQ(fleet.locate(kChunk, "host-1")->host, "host-0");
+  ASSERT_TRUE(fleet.locate(kChunk, "host-2").has_value());
+  fleet.remove("host-0");
+  EXPECT_EQ(fleet.holders(kChunk), 1u);
+  EXPECT_EQ(fleet.registry.hosts_removed(), 1u);
+  EXPECT_EQ(fleet.locate(kChunk, "host-2")->host, "host-1");
+  EXPECT_FALSE(fleet.locate(kChunk, "host-1").has_value());
+  fleet.drop("host-1", kChunk);
+  EXPECT_EQ(fleet.holders(kChunk), 0u);
+  EXPECT_EQ(fleet.registry.tracked_chunks(), 0u);
 }
 
 /// A distributor displaced by a later one under its name must forget the
@@ -145,59 +199,64 @@ TEST(ChunkRegistry, DisplacedMemberMayOutliveRegistry) {
   first.reset();
 }
 
-/// The stray count (holder entries whose host is not a member) decides
-/// how locate() picks; every change to holdings or membership keeps it,
-/// and a load recounts it against the members attached before the load.
-TEST(ChunkRegistry, CountsStraysThroughEveryChange) {
+/// Every holder is a member: a member that detaches takes its holdings
+/// with it, and a load refuses a holder that is not a member of the
+/// registry it loads into, whether the name never attached there or left.
+TEST(ChunkRegistry, DetachForgetsHoldingsAndLoadRefusesNonMembers) {
   util::global_logger().set_level(util::LogLevel::kOff);
   sim::Engine engine;
   net::FlowNetwork network(engine);
-  image::ChunkRegistry registry;
-  image::ImageDistributor a(engine, network, network.add_node("a"), "a");
-  image::ImageDistributor b(engine, network, network.add_node("b"), "b");
-  a.set_registry(&registry);
-  registry.report_chunk("a", image::ChunkId{1});
-  registry.report_chunk("b", image::ChunkId{1});  // b has not attached
-  registry.report_chunk("b", image::ChunkId{2});
-  EXPECT_EQ(registry.strays(), 2u);
-  b.set_registry(&registry);
-  EXPECT_EQ(registry.strays(), 0u);
-  a.set_registry(nullptr);  // a leaves holding chunk 1
-  EXPECT_EQ(registry.strays(), 1u);
-  registry.drop_chunk("a", image::ChunkId{1});
-  EXPECT_EQ(registry.strays(), 0u);
-  registry.report_chunk("c", image::ChunkId{2});
-  registry.report_chunk("c", image::ChunkId{3});
-  EXPECT_EQ(registry.strays(), 2u);
-  registry.remove_host("c");
-  EXPECT_EQ(registry.strays(), 0u);
-  registry.remove_host("b");  // a member's holdings were never strays
-  EXPECT_EQ(registry.strays(), 0u);
+  Members fleet{engine, network};
+  fleet.join("a");
+  fleet.join("b");
+  fleet.join("c");
+  fleet.report("a", 1);
+  fleet.report("b", 1);
+  fleet.report("a", 2);
+  fleet.by_name.at("a")->set_registry(nullptr);
+  EXPECT_EQ(fleet.holders(1), 1u);
+  EXPECT_EQ(fleet.holders(2), 0u);
+  EXPECT_EQ(fleet.registry.tracked_chunks(), 1u);
+  EXPECT_EQ(fleet.registry.hosts_removed(), 1u);
+  EXPECT_EQ(fleet.locate(1, "c")->host, "b");
+  EXPECT_FALSE(fleet.locate(1, "b").has_value());
+  // A slot that is not a member's cannot hold a chunk.
+  EXPECT_DEATH(fleet.report("a", 3), "is_member");
 
-  registry.report_chunk("a", image::ChunkId{4});
-  registry.report_chunk("b", image::ChunkId{4});
-  EXPECT_EQ(registry.strays(), 1u);
   snapshot::Writer writer;
-  registry.serialize(writer);
+  fleet.registry.serialize(writer);
   const std::string bytes = writer.finish();
-  image::ChunkRegistry loaded;
-  image::ImageDistributor a2(engine, network, network.add_node("a"), "a");
-  a2.set_registry(&loaded);
-  snapshot::Reader reader(bytes);
-  loaded.serialize(reader);
-  ASSERT_TRUE(reader.ok()) << reader.error();
-  EXPECT_EQ(loaded.strays(), 1u);  // only a is a member of `loaded`
-  EXPECT_EQ(loaded.locate(image::ChunkId{4}, "z")->host, "a");
+  const auto load = [&bytes](Members& target) {
+    snapshot::Reader reader(bytes);
+    target.registry.serialize(reader);
+    return reader.ok() ? std::string() : reader.error();
+  };
+  Members stranger{engine, network};  // b never attached here
+  stranger.join("a");
+  EXPECT_EQ(load(stranger), "chunk holder 'b' is not an attached host");
+  Members departed{engine, network};  // b attached here, then left
+  departed.join("b").set_registry(nullptr);
+  departed.join("c");
+  EXPECT_EQ(load(departed), "chunk holder 'b' is not an attached host");
+  Members twin{engine, network};
+  twin.join("c");
+  twin.join("b");
+  ASSERT_EQ(load(twin), "");
+  EXPECT_EQ(twin.locate(1, "c")->host, "b");
 }
 
 /// locate() binary-searches each holder list, so a load refuses one that
 /// is out of order.
 TEST(ChunkRegistry, LoadRejectsUnsortedHolders) {
-  image::ChunkRegistry registry;
-  registry.report_chunk("host-b", image::ChunkId{1});
-  registry.report_chunk("host-c", image::ChunkId{1});
+  sim::Engine engine;
+  net::FlowNetwork network(engine);
+  Members fleet{engine, network};
+  fleet.join("host-b");
+  fleet.join("host-c");
+  fleet.report("host-b", 1);
+  fleet.report("host-c", 1);
   snapshot::Writer writer;
-  registry.serialize(writer);
+  fleet.registry.serialize(writer);
   std::string bytes = writer.finish();
   // A name of the same length keeps the layout: holders become {z, c}.
   bytes.replace(bytes.find("host-b"), 6, "host-z");
@@ -206,79 +265,85 @@ TEST(ChunkRegistry, LoadRejectsUnsortedHolders) {
   for (std::size_t i = 0; i < 8; ++i) {
     bytes[bytes.size() - 8 + i] = static_cast<char>((sum >> (8 * i)) & 0xFF);
   }
-  image::ChunkRegistry loaded;
+  // Both holders are members of the target, so only the order is wrong.
+  Members loaded{engine, network};
+  loaded.join("host-c");
+  loaded.join("host-z");
   snapshot::Reader reader(bytes);
-  loaded.serialize(reader);
+  loaded.registry.serialize(reader);
   ASSERT_FALSE(reader.ok());
   EXPECT_NE(reader.error().find("ascending"), std::string::npos)
       << reader.error();
 }
 
 /// locate() against the rule applied literally: of the chunk's holders in
-/// name order, drop the requester and every host that is not an attached
-/// member, then index the rest by (fnv1a(requester) ^ digest) % count.
-/// A seeded walk attaches, detaches and replaces members, reports from
-/// hosts that never attach, and reports, drops and removes holdings; hosts
-/// also join mid-walk under names that sort between existing holders and
-/// report at once into every held chunk. After every step every chunk is
-/// located for every requester. Every few steps the registry is saved and
-/// loaded into a fresh registry with the same members: the load must
-/// re-save the same bytes and locate exactly as the reference does.
+/// name order, drop the requester, then index the rest by
+/// (fnv1a(requester) ^ digest) % count. A seeded walk attaches, detaches
+/// and replaces members and reports, drops and removes their holdings;
+/// hosts also join mid-walk under names that sort between existing
+/// holders and report at once into every held chunk. The reference
+/// forgets a member's holdings when it leaves and requires every holder
+/// to be a member. After every step every chunk is located for every
+/// member. Every few steps the registry is saved and loaded into a fresh
+/// registry with the same members: the load must re-save the same bytes
+/// and locate exactly as the reference does.
 TEST(ChunkRegistry, LocateMatchesTheFilterThenIndexRule) {
   util::global_logger().set_level(util::LogLevel::kOff);
   sim::Engine engine;
   net::FlowNetwork network(engine);
-  image::ChunkRegistry registry;  // outlives every distributor below
+  Members fleet{engine, network};
 
-  constexpr int kFirstSlots = 6;
-  const std::vector<std::string> strays = {"stray-0", "stray-1"};
   std::vector<std::string> names;
-  for (int i = 0; i < kFirstSlots; ++i) {
-    names.push_back("host-" + std::to_string(i));
-  }
+  for (int i = 0; i < 6; ++i) names.push_back("host-" + std::to_string(i));
   // Hosts that join mid-walk, each under a name between two earlier ones.
   const std::map<int, std::string> arrivals = {
       {130, "host-2m"}, {260, "host-0a"}, {390, "host-4z"}, {520, "host-1b"}};
-  std::vector<std::unique_ptr<image::ImageDistributor>> slots(kFirstSlots);
-  std::vector<bool> attached(kFirstSlots, false);
   // The reference state: members by name, and holders by chunk.
   std::map<std::string, net::NodeId> members;
   std::map<std::uint64_t, std::set<std::string>> holders;
   const std::vector<std::uint64_t> chunks = {11, 12, 13, 0x5eedULL << 40};
 
-  const auto set_attached = [&](std::size_t i, bool attach) {
-    slots[i]->set_registry(attach ? &registry : nullptr);
-    if (attach) {
-      members[names[i]] = slots[i]->node();
-    } else {
-      members.erase(names[i]);
-    }
-    attached[i] = attach;
-  };
-  // A fresh distributor for slot `i` replaces (and destroys) the old one,
-  // joining the registry when `attach` says so.
-  const auto replace = [&](std::size_t i, bool attach) {
-    auto fresh = std::make_unique<image::ImageDistributor>(
-        engine, network, network.add_node(names[i]), names[i]);
-    if (attach) fresh->set_registry(&registry);
-    std::swap(slots[i], fresh);
-    if (attach) {
-      members[names[i]] = slots[i]->node();
-    } else {
-      members.erase(names[i]);
-    }
-    attached[i] = attach;
-  };
-  const auto report = [&](const std::string& host, std::uint64_t chunk) {
-    registry.report_chunk(host, image::ChunkId{chunk});
-    holders[chunk].insert(host);
-  };
-  const auto remove_host = [&](const std::string& host) {
-    registry.remove_host(host);
+  const auto forget = [&](const std::string& host) {
     for (auto it = holders.begin(); it != holders.end();) {
       it->second.erase(host);
       it = it->second.empty() ? holders.erase(it) : std::next(it);
     }
+  };
+  // A member that leaves takes its holdings with it.
+  int left_holding = 0;
+  const auto leave = [&](const std::string& host) {
+    left_holding += std::any_of(holders.begin(), holders.end(),
+                                [&](const auto& chunk) {
+                                  return chunk.second.count(host) != 0;
+                                });
+    forget(host);
+    members.erase(host);
+  };
+  const auto set_attached = [&](const std::string& host, bool attach) {
+    image::ImageDistributor& member = *fleet.by_name.at(host);
+    if (attach) {
+      member.set_registry(&fleet.registry);
+      members[host] = member.node();
+    } else {
+      member.set_registry(nullptr);
+      leave(host);
+    }
+  };
+  // A fresh distributor for `host` replaces (and destroys) the old one. An
+  // attached one displaces it, holdings included; an unattached one leaves
+  // the registry as its predecessor dies.
+  const auto replace = [&](const std::string& host, bool attach) {
+    if (attach) {
+      members[host] = fleet.join(host).node();
+      return;
+    }
+    fleet.by_name[host] = std::make_unique<image::ImageDistributor>(
+        engine, network, network.add_node(host), host);
+    if (members.count(host) != 0) leave(host);
+  };
+  const auto report = [&](const std::string& host, std::uint64_t chunk) {
+    fleet.report(host, chunk);
+    holders[chunk].insert(host);
   };
   const auto reference = [&](std::uint64_t digest, const std::string& requester)
       -> std::optional<std::pair<std::string, net::NodeId>> {
@@ -286,28 +351,23 @@ TEST(ChunkRegistry, LocateMatchesTheFilterThenIndexRule) {
     if (it == holders.end()) return std::nullopt;
     std::vector<std::string> candidates;
     for (const std::string& host : it->second) {
-      if (host != requester && members.count(host) != 0) {
-        candidates.push_back(host);
-      }
+      EXPECT_EQ(members.count(host), 1u) << host << " holds as a non-member";
+      if (host != requester) candidates.push_back(host);
     }
     if (candidates.empty()) return std::nullopt;
     const std::uint64_t key = util::fnv1a(util::kFnvBasis, requester);
     const std::string& host = candidates[(key ^ digest) % candidates.size()];
     return std::make_pair(host, members.at(host));
   };
-  std::vector<std::string> requesters = names;
-  requesters.insert(requesters.end(), strays.begin(), strays.end());
-  requesters.push_back("nobody");
-  // Every chunk located for every requester in `under_test`.
-  const auto check = [&](const image::ChunkRegistry& under_test, int step) {
+  // Every chunk located for every member of `under_test`.
+  const auto check = [&](const Members& under_test, int step) {
     for (const std::uint64_t digest : chunks) {
-      const image::ChunkId id{digest};
       const auto held = holders.find(digest);
-      ASSERT_EQ(under_test.holder_count(id),
+      ASSERT_EQ(under_test.holders(digest),
                 held == holders.end() ? 0u : held->second.size())
-          << "step " << step;
-      for (const std::string& requester : requesters) {
-        const auto got = under_test.locate(id, requester);
+          << "step " << step << ", chunk " << digest;
+      for (const auto& [requester, node] : members) {
+        const auto got = under_test.locate(digest, requester);
         const auto want = reference(digest, requester);
         ASSERT_EQ(got.has_value(), want.has_value())
             << "step " << step << ", chunk " << digest << ", " << requester;
@@ -323,92 +383,68 @@ TEST(ChunkRegistry, LocateMatchesTheFilterThenIndexRule) {
   // name order so that they join in another order than the originals.
   const auto round_trip = [&](int step) {
     snapshot::Writer writer;
-    registry.serialize(writer);
+    fleet.registry.serialize(writer);
     const std::string bytes = writer.finish();
-    image::ChunkRegistry loaded;  // outlives the twins below
-    std::vector<std::unique_ptr<image::ImageDistributor>> twins;
+    Members loaded{engine, network};
     for (auto it = members.rbegin(); it != members.rend(); ++it) {
-      twins.push_back(std::make_unique<image::ImageDistributor>(
-          engine, network, it->second, it->first));
-      twins.back()->set_registry(&loaded);
+      loaded.join(it->first, it->second);
     }
     snapshot::Reader reader(bytes);
-    loaded.serialize(reader);
+    loaded.registry.serialize(reader);
     ASSERT_TRUE(reader.ok()) << "step " << step << ": " << reader.error();
     snapshot::Writer again;
-    loaded.serialize(again);
+    loaded.registry.serialize(again);
     ASSERT_EQ(again.finish(), bytes) << "step " << step;
     check(loaded, step);
   };
-  for (std::size_t i = 0; i < names.size(); ++i) replace(i, i % 2 == 0);
+  for (std::size_t i = 0; i < names.size(); ++i) replace(names[i], i % 2 == 0);
 
   sim::Rng rng(15);
-  int steps_with_strays = 0;
-  int steps_without_strays = 0;
   int round_trips = 0;
   for (int step = 0; step < 600; ++step) {
-    // Phases of 100 steps alternate. A clean phase starts with every slot
-    // attached and no stray holdings, and keeps it so; a mixed phase also
-    // detaches members that hold chunks and takes reports from strays.
-    const bool mixed = (step / 100) % 2 == 1;
-    if (step % 100 == 0 && !mixed) {
-      for (std::size_t i = 0; i < names.size(); ++i) {
-        if (!attached[i]) set_attached(i, true);
-      }
-      for (const std::string& stray : strays) remove_host(stray);
-    }
     if (const auto arrival = arrivals.find(step); arrival != arrivals.end()) {
       // A new member is located against before it holds anything, then
       // reports into every chunk that has holders.
       names.push_back(arrival->second);
-      requesters.push_back(arrival->second);
-      slots.emplace_back();
-      attached.push_back(false);
-      replace(names.size() - 1, true);
-      ASSERT_NO_FATAL_FAILURE(check(registry, step));
+      replace(arrival->second, true);
+      ASSERT_NO_FATAL_FAILURE(check(fleet, step));
       std::vector<std::uint64_t> held;
       for (const auto& [digest, hosts] : holders) held.push_back(digest);
       for (const std::uint64_t digest : held) report(arrival->second, digest);
     }
-    const auto slot = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(names.size()) - 1));
+    const std::string& host = names[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(names.size()) - 1))];
     const std::uint64_t chunk =
         chunks[static_cast<std::size_t>(rng.uniform_int(0, 3))];
-    const std::string& host =
-        mixed && rng.uniform_int(0, 4) == 0 ? strays[step % 2] : names[slot];
+    const bool attached = members.count(host) != 0;
     const auto roll = rng.uniform_int(0, 99);
-    if (mixed && roll < 8) {
-      set_attached(slot, !attached[slot]);
+    if (roll < 8) {
+      set_attached(host, !attached);
     } else if (roll < 14) {
-      replace(slot, !mixed || rng.uniform_int(0, 3) != 0);
+      replace(host, rng.uniform_int(0, 3) != 0);
+    } else if (!attached) {
+      set_attached(host, true);
     } else if (roll < 64) {
       report(host, chunk);
     } else if (roll < 92) {
-      registry.drop_chunk(host, image::ChunkId{chunk});
+      fleet.drop(host, chunk);
       if (auto it = holders.find(chunk); it != holders.end()) {
         it->second.erase(host);
         if (it->second.empty()) holders.erase(it);
       }
     } else {
-      remove_host(host);
+      fleet.remove(host);
+      forget(host);
     }
 
-    bool any_stray = false;
-    for (const auto& [digest, hosts] : holders) {
-      for (const std::string& holder : hosts) {
-        any_stray |= members.count(holder) == 0;
-      }
-    }
-    ++(any_stray ? steps_with_strays : steps_without_strays);
-    ASSERT_NO_FATAL_FAILURE(check(registry, step));
+    ASSERT_NO_FATAL_FAILURE(check(fleet, step));
     if (step % 5 == 4) {
       ASSERT_NO_FATAL_FAILURE(round_trip(step));
       ++round_trips;
     }
   }
-  // The walk spends real time on both sides of "every holder is a member".
-  EXPECT_GT(steps_with_strays, 150);
-  EXPECT_GT(steps_without_strays, 250);
+  // The walk takes holdings away by every route a member can leave by.
+  EXPECT_GT(left_holding, 20);
   EXPECT_EQ(round_trips, 120);
 }
 

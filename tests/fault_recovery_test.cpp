@@ -360,10 +360,10 @@ TEST(DownloaderRetry, TransientFailuresRetriedWithBackoff) {
   EXPECT_EQ(repo.failing_requests(), 0);
   // Backoff happened: two retries cost at least base + base*multiplier
   // minus the jitter band.
-  const auto& policy = downloader.retry_policy();
-  const double min_wait = (policy.base_delay.to_seconds() +
-                           policy.base_delay.to_seconds() * policy.multiplier) *
-                          (1.0 - policy.jitter);
+  using Policy = image::RetryPolicy;
+  const double base = Policy::kBaseDelay.to_seconds();
+  const double min_wait =
+      (base + base * Policy::kMultiplier) * (1.0 - Policy::kJitter);
   EXPECT_GE(finished.to_seconds(), min_wait);
 }
 

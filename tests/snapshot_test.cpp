@@ -794,6 +794,75 @@ TEST(SnapshotHostile, ImagePayloadSizeOutOfRange) {
       << reader.error();
 }
 
+/// Two hosts under names of one length, "host-a" and "host-b", with "web"
+/// on one node, so a patch can repeat or swap the names in place.
+std::string world_with_two_hosts() {
+  core::Hup hup;
+  for (const char* name : {"host-a", "host-b"}) {
+    host::HostSpec spec = host::HostSpec::seattle();
+    spec.name = name;
+    const std::uint8_t first = name[5] == 'a' ? 16 : 32;
+    hup.add_host(spec, net::Ipv4Address(10, 0, 0, first), 16);
+  }
+  image::ImageRepository& repo = hup.add_repository("asp-repo");
+  hup.agent().register_asp("asp", "key");
+  const auto loc = must(repo.publish(image::web_content_image(4 * kMiB)));
+  must(create_service(hup, loc, "web", 1));
+  return must(hup.save_snapshot());
+}
+
+TEST(SnapshotHostile, RepeatedHostNameFails) {
+  // The second host record repeats the first host's name. A restore
+  // registers each rebuilt daemon as add_host does, so the Master refuses
+  // the repeat instead of keeping a daemon the Hup cannot own.
+  std::string bytes = world_with_two_hosts();
+  // hup: per host, the spec (its name first), then the host, shaper and
+  // daemon sections; the second record follows the first daemon section.
+  const std::size_t daemon = section_payload(bytes, "daemon");
+  const std::size_t name = daemon + read_le(bytes, daemon - 8, 8) + 4;
+  ASSERT_EQ(bytes.substr(name, 6), "host-b");
+  bytes.replace(name, 6, "host-a");
+  reseal(bytes);
+  core::Hup hup;
+  const Status status = hup.load_snapshot(bytes);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().message, "snapshot: duplicate host: host-a");
+}
+
+TEST(SnapshotHostile, HostNameTableDisagreeingWithTheHostsFails) {
+  // The master's host-name table swaps the two names: loaded, it would
+  // send every request about host-a to host-b's daemon.
+  std::string bytes = world_with_two_hosts();
+  // intern_table: the name count, then each name (u32 length, bytes).
+  const std::size_t table = section_payload(bytes, "intern_table");
+  ASSERT_EQ(read_le(bytes, table, 8), 2u);
+  ASSERT_EQ(bytes.substr(table + 12, 6), "host-a");
+  ASSERT_EQ(bytes.substr(table + 22, 6), "host-b");
+  bytes.replace(table + 12, 6, "host-b");
+  bytes.replace(table + 22, 6, "host-a");
+  reseal(bytes);
+  core::Hup hup;
+  const Status status = hup.load_snapshot(bytes);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.error().message.find("host name table"), std::string::npos)
+      << status.error().message;
+}
+
+TEST(SnapshotHostile, RetryPolicyOtherThanTheConstantsFails) {
+  // A download makes at least one attempt: a load refuses a saved retry
+  // policy other than the downloader's own, here no attempt at all.
+  std::string bytes = world_with_two_hosts();
+  // downloader: the jitter rng's four words, then the attempt count.
+  const std::size_t downloader = section_payload(bytes, "downloader");
+  ASSERT_EQ(read_le(bytes, downloader + 32, 8), 4u);
+  patch(bytes, downloader + 32, 0, 8);
+  core::Hup hup;
+  const Status status = hup.load_snapshot(bytes);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.error().message.find("retry policy"), std::string::npos)
+      << status.error().message;
+}
+
 // --- Committed seeds re-save byte for byte ----------------------------------
 
 /// Offset of the first differing byte, for a readable failure message.
