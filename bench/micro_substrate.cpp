@@ -5,11 +5,12 @@
 // would make the paper-scale experiments unpleasant to run.
 //
 // After the google-benchmark pass, main() hand-times the event queue's
-// schedule/pop and cancel churn, a fleet-size flow-network reallocation, and
-// a fleet-size chunk peer choice (by the requester's registry slot, as the
-// distributor locates, and by name) and holder report-and-drop pair (with
-// allocation counts from alloc_counter.cpp) and records the results in
-// BENCH_sim_core.json via BenchReport.
+// schedule/pop and cancel churn, fleet-size flow-network reallocations (a
+// capacity flip over 64 routes, and a flow's start and cancel among 200 on
+// 8 routes), and a fleet-size chunk peer choice (by the requester's registry
+// slot, as the distributor locates, and by name) and holder report-and-drop
+// pair (with allocation counts from alloc_counter.cpp) and records the
+// results in BENCH_sim_core.json via BenchReport.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -258,6 +259,36 @@ void write_sim_core_report() {
     const double cpu = cpu_seconds() - start;
     const std::uint64_t allocs = bench::allocation_count() - allocs_before;
     report.record("flow_reallocate_h300_f64",
+                  {{"ns_per_reallocation", cpu * 1e9 / kReallocations},
+                   {"allocs_per_reallocation",
+                    static_cast<double>(allocs) / kReallocations},
+                   {"cores", static_cast<double>(
+                                 std::thread::hardware_concurrency())}});
+  }
+
+  // The same star under a burst: 200 long flows from 8 hosts into one, on 8
+  // routes. Each operation starts a short flow on one of those routes and
+  // cancels it, at an unchanged clock: two reallocations, each re-sharing
+  // over 201 or 200 competing flows.
+  {
+    Star star(300);
+    const auto into_first = [&star](int i, std::int64_t bytes) {
+      return must(star.network.start_flow(star.hosts[1 + i % 8], star.hosts[0],
+                                          bytes, [](sim::SimTime) {}));
+    };
+    for (int i = 0; i < 200; ++i) into_first(i, std::int64_t{1} << 50);
+    const auto start_and_cancel = [&](int i) {
+      star.network.cancel_flow(into_first(i, 1'000'000));
+    };
+    for (int i = 0; i < 1'000; ++i) start_and_cancel(i);
+    constexpr int kOperations = 5'000;
+    const std::uint64_t allocs_before = bench::allocation_count();
+    const double start = cpu_seconds();
+    for (int i = 0; i < kOperations; ++i) start_and_cancel(i);
+    const double cpu = cpu_seconds() - start;
+    const std::uint64_t allocs = bench::allocation_count() - allocs_before;
+    constexpr double kReallocations = 2.0 * kOperations;
+    report.record("flow_burst_h300_f200",
                   {{"ns_per_reallocation", cpu * 1e9 / kReallocations},
                    {"allocs_per_reallocation",
                     static_cast<double>(allocs) / kReallocations},

@@ -2,6 +2,8 @@
 
 #include <set>
 
+#include "sim/time.hpp"
+
 namespace soda::chaos {
 
 std::string chaos_host_name(const ChaosSpec& spec, int index) {
@@ -15,6 +17,10 @@ std::string chaos_host_name(const ChaosSpec& spec, int index) {
 Status validate_spec(const ChaosSpec& spec) {
   if (spec.hosts.empty()) return Error{"chaos spec has no hosts"};
   if (!(spec.horizon_s > 0)) return Error{"chaos spec horizon must be > 0"};
+  if (spec.horizon_s > sim::kMaxInputSeconds) {
+    return Error{"chaos spec horizon must be at most " +
+                 std::to_string(sim::kMaxInputSeconds) + "s"};
+  }
   std::set<std::string> names;
   for (const ChaosService& service : spec.services) {
     if (service.name.empty()) return Error{"chaos service with empty name"};
@@ -29,7 +35,7 @@ Status validate_spec(const ChaosSpec& spec) {
   for (const ChaosFault& fault : spec.faults) {
     if (fault.at_s < last_at) return Error{"chaos faults are not sorted"};
     last_at = fault.at_s;
-    if (fault.at_s > spec.horizon_s) {
+    if (!(fault.at_s <= spec.horizon_s)) {
       // A fault past the horizon would fire during the drain-the-queue
       // quiesce after the measured window, racing the detector teardown.
       return Error{"chaos fault at t=" + std::to_string(fault.at_s) +

@@ -1,6 +1,7 @@
 #include "net/flow_network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "snapshot/format.hpp"
@@ -49,7 +50,7 @@ void FlowNetwork::set_link_capacity(LinkId link, double capacity_mbps) {
   SODA_EXPECTS(capacity_mbps > 0);
   settle_progress();
   links_[link.value].capacity_bps = mbps_to_bytes_per_sec(capacity_mbps);
-  reallocate_and_schedule();
+  reallocate_and_schedule(true);
 }
 
 double FlowNetwork::link_capacity_mbps(LinkId link) const {
@@ -170,31 +171,57 @@ Result<FlowId> FlowNetwork::start_flow(NodeId src, NodeId dst,
   SODA_EXPECTS(on_complete != nullptr);
   SODA_EXPECTS(rate_cap_mbps > 0);
 
-  Flow flow;
-  if (!route(src, dst, extra_links.size(), flow.path)) {
+  path_.clear();
+  if (!route(src, dst, extra_links.size(), path_)) {
     return Error{"no route from " + nodes_[src.value] + " to " + nodes_[dst.value]};
   }
   sim::SimTime latency = sim::SimTime::zero();
-  for (std::size_t link_idx : flow.path) latency += links_[link_idx].latency;
+  for (std::size_t link_idx : path_) latency += links_[link_idx].latency;
   for (LinkId extra : extra_links) {
     SODA_EXPECTS(extra.value < links_.size());
-    flow.path.push_back(extra.value);
+    path_.push_back(extra.value);
   }
 
   settle_progress();
+  Flow flow;
   flow.id = FlowId{next_flow_id_++};
+  flow.route = intern_route(std::isinf(rate_cap_mbps)
+                                ? std::numeric_limits<double>::infinity()
+                                : mbps_to_bytes_per_sec(rate_cap_mbps));
   flow.total_bytes = bytes;
   flow.remaining_bytes = static_cast<double>(bytes);
-  flow.cap_bps = std::isinf(rate_cap_mbps)
-                     ? std::numeric_limits<double>::infinity()
-                     : mbps_to_bytes_per_sec(rate_cap_mbps);
   flow.latency = latency;
-  flow.ready_at = sim::SimTime::max();
   flow.on_complete = std::move(on_complete);
   const FlowId id = flow.id;
   flows_.push_back(std::move(flow));
-  reallocate_and_schedule();
+  reallocate_and_schedule(false);
   return id;
+}
+
+std::size_t FlowNetwork::intern_route(double cap_bps) {
+  const auto cap_bits = std::bit_cast<std::uint64_t>(cap_bps);
+  std::size_t free = routes_.size();
+  for (std::size_t r = 0; r < routes_.size(); ++r) {
+    Route& route = routes_[r];
+    if (route.users == 0) {
+      free = std::min(free, r);
+    } else if (std::bit_cast<std::uint64_t>(route.cap_bps) == cap_bits &&
+               route.path == path_) {
+      ++route.users;
+      return r;
+    }
+  }
+  if (free == routes_.size()) routes_.emplace_back();
+  Route& route = routes_[free];
+  route.path.assign(path_.begin(), path_.end());
+  route.cap_bps = cap_bps;
+  route.users = 1;
+  return free;
+}
+
+bool FlowNetwork::competes(const Flow& flow) const {
+  return flow.remaining_bytes > kEpsilonBytes &&
+         !routes_[flow.route].path.empty();
 }
 
 bool FlowNetwork::cancel_flow(FlowId flow) {
@@ -202,8 +229,10 @@ bool FlowNetwork::cancel_flow(FlowId flow) {
                          [&](const Flow& f) { return f.id == flow; });
   if (it == flows_.end()) return false;
   settle_progress();
+  const bool competing = it->competing;
+  release_route(it->route);
   flows_.erase(it);
-  reallocate_and_schedule();
+  reallocate_and_schedule(competing);
   return true;
 }
 
@@ -225,56 +254,109 @@ void FlowNetwork::settle_progress() {
   last_settle_ = now;
 }
 
-void FlowNetwork::reallocate_and_schedule() {
+void FlowNetwork::reallocate_and_schedule(bool shares_stale) {
   const sim::SimTime now = engine_.now();
-  const std::size_t flow_count = flows_.size();
-  frozen_.assign(flow_count, true);
-  capped_.clear();
-  in_use_index_.resize(links_.size(), kNotInUse);
-  std::size_t links_in_use = 0;
-  std::size_t unfrozen = 0;
-
-  // Drained flows (and zero-hop flows, which see no link constraint) no
+  // Drained flows (and flows crossing no link, which see no constraint) no
   // longer compete for bandwidth; they only wait out their path latency.
   // ready_at is pinned the first time a flow drains and never moves again.
-  // A competing flow joins the list of every link it crosses, once per time
-  // its path lists the link. Only those links take part in the filling: a
-  // drained flow's rate is +0.0, and x - 0.0 == x, so leaving it out of the
-  // residuals changes no bit.
-  for (std::size_t f = 0; f < flow_count; ++f) {
-    Flow& flow = flows_[f];
-    flow.rate_bps = 0;
-    if (flow.remaining_bytes <= kEpsilonBytes || flow.path.empty()) {
+  // A flow that starts or stops competing makes the shares stale.
+  for (Flow& flow : flows_) {
+    const bool competing = competes(flow);
+    shares_stale = shares_stale || competing != flow.competing;
+    flow.competing = competing;
+    if (!competing) {
+      flow.rate_bps = 0;
       if (flow.ready_at == sim::SimTime::max()) flow.ready_at = now + flow.latency;
-      continue;
     }
-    frozen_[f] = false;
-    ++unfrozen;
-    if (std::isfinite(flow.cap_bps)) capped_.push_back(f);
-    for (std::size_t l : flow.path) {
+  }
+  // The filling is a function of the competing flows in order, their routes
+  // and the link capacities. While none of those changed, the rates the last
+  // filling left stand, bit for bit.
+  if (shares_stale) fill();
+
+  // Project completion times for still-transmitting flows. The projected
+  // transfer time is floored at 1 ns: SimTime truncates to integer
+  // nanoseconds, and a zero-length step would fire the completion event at
+  // the same timestamp without draining any bytes — forever. A transfer
+  // that would end past the clock's range never completes, as at rate 0.
+  sim::SimTime earliest = sim::SimTime::max();
+  for (Flow& flow : flows_) {
+    if (flow.competing) {
+      flow.ready_at = sim::SimTime::max();
+      if (flow.rate_bps > 0) {
+        const double seconds = flow.remaining_bytes / flow.rate_bps;
+        const auto room =
+            static_cast<double>((sim::SimTime::max() - now - flow.latency).ns());
+        if (seconds * 1e9 < room) {
+          const sim::SimTime transfer = std::max(
+              sim::SimTime::nanoseconds(1), sim::SimTime::seconds(seconds));
+          flow.ready_at = now + transfer + flow.latency;
+        }
+      }
+    }
+    earliest = std::min(earliest, flow.ready_at);
+  }
+
+  // --- Schedule the earliest completion. ---
+  if (event_scheduled_) {
+    engine_.cancel(pending_event_);
+    event_scheduled_ = false;
+  }
+  if (earliest < sim::SimTime::max()) {
+    pending_event_ = engine_.schedule_at(std::max(earliest, now),
+                                         [this] { on_completion_event(); });
+    event_scheduled_ = true;
+  }
+}
+
+void FlowNetwork::fill() {
+  // Routes in the order of their first competing flow, each listing its
+  // competing flows in flow order.
+  active_.clear();
+  capped_.clear();
+  for (std::size_t f = 0; f < flows_.size(); ++f) {
+    if (!flows_[f].competing) continue;
+    const std::size_t r = flows_[f].route;
+    Route& route = routes_[r];
+    if (route.members.empty()) {
+      active_.push_back(r);
+      route.frozen = false;
+      if (std::isfinite(route.cap_bps)) capped_.push_back(r);
+    }
+    route.members.push_back(f);
+  }
+
+  // Only the links the competing routes cross take part: a drained flow's
+  // rate is +0.0, and x - 0.0 == x, so leaving it out of the residuals
+  // changes no bit. A route's flows count towards a link's demand once per
+  // time its path lists the link.
+  in_use_index_.resize(links_.size(), kNotInUse);
+  std::size_t links_in_use = 0;
+  for (const std::size_t r : active_) {
+    const Route& route = routes_[r];
+    for (const std::size_t l : route.path) {
       std::size_t& index = in_use_index_[l];
       if (index == kNotInUse) {
         index = links_in_use++;
         if (in_use_.size() < links_in_use) in_use_.emplace_back();
         LinkInUse& fresh = in_use_[index];
         fresh.link = l;
-        fresh.flows.clear();
+        fresh.routes.clear();
         fresh.residual = links_[l].capacity_bps;
         fresh.demand = 0;
         fresh.stale = false;
       }
       LinkInUse& used = in_use_[index];
-      used.flows.push_back(f);
-      ++used.demand;
+      used.demand += route.members.size();
+      used.routes.push_back(r);
     }
   }
 
   // --- Max-min fair allocation with per-flow caps (progressive filling). ---
-  // Each round's residual is the link's capacity minus its frozen flows'
-  // rates, subtracted in flow order. A link is rebuilt that way only when
-  // one of its flows froze in the previous round; subtracting new rates
-  // from a running residual would reorder the subtractions whenever a
-  // lower-index flow froze after a higher-index one.
+  // The flows of one route freeze together at one rate, so each round
+  // freezes routes. A link's residual is rebuilt only when a route crossing
+  // it froze in the previous round.
+  std::size_t unfrozen = active_.size();
   while (unfrozen > 0) {
     // Fair share offered by the tightest link crossed by any unfrozen flow.
     double bottleneck_share = std::numeric_limits<double>::infinity();
@@ -282,11 +364,7 @@ void FlowNetwork::reallocate_and_schedule() {
       LinkInUse& used = in_use_[u];
       if (used.demand == 0) continue;
       if (used.stale) {
-        double residual = links_[used.link].capacity_bps;
-        for (std::size_t f : used.flows) {
-          if (frozen_[f]) residual -= flows_[f].rate_bps;
-        }
-        used.residual = residual;
+        used.residual = residual(used);
         used.stale = false;
       }
       used.share =
@@ -297,41 +375,43 @@ void FlowNetwork::reallocate_and_schedule() {
 
     // Smallest unfrozen cap competes with the link bottleneck.
     double min_cap = std::numeric_limits<double>::infinity();
-    for (std::size_t f : capped_) {
-      if (!frozen_[f]) min_cap = std::min(min_cap, flows_[f].cap_bps);
+    for (const std::size_t r : capped_) {
+      if (!routes_[r].frozen) min_cap = std::min(min_cap, routes_[r].cap_bps);
     }
 
     just_frozen_.clear();
+    const auto freeze = [this](std::size_t r, double rate_bps) {
+      routes_[r].rate_bps = rate_bps;
+      routes_[r].frozen = true;
+      just_frozen_.push_back(r);
+    };
     if (min_cap <= bottleneck_share) {
-      // Cap-limited flows take their cap and stop competing.
-      for (std::size_t f : capped_) {
-        if (!frozen_[f] && flows_[f].cap_bps <= bottleneck_share) {
-          flows_[f].rate_bps = flows_[f].cap_bps;
-          frozen_[f] = true;
-          just_frozen_.push_back(f);
+      // Cap-limited routes take their cap and stop competing.
+      for (const std::size_t r : capped_) {
+        const Route& route = routes_[r];
+        if (!route.frozen && route.cap_bps <= bottleneck_share) {
+          freeze(r, route.cap_bps);
         }
       }
     } else {
-      // Freeze every unfrozen flow crossing a link at the bottleneck share.
+      // Freeze every unfrozen route crossing a link at the bottleneck share.
       for (std::size_t u = 0; u < links_in_use; ++u) {
         const LinkInUse& used = in_use_[u];
         if (used.demand == 0 || used.share > bottleneck_share * (1 + 1e-12)) {
           continue;
         }
-        for (std::size_t f : used.flows) {
-          if (frozen_[f]) continue;
-          flows_[f].rate_bps = bottleneck_share;
-          frozen_[f] = true;
-          just_frozen_.push_back(f);
+        for (const std::size_t r : used.routes) {
+          if (!routes_[r].frozen) freeze(r, bottleneck_share);
         }
       }
     }
     SODA_ENSURES(!just_frozen_.empty());  // each round must make progress
     unfrozen -= just_frozen_.size();
-    for (std::size_t f : just_frozen_) {
-      for (std::size_t l : flows_[f].path) {
+    for (const std::size_t r : just_frozen_) {
+      const Route& route = routes_[r];
+      for (const std::size_t l : route.path) {
         LinkInUse& used = in_use_[in_use_index_[l]];
-        --used.demand;
+        used.demand -= route.members.size();
         used.stale = true;
       }
     }
@@ -339,36 +419,49 @@ void FlowNetwork::reallocate_and_schedule() {
   for (std::size_t u = 0; u < links_in_use; ++u) {
     in_use_index_[in_use_[u].link] = kNotInUse;
   }
+  for (const std::size_t r : active_) {
+    Route& route = routes_[r];
+    for (const std::size_t f : route.members) flows_[f].rate_bps = route.rate_bps;
+    route.members.clear();
+  }
+}
 
-  // Project completion times for still-transmitting flows. The projected
-  // transfer time is floored at 1 ns: SimTime truncates to integer
-  // nanoseconds, and a zero-length step would fire the completion event at
-  // the same timestamp without draining any bytes — forever.
-  for (Flow& flow : flows_) {
-    if (flow.remaining_bytes > kEpsilonBytes && !flow.path.empty()) {
-      if (flow.rate_bps > 0) {
-        const sim::SimTime transfer = std::max(
-            sim::SimTime::nanoseconds(1),
-            sim::SimTime::seconds(flow.remaining_bytes / flow.rate_bps));
-        flow.ready_at = now + transfer + flow.latency;
-      } else {
-        flow.ready_at = sim::SimTime::max();
-      }
+double FlowNetwork::residual(const LinkInUse& used) {
+  // The frozen flows' rates are subtracted one by one, once per crossing, in
+  // flow order: the order fixes the residual's last bit, and so every rate's.
+  // When every frozen route crossing the link has the same rate, any order
+  // subtracts the same values, so that one subtraction repeats; otherwise
+  // the routes' member lists merge by flow index.
+  double residual = links_[used.link].capacity_bps;
+  merge_.clear();
+  bool one_rate = true;
+  std::size_t crossings = 0;
+  for (const std::size_t r : used.routes) {
+    const Route& route = routes_[r];
+    if (!route.frozen) continue;
+    one_rate = one_rate &&
+               (merge_.empty() || route.rate_bps == merge_.front().rate_bps);
+    merge_.push_back({route.members.data(),
+                      route.members.data() + route.members.size(),
+                      route.rate_bps});
+    crossings += route.members.size();
+  }
+  if (one_rate) {
+    const double rate = merge_.empty() ? 0.0 : merge_.front().rate_bps;
+    for (std::size_t i = 0; i < crossings; ++i) residual -= rate;
+    return residual;
+  }
+  while (!merge_.empty()) {
+    const auto first = std::min_element(
+        merge_.begin(), merge_.end(),
+        [](const MergeCursor& a, const MergeCursor& b) { return *a.next < *b.next; });
+    residual -= first->rate_bps;
+    if (++first->next == first->end) {
+      *first = merge_.back();
+      merge_.pop_back();
     }
   }
-
-  // --- Schedule the earliest completion. ---
-  if (event_scheduled_) {
-    engine_.cancel(pending_event_);
-    event_scheduled_ = false;
-  }
-  sim::SimTime earliest = sim::SimTime::max();
-  for (const Flow& flow : flows_) earliest = std::min(earliest, flow.ready_at);
-  if (earliest < sim::SimTime::max()) {
-    pending_event_ = engine_.schedule_at(std::max(earliest, now),
-                                         [this] { on_completion_event(); });
-    event_scheduled_ = true;
-  }
+  return residual;
 }
 
 void FlowNetwork::on_completion_event() {
@@ -379,13 +472,16 @@ void FlowNetwork::on_completion_event() {
   // which mutates flows_. A flow is finished when its bytes have drained AND
   // its pinned latency deadline has passed. Flows that drained exactly now
   // still owe their latency; reallocate pins their ready_at below. One
-  // compaction pass keeps the survivors in order.
+  // compaction pass keeps the survivors in order. Removing a flow that
+  // competed in the last filling makes the shares stale.
   std::vector<Flow> done = std::move(done_);
+  bool shares_stale = false;
   std::size_t kept = 0;
   for (std::size_t f = 0; f < flows_.size(); ++f) {
     Flow& flow = flows_[f];
-    const bool drained = flow.remaining_bytes <= kEpsilonBytes || flow.path.empty();
-    if (drained && flow.ready_at <= now) {
+    if (!competes(flow) && flow.ready_at <= now) {
+      shares_stale = shares_stale || flow.competing;
+      release_route(flow.route);
       done.push_back(std::move(flow));
     } else {
       if (f != kept) flows_[kept] = std::move(flow);
@@ -393,7 +489,7 @@ void FlowNetwork::on_completion_event() {
     }
   }
   flows_.resize(kept);
-  reallocate_and_schedule();
+  reallocate_and_schedule(shares_stale);
   for (Flow& flow : done) {
     bytes_delivered_ += flow.total_bytes;
     flow.on_complete(now);

@@ -124,24 +124,43 @@ class FlowNetwork {
   };
   struct Flow {
     FlowId id;
-    std::vector<std::size_t> path;  // link indices
+    std::size_t route = 0;  // index into routes_
     std::int64_t total_bytes = 0;
     double remaining_bytes = 0;
     double rate_bps = 0;  // bytes per second
-    double cap_bps = std::numeric_limits<double>::infinity();
     sim::SimTime latency;  // summed path latency, applied to completion
     sim::SimTime ready_at = sim::SimTime::max();  // pinned when drained
+    bool competing = false;  // competed in the last filling
     CompletionCallback on_complete;
   };
-
-  /// A link some competing flow crosses, during one reallocation.
+  /// A path (routed links, then extra links, in order) and a cap. Flows on
+  /// one route freeze in the same filling round at the same rate. Interned
+  /// while some flow uses it; a released slot's vectors are reused.
+  struct Route {
+    std::vector<std::size_t> path;  // link indices
+    double cap_bps = std::numeric_limits<double>::infinity();
+    std::size_t users = 0;  // live flows; 0 for a free slot
+    // Filling state:
+    std::vector<std::size_t> members;  // competing flows, in flow order
+    double rate_bps = 0;
+    bool frozen = false;
+  };
+  /// A link some competing flow crosses, during one filling.
   struct LinkInUse {
     std::size_t link = 0;
-    std::vector<std::size_t> flows;  // competing flows crossing it, in flow order
-    double residual = 0;             // capacity left by the frozen flows
-    double share = 0;                // residual split over `demand`
-    std::size_t demand = 0;          // entries of `flows` not yet frozen
-    bool stale = false;              // one of `flows` froze last round
+    // Routes crossing it, once per time each lists it, in the order of
+    // their first flows.
+    std::vector<std::size_t> routes;
+    double residual = 0;     // capacity left by the frozen flows
+    double share = 0;        // residual split over `demand`
+    std::size_t demand = 0;  // crossings of flows not yet frozen
+    bool stale = false;      // a route crossing it froze last round
+  };
+  /// A frozen route's members not yet subtracted from a residual.
+  struct MergeCursor {
+    const std::size_t* next = nullptr;
+    const std::size_t* end = nullptr;
+    double rate_bps = 0;
   };
 
   static constexpr std::size_t kNoLink = SIZE_MAX;
@@ -160,11 +179,23 @@ class FlowNetwork {
   bool route(NodeId src, NodeId dst, std::size_t extra,
              std::vector<std::size_t>& path) const;
 
+  /// The route of `path_` with cap `cap_bps`, interned with one more user.
+  std::size_t intern_route(double cap_bps);
+  /// Drops one user of `route`; the last frees its slot.
+  void release_route(std::size_t route) { --routes_[route].users; }
+  /// Whether `flow` has bytes left and a link to send them over.
+  [[nodiscard]] bool competes(const Flow& flow) const;
+
   /// Applies progress since last recompute to all flows' remaining bytes.
   void settle_progress();
-  /// Max-min fair re-allocation of all flow rates, then reschedules the next
-  /// completion event.
-  void reallocate_and_schedule();
+  /// Pins drained flows, re-shares bandwidth when `shares_stale` or the
+  /// competing flows changed, then reschedules the next completion event.
+  void reallocate_and_schedule(bool shares_stale);
+  /// Max-min fair allocation of the competing flows' rates.
+  void fill();
+  /// Link `used`'s capacity less its frozen flows' rates, subtracted in flow
+  /// order.
+  double residual(const LinkInUse& used);
   /// Fires completions due now, removes finished flows.
   void on_completion_event();
 
@@ -180,6 +211,7 @@ class FlowNetwork {
   bool forest_ = true;
   std::size_t half_ = kNoLink;
   std::vector<Flow> flows_;
+  std::vector<Route> routes_;
   std::uint64_t next_flow_id_ = 1;
   sim::SimTime last_settle_;
   sim::EventId pending_event_{};
@@ -189,11 +221,13 @@ class FlowNetwork {
   // Reallocation scratch, reused by every call so an event allocates
   // nothing once the buffers have grown.
   static constexpr std::size_t kNotInUse = SIZE_MAX;
+  std::vector<std::size_t> path_;          // the path a start_flow builds
   std::vector<std::size_t> in_use_index_;  // per link: index into in_use_
   std::vector<LinkInUse> in_use_;          // a prefix is live in each call
-  std::vector<bool> frozen_;               // per flow
-  std::vector<std::size_t> capped_;        // competing flows with a finite cap
-  std::vector<std::size_t> just_frozen_;
+  std::vector<std::size_t> active_;        // routes with competing flows
+  std::vector<std::size_t> capped_;        // active routes with a finite cap
+  std::vector<std::size_t> just_frozen_;   // routes
+  std::vector<MergeCursor> merge_;
   std::vector<Flow> done_;                 // finished flows awaiting callbacks
 };
 

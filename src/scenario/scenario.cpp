@@ -224,12 +224,15 @@ Status execute(Runtime& rt, const ScenarioCommand& cmd) {
     return {};
   }
   if (cmd.verb == "advance") {
-    const auto seconds = util::parse_double(cmd.args[0]);
-    if (!seconds || *seconds < 0) {
-      return Error{error_at(cmd.line, "'advance' takes seconds >= 0, got '" +
-                                          cmd.args[0] + "'")};
-    }
     sim::Engine& engine = rt.hup().engine();
+    const auto seconds = util::parse_double(cmd.args[0]);
+    if (!seconds ||
+        *seconds > sim::kMaxInputSeconds - engine.now().to_seconds()) {
+      return Error{error_at(
+          cmd.line, "'advance' takes seconds >= 0 ending by t=" +
+                        std::to_string(sim::kMaxInputSeconds) + "s, got '" +
+                        cmd.args[0] + "'")};
+    }
     engine.run_until(engine.now() + sim::SimTime::seconds(*seconds));
     std::snprintf(buf, sizeof buf, "advanced to t=%.2fs",
                   engine.now().to_seconds());

@@ -60,6 +60,11 @@ class SimTime {
   std::int64_t ns_;
 };
 
+/// The most simulated seconds an input (a scenario's clock, a chaos horizon,
+/// a traffic trace) may name: about 32 years, so instants built from a few
+/// such spans stay far inside SimTime's ~292-year range.
+inline constexpr std::int64_t kMaxInputSeconds = 1'000'000'000;
+
 /// Formats an instant as "12.345s" for logs.
 inline std::string to_string(SimTime t) {
   char buf[32];

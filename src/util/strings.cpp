@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace soda::util {
@@ -80,7 +81,8 @@ std::optional<double> parse_double(std::string_view text) noexcept {
   if (text.empty()) return std::nullopt;
   double value = 0;
   auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size() || value < 0) {
+  if (ec != std::errc() || ptr != text.data() + text.size() || value < 0 ||
+      !std::isfinite(value)) {
     return std::nullopt;
   }
   return value;

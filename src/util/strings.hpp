@@ -30,7 +30,8 @@ std::string to_lower(std::string_view text);
 /// Parses a non-negative decimal integer; rejects trailing garbage.
 std::optional<long long> parse_int(std::string_view text) noexcept;
 
-/// Parses a non-negative decimal number with optional fraction.
+/// Parses a non-negative, finite decimal number with optional fraction
+/// ("inf" and "nan" are refused).
 std::optional<double> parse_double(std::string_view text) noexcept;
 
 /// Formats a byte count with binary units ("29.3 MB", "1.0 GB").

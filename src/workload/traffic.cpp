@@ -86,6 +86,7 @@ Result<TrafficTrace> TrafficTrace::parse(std::string_view spec) {
     return from_file(std::string(whole.substr(5)));
   }
   TrafficTrace trace;
+  double total_s = 0;
   for (const std::string& raw : util::split(spec, ',')) {
     const std::string_view part = util::trim(raw);
     const std::size_t colon = part.find(':');
@@ -109,12 +110,20 @@ Result<TrafficTrace> TrafficTrace::parse(std::string_view spec) {
         slash != std::string_view::npos) {
       if (kind != "diurnal") return phase_error(part);
       const auto parsed = util::parse_double(tail.substr(slash + 1));
-      if (!parsed || *parsed <= 0) return phase_error(part);
+      if (!parsed || *parsed <= 0 || *parsed > sim::kMaxInputSeconds) {
+        return phase_error(part);
+      }
       period = *parsed;
       tail = tail.substr(0, slash);
     }
     const auto seconds = util::parse_double(tail);
     if (!seconds || *seconds <= 0) return phase_error(part);
+    total_s += *seconds;
+    if (total_s > sim::kMaxInputSeconds) {
+      return Error{"bad traffic phase: '" + std::string(part) +
+                   "' ends past t=" + std::to_string(sim::kMaxInputSeconds) +
+                   "s"};
+    }
 
     if (kind == "const" || kind == "burst") {
       const auto rate = util::parse_double(rest);
@@ -163,7 +172,7 @@ Result<TrafficTrace> TrafficTrace::from_file(const std::string& path) {
     const std::string_view entry = util::trim(line);
     if (entry.empty() || entry.front() == '#') continue;
     const auto offset = util::parse_double(entry);
-    if (!offset || *offset < 0) {
+    if (!offset || *offset > sim::kMaxInputSeconds) {
       return Error{"bad arrival offset '" + std::string(entry) + "' at " +
                    path + ":" + std::to_string(lineno)};
     }

@@ -211,6 +211,18 @@ TEST_F(ChaosTest, DslRoundTripsExactlyOverManySeeds) {
   }
 }
 
+TEST_F(ChaosTest, DslRefusesAHorizonPastTheInputBound) {
+  // A reproducer's last advance becomes its horizon; 1e300 s would overflow
+  // the clock.
+  std::string dsl = render_dsl(generate_scenario(sim::replica_seed(kBase, 0)));
+  const std::size_t at = dsl.rfind("\nadvance ");
+  ASSERT_NE(at, std::string::npos);
+  dsl.replace(at + 1, dsl.find('\n', at + 1) - at - 1, "advance 1e300");
+  const auto parsed = parse_dsl(dsl);
+  ASSERT_FALSE(parsed.ok()) << dsl;
+  EXPECT_NE(parsed.error().message.find("horizon"), std::string::npos);
+}
+
 TEST_F(ChaosTest, RunnerReportsSetupErrorsInsteadOfCrashing) {
   ChaosSpec spec = generate_scenario(sim::replica_seed(kBase, 0));
   ASSERT_FALSE(spec.services.empty());

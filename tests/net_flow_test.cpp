@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -470,6 +471,71 @@ TEST(FlowNetwork, RateChangeNearCompletionTerminates) {
                      [&] { network.set_link_capacity(ab, 37); });
   engine.run();
   EXPECT_TRUE(done);
+}
+
+TEST(FlowNetwork, DrainedFlowCompletionLeavesRatesUnchanged) {
+  // Flow `a` drains at about 32 ms but owes 10 ms of path latency. A
+  // zero-byte flow started at 35 ms reallocates: `a` stops competing and the
+  // others re-share (b1 takes what d1's cap and b2's cap leave). Removing
+  // `a` at its completion must leave every live rate's bits as they were.
+  sim::Engine engine;
+  FlowNetwork network(engine);
+  const NodeId sw = network.add_node("switch");
+  const NodeId a = network.add_node("a");
+  const NodeId b = network.add_node("b");
+  const NodeId c = network.add_node("c");
+  const NodeId d = network.add_node("d");
+  network.add_duplex_link(a, sw, 100, sim::SimTime::milliseconds(10));
+  for (const NodeId node : {b, c, d}) {
+    network.add_duplex_link(node, sw, 100, sim::SimTime::zero());
+  }
+  const auto ignore = [](sim::SimTime) {};
+  std::vector<FlowId> live;
+  const auto rate_bits = [&] {
+    std::vector<std::uint64_t> bits;
+    for (const FlowId id : live) {
+      bits.push_back(std::bit_cast<std::uint64_t>(network.flow_rate_mbps(id)));
+    }
+    return bits;
+  };
+  std::vector<std::uint64_t> before;
+  std::vector<std::uint64_t> after;
+  sim::SimTime a_done;
+  must(network.start_flow(a, c, 125'000, [&](sim::SimTime at) {
+    a_done = at;
+    after = rate_bits();
+  }));
+  live.push_back(must(network.start_flow(b, c, 10'000'000, ignore)));
+  live.push_back(must(network.start_flow(b, c, 10'000'000, ignore, 7.3)));
+  live.push_back(must(network.start_flow(d, c, 10'000'000, ignore, 31.7)));
+  EXPECT_NEAR(network.flow_rate_mbps(live[0]), (100 - 7.3) / 3, 1e-9);
+  engine.schedule_at(sim::SimTime::milliseconds(35), [&] {
+    must(network.start_flow(c, b, 0, ignore));
+  });
+  engine.schedule_at(sim::SimTime::milliseconds(38),
+                     [&] { before = rate_bits(); });
+  engine.run_until(sim::SimTime::milliseconds(60));
+  EXPECT_GT(a_done, sim::SimTime::milliseconds(40));
+  EXPECT_NEAR(network.flow_rate_mbps(live[0]), 100 - 7.3 - 31.7, 1e-9);
+  ASSERT_EQ(before.size(), 3u);
+  EXPECT_EQ(after, before);
+}
+
+TEST(FlowNetwork, TransferPastTheClockNeverCompletes) {
+  // At 1e-300 Mbps a megabyte takes about 8e300 s, past SimTime's range: the
+  // flow keeps its positive rate and never completes, as at rate 0.
+  sim::Engine engine;
+  FlowNetwork network(engine);
+  const NodeId a = network.add_node("a");
+  const NodeId b = network.add_node("b");
+  network.add_duplex_link(a, b, 1e-300, sim::SimTime::zero());
+  bool fired = false;
+  const FlowId flow = must(
+      network.start_flow(a, b, 1'000'000, [&](sim::SimTime) { fired = true; }));
+  EXPECT_GT(network.flow_rate_mbps(flow), 0.0);
+  engine.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(network.active_flows(), 1u);
 }
 
 TEST(FlowNetwork, NodeNamesAndCounts) {

@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "core/config_file.hpp"
@@ -141,11 +142,66 @@ TEST_P(FlowFairnessProperty, EqualFlowsGetEqualRates) {
   }
 }
 
-// Drives a seeded world through every public entry point of the network and
-// folds into one digest the bit pattern of each live flow's rate after every
-// operation and every completion (flow and time). The values are pinned, so
-// a change to the allocator or the router that moves any rate in its last
-// bit, or any completion by a nanosecond, fails here.
+// Folds into one digest the bit pattern of each live flow's rate after
+// every operation and every completion (flow and time). The digests below
+// are pinned, so a change to the allocator or the router that moves any rate
+// in its last bit, or any completion by a nanosecond, fails them.
+struct RateDigest {
+  explicit RateDigest(net::FlowNetwork& under_test) : network(under_test) {}
+
+  net::FlowNetwork& network;
+  std::uint64_t digest = util::kFnvBasis;
+  std::vector<net::FlowId> started;  // every flow, in start order
+  std::vector<std::size_t> live;     // indices into started, in start order
+  std::size_t completions = 0;
+  std::size_t peak_live = 0;
+
+  void fold_rates() {
+    peak_live = std::max(peak_live, live.size());
+    for (const std::size_t i : live) {
+      digest = util::fnv1a_word(
+          digest, std::bit_cast<std::uint64_t>(network.flow_rate_mbps(started[i])));
+    }
+  }
+  void forget(std::size_t index) {
+    live.erase(std::find(live.begin(), live.end(), index));
+  }
+  // Starts a flow whose completion folds its id and time, runs `then`, and
+  // folds the rates.
+  void start(net::NodeId src, net::NodeId dst, std::int64_t bytes, double cap,
+             std::span<const net::LinkId> extra, std::function<void()> then) {
+    const std::size_t index = started.size();
+    started.emplace_back();
+    live.push_back(index);
+    started[index] = must(network.start_flow(
+        src, dst, bytes,
+        [this, index, then = std::move(then)](sim::SimTime at) {
+          ++completions;
+          digest = util::fnv1a_word(digest, started[index].value);
+          digest = util::fnv1a_word(digest, static_cast<std::uint64_t>(at.ns()));
+          forget(index);
+          if (then) then();
+          fold_rates();
+        },
+        cap, extra));
+  }
+  // Cancels the live flow at position `position` of `live`.
+  void cancel(std::size_t position) {
+    const std::size_t index = live[position];
+    EXPECT_TRUE(network.cancel_flow(started[index]));
+    forget(index);
+  }
+  void expect_drained_to(const std::map<std::uint64_t, std::uint64_t>& pinned,
+                         std::uint64_t seed) const {
+    EXPECT_TRUE(live.empty());
+    EXPECT_EQ(network.active_flows(), 0u);
+    EXPECT_EQ(digest, pinned.at(seed))
+        << "digest 0x" << std::hex << digest << " after " << std::dec
+        << completions << " completions, at most " << peak_live << " live";
+  }
+};
+
+// Drives a seeded world through every public entry point of the network.
 TEST_P(FlowFairnessProperty, CompletionAndRateDigestIsPinned) {
   sim::Rng rng(GetParam());
   sim::Engine engine;
@@ -198,24 +254,8 @@ TEST_P(FlowFairnessProperty, CompletionAndRateDigestIsPinned) {
     shapers.push_back(network.add_virtual_link(rng.uniform(5, 40)));
   }
 
-  std::uint64_t digest = util::kFnvBasis;
-  std::vector<net::FlowId> started;  // every flow, in start order
-  std::vector<std::size_t> live;     // indices into started, in start order
-  std::size_t completions = 0;
-  std::size_t peak_live = 0;
-  const auto fold_rates = [&] {
-    peak_live = std::max(peak_live, live.size());
-    for (const std::size_t i : live) {
-      digest = util::fnv1a_word(
-          digest, std::bit_cast<std::uint64_t>(network.flow_rate_mbps(started[i])));
-    }
-  };
-  const auto forget = [&live](std::size_t index) {
-    live.erase(std::find(live.begin(), live.end(), index));
-  };
-
-  // A completion folds its flow and time and may start a follow-up flow,
-  // up to `chain` generations deep.
+  RateDigest world(network);
+  // A completion may start a follow-up flow, up to `chain` generations deep.
   std::function<void(int)> start = [&](int chain) {
     const net::NodeId src = endpoints[pick(endpoints.size())];
     const net::NodeId dst =
@@ -228,20 +268,9 @@ TEST_P(FlowFairnessProperty, CompletionAndRateDigestIsPinned) {
       extra.push_back(shapers[pick(shapers.size())]);
       if (rng.bernoulli(0.1)) extra.push_back(extra.front());  // counts twice
     }
-    const std::size_t index = started.size();
-    started.emplace_back();
-    live.push_back(index);
-    started[index] = must(network.start_flow(
-        src, dst, bytes,
-        [&, index, chain](sim::SimTime at) {
-          ++completions;
-          digest = util::fnv1a_word(digest, started[index].value);
-          digest = util::fnv1a_word(digest, static_cast<std::uint64_t>(at.ns()));
-          forget(index);
-          if (chain > 0 && rng.bernoulli(0.5)) start(chain - 1);
-          fold_rates();
-        },
-        cap, extra));
+    world.start(src, dst, bytes, cap, extra, [&, chain] {
+      if (chain > 0 && rng.bernoulli(0.5)) start(chain - 1);
+    });
   };
 
   for (int step = 0; step < 240; ++step) {
@@ -255,28 +284,97 @@ TEST_P(FlowFairnessProperty, CompletionAndRateDigestIsPinned) {
     } else if (op < 0.6) {
       network.set_link_capacity(net::LinkId{pick(network.link_count())},
                                 rng.bernoulli(0.3) ? 100 : rng.uniform(5, 200));
-    } else if (op < 0.7 && !live.empty()) {
-      const std::size_t index = live[pick(live.size())];
-      EXPECT_TRUE(network.cancel_flow(started[index]));
-      forget(index);
+    } else if (op < 0.7 && !world.live.empty()) {
+      world.cancel(pick(world.live.size()));
     } else {
       engine.run_until(engine.now() +
                        sim::SimTime::milliseconds(rng.uniform_int(1, 40)));
     }
-    fold_rates();
+    world.fold_rates();
   }
   engine.run();
-  EXPECT_TRUE(live.empty());
-  EXPECT_EQ(network.active_flows(), 0u);
-  EXPECT_GT(completions, 100u);
-  EXPECT_GT(peak_live, 20u);
+  EXPECT_GT(world.completions, 100u);
+  EXPECT_GT(world.peak_live, 20u);
+  world.expect_drained_to({{7, 0xab6f8e61d87d7aa1},
+                           {8, 0xa70104eba4394e80},
+                           {9, 0x56d37e590af72a39},
+                           {10, 0x176c02d4a9d53389}},
+                          GetParam());
+}
 
-  const std::map<std::uint64_t, std::uint64_t> pinned = {
-      {7, 0xab6f8e61d87d7aa1}, {8, 0xa70104eba4394e80},
-      {9, 0x56d37e590af72a39}, {10, 0x176c02d4a9d53389}};
-  EXPECT_EQ(digest, pinned.at(GetParam()))
-      << "digest 0x" << std::hex << digest << " after " << std::dec
-      << completions << " completions, at most " << peak_live << " live";
+// The same digest under bursts: a few hundred flows at once from four
+// servers into one client, on eight routes (each server's path and shaper,
+// with or without that server's cap; one server lists its shaper twice). The
+// client's downlink carries routes that freeze at different rates, so its
+// residual subtracts mixed rates in flow order. Zero-hop and zero-byte
+// flows, cancels and capacity changes ride along.
+TEST_P(FlowFairnessProperty, BurstCompletionAndRateDigestIsPinned) {
+  sim::Rng rng(GetParam());
+  sim::Engine engine;
+  net::FlowNetwork network(engine);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto sw = network.add_node("sw");
+  const auto client = network.add_node("client");
+  std::vector<net::LinkId> links{
+      network.add_duplex_link(sw, client, 100, sim::SimTime::microseconds(100))
+          .first};
+  std::vector<net::NodeId> servers;
+  std::vector<net::LinkId> shapers;
+  std::vector<double> caps;
+  for (int s = 0; s < 4; ++s) {
+    servers.push_back(network.add_node("s" + std::to_string(s)));
+    links.push_back(network
+                        .add_duplex_link(servers.back(), sw, 100,
+                                         sim::SimTime::microseconds(
+                                             rng.uniform_int(20, 200)))
+                        .first);
+    shapers.push_back(network.add_virtual_link(rng.uniform(10, 60)));
+    links.push_back(shapers.back());
+    caps.push_back(rng.uniform(0.1, 1));
+  }
+
+  RateDigest world(network);
+  for (int step = 0; step < 100; ++step) {
+    const double op = rng.uniform();
+    if (op < 0.3) {
+      for (auto n = rng.uniform_int(10, 25); n > 0; --n) {
+        const std::size_t s = pick(servers.size());
+        std::vector<net::LinkId> extra{shapers[s]};
+        if (s == 0) extra.push_back(shapers[s]);  // counts twice
+        const std::int64_t bytes =
+            rng.bernoulli(0.05) ? 0 : rng.uniform_int(20'000, 300'000);
+        world.start(servers[s], client, bytes,
+                    rng.bernoulli(0.4) ? caps[s] : net::kUncapped, extra, {});
+      }
+    } else if (op < 0.4) {
+      // Zero hops: crossing no link at all, or only a shaper.
+      std::vector<net::LinkId> extra;
+      if (rng.bernoulli(0.5)) extra.push_back(shapers[pick(shapers.size())]);
+      world.start(client, client, rng.uniform_int(0, 200'000), net::kUncapped,
+                  extra, {});
+    } else if (op < 0.55) {
+      network.set_link_capacity(links[pick(links.size())],
+                                rng.uniform(10, 150));
+    } else if (op < 0.7 && !world.live.empty()) {
+      for (auto n = rng.uniform_int(1, 8); n > 0 && !world.live.empty(); --n) {
+        world.cancel(pick(world.live.size()));
+      }
+    } else {
+      engine.run_until(engine.now() +
+                       sim::SimTime::milliseconds(rng.uniform_int(5, 250)));
+    }
+    world.fold_rates();
+  }
+  engine.run();
+  EXPECT_GE(world.peak_live, 150u);
+  world.expect_drained_to({{7, 0xb6645418c6a91792},
+                           {8, 0xd2c8fb5b75580e46},
+                           {9, 0x4edb316383d47d39},
+                           {10, 0x061f803918a7371b}},
+                          GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowFairnessProperty,

@@ -329,6 +329,18 @@ expect-error switch-policy web-content random speed=9
   EXPECT_TRUE(scenario.run().ok());
 }
 
+TEST(ScenarioRun, AdvanceStopsAtTheInputBound) {
+  // The clock may not pass 1e9 s: a longer advance would overflow SimTime.
+  const auto scenario = must(Scenario::parse(with_base(R"(
+expect-error advance 1e10
+expect-error advance inf
+expect-error advance nan
+advance 1
+expect-error advance 999999999.5
+)")));
+  EXPECT_TRUE(scenario.run().ok());
+}
+
 TEST(ScenarioRun, CrashUnknownNodeFails) {
   const auto scenario = must(Scenario::parse(with_base(R"(
 create web-content web n=1

@@ -68,6 +68,13 @@ TEST(TrafficTrace, RejectsMalformedSpecs) {
   EXPECT_FALSE(TrafficTrace::parse("const:0x5").ok());       // zero rate
   EXPECT_FALSE(TrafficTrace::parse("const:100x5/2").ok());   // period on const
   EXPECT_FALSE(TrafficTrace::parse("diurnal:100~200x5").ok());  // amp > base
+  // Seconds past the input bound (1e9 s in all); a stream reserves twice
+  // its trace's duration on the clock.
+  EXPECT_FALSE(TrafficTrace::parse("const:10x1e300").ok());
+  EXPECT_FALSE(TrafficTrace::parse("const:10xinf").ok());
+  EXPECT_FALSE(TrafficTrace::parse("const:10x6e8,burst:20x6e8").ok());
+  EXPECT_FALSE(TrafficTrace::parse("diurnal:10~5x1/1e300").ok());
+  EXPECT_TRUE(TrafficTrace::parse("const:10x6e8,burst:20x4e8").ok());
 }
 
 // ---------- LogHistogram ----------
@@ -531,6 +538,10 @@ TEST(TrafficTrace, RejectsMalformedTraceFiles) {
       TrafficTrace::from_file(write_temp("junk.trace", "0.1\npotato\n"));
   ASSERT_FALSE(junk.ok());
   EXPECT_NE(junk.error().message.find(":2"), std::string::npos);
+  const auto far =
+      TrafficTrace::from_file(write_temp("far.trace", "0.5\n1e300\n"));
+  ASSERT_FALSE(far.ok());
+  EXPECT_NE(far.error().message.find(":2"), std::string::npos);
   EXPECT_FALSE(
       TrafficTrace::from_file(write_temp("empty.trace", "# comments\n\n"))
           .ok());

@@ -85,6 +85,8 @@ TEST(ParseDouble, RejectsNegativeAndGarbage) {
   EXPECT_FALSE(parse_double("-1").has_value());
   EXPECT_FALSE(parse_double("abc").has_value());
   EXPECT_FALSE(parse_double("").has_value());
+  EXPECT_FALSE(parse_double("inf").has_value());
+  EXPECT_FALSE(parse_double("nan").has_value());
 }
 
 TEST(FormatBytes, PicksUnit) {
