@@ -7,8 +7,9 @@
 // After the google-benchmark pass, main() hand-times the event queue's
 // schedule/pop and cancel churn, fleet-size flow-network reallocations (a
 // capacity flip over 64 routes, and a flow's start and cancel among 200 on
-// 8 routes), and a fleet-size chunk peer choice (by the requester's registry
-// slot, as the distributor locates, and by name) and holder report-and-drop
+// 8 routes), short flows started and completed through the engine on 6
+// shared routes, and a fleet-size chunk peer choice (by the requester's
+// registry slot, as the distributor locates) and holder report-and-drop
 // pair (with allocation counts from alloc_counter.cpp) and records the
 // results in BENCH_sim_core.json via BenchReport.
 #include <benchmark/benchmark.h>
@@ -292,6 +293,67 @@ void write_sim_core_report() {
                   {{"ns_per_reallocation", cpu * 1e9 / kReallocations},
                    {"allocs_per_reallocation",
                     static_cast<double>(allocs) / kReallocations},
+                   {"cores", static_cast<double>(
+                                 std::thread::hardware_concurrency())}});
+  }
+
+  // The completion path, shaped like tenant traffic: 42 short flows in
+  // flight on 6 routes (a guest's bridge, its host's uplink and the guest's
+  // shaper, into one client), 7 per route. Each completion starts the next
+  // flow on its route, through Engine::run, until a budget of flows is
+  // spent: every flow starts, settles, drains, waits out its latency and
+  // completes.
+  {
+    struct Churn {
+      sim::Engine engine;
+      net::FlowNetwork network{engine};
+      net::NodeId client;
+      std::vector<net::NodeId> guests;
+      std::vector<net::LinkId> shapers;
+      std::int64_t budget = 0;
+      std::int64_t started = 0;
+
+      Churn() {
+        const auto sw = network.add_node("sw");
+        client = network.add_node("client");
+        network.add_duplex_link(client, sw, 100, sim::SimTime::microseconds(100));
+        for (int r = 0; r < 6; ++r) {
+          const auto host = network.add_node("host");
+          network.add_duplex_link(host, sw, 100, sim::SimTime::microseconds(100));
+          guests.push_back(network.add_node("guest"));
+          network.add_duplex_link(guests.back(), host, 50,
+                                  sim::SimTime::microseconds(10));
+          shapers.push_back(network.add_virtual_link(10 + 5 * r));
+        }
+      }
+      void start(std::size_t r) {
+        if (started == budget) return;
+        const std::int64_t bytes = 2'048 + started++ % 29 * 1'024;
+        must(network.start_flow(guests[r], client, bytes,
+                                [this, r](sim::SimTime) { start(r); },
+                                net::kUncapped, {&shapers[r], 1}));
+      }
+      // Each run starts the same flows in the same order.
+      void run(std::int64_t flows) {
+        budget = flows;
+        started = 0;
+        for (int k = 0; k < 7; ++k) {
+          for (std::size_t r = 0; r < guests.size(); ++r) start(r);
+        }
+        engine.run();
+      }
+    };
+    constexpr std::int64_t kFlows = 100'000;
+    Churn churn;
+    churn.run(kFlows);  // warm-up: the measured run repeats it
+    const std::uint64_t allocs_before = bench::allocation_count();
+    const double start = cpu_seconds();
+    churn.run(kFlows);
+    const double cpu = cpu_seconds() - start;
+    const std::uint64_t allocs = bench::allocation_count() - allocs_before;
+    report.record("flow_churn_r6_f42",
+                  {{"ns_per_flow", cpu * 1e9 / kFlows},
+                   {"allocs_per_flow", static_cast<double>(allocs) / kFlows},
                    {"cores", static_cast<double>(
                                  std::thread::hardware_concurrency())}});
   }

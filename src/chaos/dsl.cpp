@@ -32,7 +32,10 @@ std::string render_phase(const workload::TrafficPhase& phase) {
     case Shape::kDiurnal: {
       std::string spec = "diurnal:" + num(phase.rate) + "~" +
                          num(phase.amplitude) + "x" + seconds;
-      if (phase.period_s != phase.seconds) spec += "/" + num(phase.period_s);
+      if (phase.period_s != phase.seconds) {
+        spec += '/';
+        spec += num(phase.period_s);
+      }
       return spec;
     }
   }
@@ -45,8 +48,11 @@ Result<std::uint64_t> option_u64(const std::string& arg,
     return Error{"expected option " + std::string(prefix) + "N, got '" + arg +
                  "'"};
   }
+  // 2^64 and above do not convert to std::uint64_t.
   const auto value = util::parse_double(arg.substr(prefix.size()));
-  if (!value || *value < 0) return Error{"bad option '" + arg + "'"};
+  if (!value || *value < 0 || *value >= 0x1p64) {
+    return Error{"bad option '" + arg + "'"};
+  }
   return static_cast<std::uint64_t>(*value);
 }
 

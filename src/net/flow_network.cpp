@@ -50,7 +50,8 @@ void FlowNetwork::set_link_capacity(LinkId link, double capacity_mbps) {
   SODA_EXPECTS(capacity_mbps > 0);
   settle_progress();
   links_[link.value].capacity_bps = mbps_to_bytes_per_sec(capacity_mbps);
-  reallocate_and_schedule(true);
+  shares_stale_ = true;
+  reallocate_and_schedule();
 }
 
 double FlowNetwork::link_capacity_mbps(LinkId link) const {
@@ -183,118 +184,202 @@ Result<FlowId> FlowNetwork::start_flow(NodeId src, NodeId dst,
   }
 
   settle_progress();
-  Flow flow;
-  flow.id = FlowId{next_flow_id_++};
-  flow.route = intern_route(std::isinf(rate_cap_mbps)
-                                ? std::numeric_limits<double>::infinity()
-                                : mbps_to_bytes_per_sec(rate_cap_mbps));
-  flow.total_bytes = bytes;
-  flow.remaining_bytes = static_cast<double>(bytes);
-  flow.latency = latency;
-  flow.on_complete = std::move(on_complete);
-  const FlowId id = flow.id;
-  flows_.push_back(std::move(flow));
-  reallocate_and_schedule(false);
+  const FlowId id{next_flow_id_++};
+  std::size_t slot = slots_.size();
+  if (free_slots_.empty()) {
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].id = id;
+  slots_[slot].total_bytes = bytes;
+  slots_[slot].on_complete = std::move(on_complete);
+  const auto left = static_cast<double>(bytes);
+  if (left > kEpsilonBytes && !path_.empty()) {
+    const std::size_t r =
+        intern_route(std::isinf(rate_cap_mbps)
+                         ? std::numeric_limits<double>::infinity()
+                         : mbps_to_bytes_per_sec(rate_cap_mbps),
+                     latency);
+    Route& route = routes_[r];
+    route.left.push_back(left);
+    route.members.push_back({id.value, slot});
+    route.min_left = std::min(route.min_left, left);
+    slots_[slot].route = r;
+    shares_stale_ = true;
+  } else {
+    // Zero bytes, or no link to cross: the flow only owes its latency.
+    slots_[slot].route = kNoRoute;
+    waiting_.push_back({id.value, slot, sim::SimTime::max(), latency});
+  }
+  reallocate_and_schedule();
   return id;
 }
 
-std::size_t FlowNetwork::intern_route(double cap_bps) {
+std::size_t FlowNetwork::intern_route(double cap_bps, sim::SimTime latency) {
   const auto cap_bits = std::bit_cast<std::uint64_t>(cap_bps);
-  std::size_t free = routes_.size();
-  for (std::size_t r = 0; r < routes_.size(); ++r) {
-    Route& route = routes_[r];
-    if (route.users == 0) {
-      free = std::min(free, r);
-    } else if (std::bit_cast<std::uint64_t>(route.cap_bps) == cap_bits &&
-               route.path == path_) {
-      ++route.users;
+  for (const std::size_t r : live_routes_) {
+    const Route& route = routes_[r];
+    if (std::bit_cast<std::uint64_t>(route.cap_bps) == cap_bits &&
+        route.latency == latency && route.path == path_) {
       return r;
     }
   }
-  if (free == routes_.size()) routes_.emplace_back();
-  Route& route = routes_[free];
+  std::size_t r = routes_.size();
+  if (free_routes_.empty()) {
+    routes_.emplace_back();
+  } else {
+    r = free_routes_.back();
+    free_routes_.pop_back();
+  }
+  Route& route = routes_[r];
   route.path.assign(path_.begin(), path_.end());
   route.cap_bps = cap_bps;
-  route.users = 1;
-  return free;
+  route.latency = latency;
+  route.min_left = std::numeric_limits<double>::infinity();
+  live_routes_.push_back(r);
+  return r;
 }
 
-bool FlowNetwork::competes(const Flow& flow) const {
-  return flow.remaining_bytes > kEpsilonBytes &&
-         !routes_[flow.route].path.empty();
+void FlowNetwork::free_route(std::size_t at) {
+  free_routes_.push_back(live_routes_[at]);
+  live_routes_[at] = live_routes_.back();
+  live_routes_.pop_back();
+}
+
+std::size_t FlowNetwork::find_slot(FlowId flow) const {
+  if (!flow.valid()) return kNoSlot;
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    if (slots_[s].id == flow) return s;
+  }
+  return kNoSlot;
+}
+
+void FlowNetwork::free_slot(std::size_t slot) {
+  slots_[slot].id = FlowId{};
+  slots_[slot].on_complete = nullptr;
+  free_slots_.push_back(slot);
+}
+
+void FlowNetwork::wait(const Waiting& flow) {
+  // Flows drain out of flow order. The list is short, so a scan from the
+  // back finds the place.
+  auto at = waiting_.end();
+  while (at != waiting_.begin() && (at - 1)->id > flow.id) --at;
+  waiting_.insert(at, flow);
 }
 
 bool FlowNetwork::cancel_flow(FlowId flow) {
-  auto it = std::find_if(flows_.begin(), flows_.end(),
-                         [&](const Flow& f) { return f.id == flow; });
-  if (it == flows_.end()) return false;
-  settle_progress();
-  const bool competing = it->competing;
-  release_route(it->route);
-  flows_.erase(it);
-  reallocate_and_schedule(competing);
+  const std::size_t slot = find_slot(flow);
+  if (slot == kNoSlot) return false;
+  settle_progress();  // may move the flow to the waiting list
+  const std::size_t r = slots_[slot].route;
+  if (r == kNoRoute) {
+    waiting_.erase(std::find_if(waiting_.begin(), waiting_.end(),
+                                [&](const Waiting& w) { return w.slot == slot; }));
+  } else {
+    Route& route = routes_[r];
+    const auto at = std::find_if(route.members.begin(), route.members.end(),
+                                 [&](const Member& m) { return m.slot == slot; }) -
+                    route.members.begin();
+    route.members.erase(route.members.begin() + at);
+    route.left.erase(route.left.begin() + at);
+    route.min_left = std::numeric_limits<double>::infinity();
+    for (const double left : route.left) {
+      route.min_left = std::min(route.min_left, left);
+    }
+    if (route.members.empty()) {
+      free_route(static_cast<std::size_t>(
+          std::find(live_routes_.begin(), live_routes_.end(), r) -
+          live_routes_.begin()));
+    }
+    shares_stale_ = true;
+  }
+  free_slot(slot);
+  reallocate_and_schedule();
   return true;
 }
 
 double FlowNetwork::flow_rate_mbps(FlowId flow) const {
-  auto it = std::find_if(flows_.begin(), flows_.end(),
-                         [&](const Flow& f) { return f.id == flow; });
-  return it == flows_.end() ? 0.0 : bytes_per_sec_to_mbps(it->rate_bps);
+  const std::size_t slot = find_slot(flow);
+  if (slot == kNoSlot || slots_[slot].route == kNoRoute) return 0.0;
+  return bytes_per_sec_to_mbps(routes_[slots_[slot].route].rate_bps);
+}
+
+sim::SimTime FlowNetwork::project(sim::SimTime at, double bytes,
+                                  const Route& route) {
+  // The transfer time is floored at 1 ns: SimTime truncates to integer
+  // nanoseconds, and a zero-length step would fire the completion event at
+  // the same timestamp without draining any bytes — forever. A transfer
+  // that would end past the clock's range never completes, as at rate 0.
+  // The result never decreases as `bytes` grows.
+  if (!(route.rate_bps > 0)) return sim::SimTime::max();
+  const double seconds = bytes / route.rate_bps;
+  const auto room =
+      static_cast<double>((sim::SimTime::max() - at - route.latency).ns());
+  if (!(seconds * 1e9 < room)) return sim::SimTime::max();
+  return at +
+         std::max(sim::SimTime::nanoseconds(1), sim::SimTime::seconds(seconds)) +
+         route.latency;
 }
 
 void FlowNetwork::settle_progress() {
   const sim::SimTime now = engine_.now();
   const double dt = (now - last_settle_).to_seconds();
   if (dt > 0) {
-    for (Flow& flow : flows_) {
-      flow.remaining_bytes =
-          std::max(0.0, flow.remaining_bytes - flow.rate_bps * dt);
+    // Backwards, so that freeing a route moves one already settled.
+    for (std::size_t at = live_routes_.size(); at-- > 0;) {
+      Route& route = routes_[live_routes_[at]];
+      const double sent = route.rate_bps * dt;
+      double min_left = std::numeric_limits<double>::infinity();
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < route.left.size(); ++i) {
+        const double before = route.left[i];
+        const double after = std::max(0.0, before - sent);
+        if (after > kEpsilonBytes) {
+          route.left[kept] = after;
+          route.members[kept] = route.members[i];
+          ++kept;
+          min_left = std::min(min_left, after);
+        } else {
+          // Drained: it keeps the completion projected for it at the last
+          // settle, from the bytes it had then. Without one (at rate 0 or
+          // past the clock) it is pinned after this call's done scan.
+          const Member member = route.members[i];
+          slots_[member.slot].route = kNoRoute;
+          wait({member.id, member.slot, project(last_settle_, before, route),
+                route.latency});
+        }
+      }
+      if (kept != route.left.size()) {
+        route.left.resize(kept);
+        route.members.resize(kept);
+        shares_stale_ = true;
+        if (kept == 0) free_route(at);
+      }
+      route.min_left = min_left;
     }
   }
   last_settle_ = now;
 }
 
-void FlowNetwork::reallocate_and_schedule(bool shares_stale) {
+void FlowNetwork::reallocate_and_schedule() {
   const sim::SimTime now = engine_.now();
-  // Drained flows (and flows crossing no link, which see no constraint) no
-  // longer compete for bandwidth; they only wait out their path latency.
-  // ready_at is pinned the first time a flow drains and never moves again.
-  // A flow that starts or stops competing makes the shares stale.
-  for (Flow& flow : flows_) {
-    const bool competing = competes(flow);
-    shares_stale = shares_stale || competing != flow.competing;
-    flow.competing = competing;
-    if (!competing) {
-      flow.rate_bps = 0;
-      if (flow.ready_at == sim::SimTime::max()) flow.ready_at = now + flow.latency;
-    }
+  // A waiting flow's ready_at is pinned once and never moves again.
+  sim::SimTime earliest = sim::SimTime::max();
+  for (Waiting& flow : waiting_) {
+    if (flow.ready_at == sim::SimTime::max()) flow.ready_at = now + flow.latency;
+    earliest = std::min(earliest, flow.ready_at);
   }
   // The filling is a function of the competing flows in order, their routes
   // and the link capacities. While none of those changed, the rates the last
   // filling left stand, bit for bit.
-  if (shares_stale) fill();
-
-  // Project completion times for still-transmitting flows. The projected
-  // transfer time is floored at 1 ns: SimTime truncates to integer
-  // nanoseconds, and a zero-length step would fire the completion event at
-  // the same timestamp without draining any bytes — forever. A transfer
-  // that would end past the clock's range never completes, as at rate 0.
-  sim::SimTime earliest = sim::SimTime::max();
-  for (Flow& flow : flows_) {
-    if (flow.competing) {
-      flow.ready_at = sim::SimTime::max();
-      if (flow.rate_bps > 0) {
-        const double seconds = flow.remaining_bytes / flow.rate_bps;
-        const auto room =
-            static_cast<double>((sim::SimTime::max() - now - flow.latency).ns());
-        if (seconds * 1e9 < room) {
-          const sim::SimTime transfer = std::max(
-              sim::SimTime::nanoseconds(1), sim::SimTime::seconds(seconds));
-          flow.ready_at = now + transfer + flow.latency;
-        }
-      }
-    }
-    earliest = std::min(earliest, flow.ready_at);
+  if (shares_stale_) fill();
+  shares_stale_ = false;
+  for (const std::size_t r : live_routes_) {
+    const Route& route = routes_[r];
+    earliest = std::min(earliest, project(now, route.min_left, route));
   }
 
   // --- Schedule the earliest completion. ---
@@ -310,29 +395,20 @@ void FlowNetwork::reallocate_and_schedule(bool shares_stale) {
 }
 
 void FlowNetwork::fill() {
-  // Routes in the order of their first competing flow, each listing its
-  // competing flows in flow order.
-  active_.clear();
   capped_.clear();
-  for (std::size_t f = 0; f < flows_.size(); ++f) {
-    if (!flows_[f].competing) continue;
-    const std::size_t r = flows_[f].route;
+  for (const std::size_t r : live_routes_) {
     Route& route = routes_[r];
-    if (route.members.empty()) {
-      active_.push_back(r);
-      route.frozen = false;
-      if (std::isfinite(route.cap_bps)) capped_.push_back(r);
-    }
-    route.members.push_back(f);
+    route.frozen = false;
+    if (std::isfinite(route.cap_bps)) capped_.push_back(r);
   }
 
-  // Only the links the competing routes cross take part: a drained flow's
-  // rate is +0.0, and x - 0.0 == x, so leaving it out of the residuals
-  // changes no bit. A route's flows count towards a link's demand once per
-  // time its path lists the link.
+  // Only the links the live routes cross take part: a flow that does not
+  // compete would carry +0.0, and x - 0.0 == x, so leaving it out of the
+  // residuals changes no bit. A route's flows count towards a link's demand
+  // once per time its path lists the link.
   in_use_index_.resize(links_.size(), kNotInUse);
   std::size_t links_in_use = 0;
-  for (const std::size_t r : active_) {
+  for (const std::size_t r : live_routes_) {
     const Route& route = routes_[r];
     for (const std::size_t l : route.path) {
       std::size_t& index = in_use_index_[l];
@@ -351,12 +427,18 @@ void FlowNetwork::fill() {
       used.routes.push_back(r);
     }
   }
+  const auto share = [](const LinkInUse& used) {
+    return std::max(0.0, used.residual) / static_cast<double>(used.demand);
+  };
+  for (std::size_t u = 0; u < links_in_use; ++u) in_use_[u].share = share(in_use_[u]);
 
   // --- Max-min fair allocation with per-flow caps (progressive filling). ---
   // The flows of one route freeze together at one rate, so each round
-  // freezes routes. A link's residual is rebuilt only when a route crossing
-  // it froze in the previous round.
-  std::size_t unfrozen = active_.size();
+  // freezes routes. Only a link that a route frozen in the previous round
+  // crosses has a new residual and demand, so only its share is recomputed.
+  // The order of the live routes decides nothing: each round takes minima,
+  // freezes a set of routes, and a residual subtracts in flow order.
+  std::size_t unfrozen = live_routes_.size();
   while (unfrozen > 0) {
     // Fair share offered by the tightest link crossed by any unfrozen flow.
     double bottleneck_share = std::numeric_limits<double>::infinity();
@@ -365,10 +447,9 @@ void FlowNetwork::fill() {
       if (used.demand == 0) continue;
       if (used.stale) {
         used.residual = residual(used);
+        used.share = share(used);
         used.stale = false;
       }
-      used.share =
-          std::max(0.0, used.residual) / static_cast<double>(used.demand);
       bottleneck_share = std::min(bottleneck_share, used.share);
     }
     SODA_ENSURES(std::isfinite(bottleneck_share));  // every unfrozen flow has links
@@ -419,11 +500,6 @@ void FlowNetwork::fill() {
   for (std::size_t u = 0; u < links_in_use; ++u) {
     in_use_index_[in_use_[u].link] = kNotInUse;
   }
-  for (const std::size_t r : active_) {
-    Route& route = routes_[r];
-    for (const std::size_t f : route.members) flows_[f].rate_bps = route.rate_bps;
-    route.members.clear();
-  }
 }
 
 double FlowNetwork::residual(const LinkInUse& used) {
@@ -431,7 +507,7 @@ double FlowNetwork::residual(const LinkInUse& used) {
   // flow order: the order fixes the residual's last bit, and so every rate's.
   // When every frozen route crossing the link has the same rate, any order
   // subtracts the same values, so that one subtraction repeats; otherwise
-  // the routes' member lists merge by flow index.
+  // the routes' member lists merge by flow id.
   double residual = links_[used.link].capacity_bps;
   merge_.clear();
   bool one_rate = true;
@@ -453,8 +529,9 @@ double FlowNetwork::residual(const LinkInUse& used) {
   }
   while (!merge_.empty()) {
     const auto first = std::min_element(
-        merge_.begin(), merge_.end(),
-        [](const MergeCursor& a, const MergeCursor& b) { return *a.next < *b.next; });
+        merge_.begin(), merge_.end(), [](const MergeCursor& a, const MergeCursor& b) {
+          return a.next->id < b.next->id;
+        });
     residual -= first->rate_bps;
     if (++first->next == first->end) {
       *first = merge_.back();
@@ -468,29 +545,24 @@ void FlowNetwork::on_completion_event() {
   event_scheduled_ = false;
   settle_progress();
   const sim::SimTime now = engine_.now();
-  // Collect finished flows first: completion callbacks may start new flows,
-  // which mutates flows_. A flow is finished when its bytes have drained AND
-  // its pinned latency deadline has passed. Flows that drained exactly now
-  // still owe their latency; reallocate pins their ready_at below. One
-  // compaction pass keeps the survivors in order. Removing a flow that
-  // competed in the last filling makes the shares stale.
-  std::vector<Flow> done = std::move(done_);
-  bool shares_stale = false;
+  // Collect finished flows first, in flow order: completion callbacks may
+  // start new flows. A flow is finished when its bytes have drained AND its
+  // pinned latency deadline has passed; one that drained at this settle
+  // without a projected completion is pinned after this scan.
+  std::vector<Slot> done = std::move(done_);
   std::size_t kept = 0;
-  for (std::size_t f = 0; f < flows_.size(); ++f) {
-    Flow& flow = flows_[f];
-    if (!competes(flow) && flow.ready_at <= now) {
-      shares_stale = shares_stale || flow.competing;
-      release_route(flow.route);
-      done.push_back(std::move(flow));
+  for (std::size_t w = 0; w < waiting_.size(); ++w) {
+    const Waiting flow = waiting_[w];
+    if (flow.ready_at <= now) {
+      done.push_back(std::move(slots_[flow.slot]));
+      free_slot(flow.slot);
     } else {
-      if (f != kept) flows_[kept] = std::move(flow);
-      ++kept;
+      waiting_[kept++] = flow;
     }
   }
-  flows_.resize(kept);
-  reallocate_and_schedule(shares_stale);
-  for (Flow& flow : done) {
+  waiting_.resize(kept);
+  reallocate_and_schedule();
+  for (Slot& flow : done) {
     bytes_delivered_ += flow.total_bytes;
     flow.on_complete(now);
   }
@@ -500,7 +572,7 @@ void FlowNetwork::on_completion_event() {
 
 template <class Ar>
 void FlowNetwork::serialize(Ar& ar) {
-  SODA_EXPECTS(flows_.empty());  // quiesce before checkpointing
+  SODA_EXPECTS(active_flows() == 0);  // quiesce before checkpointing
   ar.begin_section("flow_network");
   ar.seq(nodes_, [&ar](auto& name) { ar.str(name); });
   ar.seq(links_, [&](auto& link) {

@@ -95,11 +95,14 @@ class FlowNetwork {
   /// the flow already completed or was already cancelled.
   bool cancel_flow(FlowId flow);
 
-  /// The flow's currently allocated rate in Mbps; 0 for unknown flows.
+  /// The flow's currently allocated rate in Mbps; 0 for unknown flows and for
+  /// flows that no longer compete (drained, zero bytes, or no link).
   [[nodiscard]] double flow_rate_mbps(FlowId flow) const;
 
   /// Number of in-progress flows.
-  [[nodiscard]] std::size_t active_flows() const noexcept { return flows_.size(); }
+  [[nodiscard]] std::size_t active_flows() const noexcept {
+    return slots_.size() - free_slots_.size();
+  }
 
   /// Total bytes delivered by completed flows since construction.
   [[nodiscard]] std::int64_t bytes_delivered() const noexcept { return bytes_delivered_; }
@@ -122,34 +125,47 @@ class FlowNetwork {
     double capacity_bps = 0;  // bytes per second
     sim::SimTime latency;
   };
-  struct Flow {
-    FlowId id;
-    std::size_t route = 0;  // index into routes_
+  static constexpr std::size_t kNoRoute = SIZE_MAX;
+  static constexpr std::size_t kNoSlot = SIZE_MAX;
+  /// A flow's cold state, in a slot reused once the flow is gone.
+  struct Slot {
+    FlowId id;  // invalid while the slot is free
     std::int64_t total_bytes = 0;
-    double remaining_bytes = 0;
-    double rate_bps = 0;  // bytes per second
-    sim::SimTime latency;  // summed path latency, applied to completion
-    sim::SimTime ready_at = sim::SimTime::max();  // pinned when drained
-    bool competing = false;  // competed in the last filling
+    std::size_t route = kNoRoute;  // its route while it competes
     CompletionCallback on_complete;
   };
-  /// A path (routed links, then extra links, in order) and a cap. Flows on
-  /// one route freeze in the same filling round at the same rate. Interned
-  /// while some flow uses it; a released slot's vectors are reused.
+  /// A competing flow on its route: the id orders it, the slot holds the rest.
+  struct Member {
+    std::uint64_t id = 0;
+    std::size_t slot = 0;
+  };
+  /// A path (routed links, then extra links, in order), a cap and the routed
+  /// links' summed latency, with the flows that compete on it in flow order.
+  /// Those flows share one rate and one latency, so the one with the fewest
+  /// bytes left completes first. Live while a flow competes on it; a free
+  /// slot's vectors are reused.
   struct Route {
     std::vector<std::size_t> path;  // link indices
     double cap_bps = std::numeric_limits<double>::infinity();
-    std::size_t users = 0;  // live flows; 0 for a free slot
-    // Filling state:
-    std::vector<std::size_t> members;  // competing flows, in flow order
-    double rate_bps = 0;
-    bool frozen = false;
+    sim::SimTime latency;
+    std::vector<double> left;      // bytes left, per member
+    std::vector<Member> members;   // in flow order
+    double min_left = std::numeric_limits<double>::infinity();
+    double rate_bps = 0;  // every member's rate, set by the last filling
+    bool frozen = false;  // filling state
+  };
+  /// A flow that no longer competes (drained, zero bytes, or no link) and
+  /// waits out its latency.
+  struct Waiting {
+    std::uint64_t id = 0;
+    std::size_t slot = 0;
+    sim::SimTime ready_at;  // SimTime::max() until pinned
+    sim::SimTime latency;
   };
   /// A link some competing flow crosses, during one filling.
   struct LinkInUse {
     std::size_t link = 0;
-    // Routes crossing it, once per time each lists it, in the order of
-    // their first flows.
+    // Routes crossing it, once per time each lists it.
     std::vector<std::size_t> routes;
     double residual = 0;     // capacity left by the frozen flows
     double share = 0;        // residual split over `demand`
@@ -158,8 +174,8 @@ class FlowNetwork {
   };
   /// A frozen route's members not yet subtracted from a residual.
   struct MergeCursor {
-    const std::size_t* next = nullptr;
-    const std::size_t* end = nullptr;
+    const Member* next = nullptr;
+    const Member* end = nullptr;
     double rate_bps = 0;
   };
 
@@ -179,19 +195,29 @@ class FlowNetwork {
   bool route(NodeId src, NodeId dst, std::size_t extra,
              std::vector<std::size_t>& path) const;
 
-  /// The route of `path_` with cap `cap_bps`, interned with one more user.
-  std::size_t intern_route(double cap_bps);
-  /// Drops one user of `route`; the last frees its slot.
-  void release_route(std::size_t route) { --routes_[route].users; }
-  /// Whether `flow` has bytes left and a link to send them over.
-  [[nodiscard]] bool competes(const Flow& flow) const;
+  /// The live route of `path_` with cap `cap_bps` and latency `latency`, or
+  /// a free slot set up as one and made live.
+  std::size_t intern_route(double cap_bps, sim::SimTime latency);
+  /// Frees live route `live_routes_[at]`, whose last member left.
+  void free_route(std::size_t at);
+  /// The slot of live flow `flow`, or kNoSlot.
+  [[nodiscard]] std::size_t find_slot(FlowId flow) const;
+  /// Frees `slot`, destroying its callback.
+  void free_slot(std::size_t slot);
+  /// Adds `flow` to the waiting list, which stays in flow order.
+  void wait(const Waiting& flow);
+  /// When a flow on `route` with `bytes` left at `at` delivers its last
+  /// byte, latency included; SimTime::max() at rate 0 or past the clock.
+  [[nodiscard]] static sim::SimTime project(sim::SimTime at, double bytes,
+                                            const Route& route);
 
-  /// Applies progress since last recompute to all flows' remaining bytes.
+  /// Applies progress since the last settle to every competing flow and
+  /// moves the drained ones to the waiting list.
   void settle_progress();
-  /// Pins drained flows, re-shares bandwidth when `shares_stale` or the
-  /// competing flows changed, then reschedules the next completion event.
-  void reallocate_and_schedule(bool shares_stale);
-  /// Max-min fair allocation of the competing flows' rates.
+  /// Pins waiting flows, re-shares bandwidth when the competing flows or the
+  /// capacities changed, then reschedules the next completion event.
+  void reallocate_and_schedule();
+  /// Max-min fair allocation of the competing routes' rates.
   void fill();
   /// Link `used`'s capacity less its frozen flows' rates, subtracted in flow
   /// order.
@@ -210,10 +236,15 @@ class FlowNetwork {
   std::vector<TreeNode> tree_;  // per node
   bool forest_ = true;
   std::size_t half_ = kNoLink;
-  std::vector<Flow> flows_;
+  std::vector<Slot> slots_;
+  std::vector<std::size_t> free_slots_;
   std::vector<Route> routes_;
+  std::vector<std::size_t> live_routes_;  // routes with members, any order
+  std::vector<std::size_t> free_routes_;
+  std::vector<Waiting> waiting_;  // in flow order
   std::uint64_t next_flow_id_ = 1;
   sim::SimTime last_settle_;
+  bool shares_stale_ = false;  // the competing flows or a capacity changed
   sim::EventId pending_event_{};
   bool event_scheduled_ = false;
   std::int64_t bytes_delivered_ = 0;
@@ -224,11 +255,10 @@ class FlowNetwork {
   std::vector<std::size_t> path_;          // the path a start_flow builds
   std::vector<std::size_t> in_use_index_;  // per link: index into in_use_
   std::vector<LinkInUse> in_use_;          // a prefix is live in each call
-  std::vector<std::size_t> active_;        // routes with competing flows
-  std::vector<std::size_t> capped_;        // active routes with a finite cap
+  std::vector<std::size_t> capped_;        // live routes with a finite cap
   std::vector<std::size_t> just_frozen_;   // routes
   std::vector<MergeCursor> merge_;
-  std::vector<Flow> done_;                 // finished flows awaiting callbacks
+  std::vector<Slot> done_;                 // finished flows awaiting callbacks
 };
 
 /// Convenience: bits-per-second from Mbps.

@@ -223,6 +223,33 @@ TEST_F(ChaosTest, DslRefusesAHorizonPastTheInputBound) {
   EXPECT_NE(parsed.error().message.find("horizon"), std::string::npos);
 }
 
+TEST_F(ChaosTest, DslRefusesASeedPastTheIntegerRange) {
+  // A seed is read as a double; 2^64 and above have no std::uint64_t value,
+  // while the largest double below 2^64 still converts exactly.
+  const std::string dsl =
+      render_dsl(generate_scenario(sim::replica_seed(kBase, 0)));
+  const std::size_t at = dsl.find(" seed=", dsl.find("\ntraffic "));
+  ASSERT_NE(at, std::string::npos);
+  const auto with_seed = [&](const std::string& seed) {
+    std::string edited = dsl;
+    edited.replace(at + 6, edited.find_first_of(" \n", at + 1) - at - 6, seed);
+    return parse_dsl(edited);
+  };
+  for (const char* seed : {"1e300", "18446744073709551616"}) {
+    const auto parsed = with_seed(seed);
+    ASSERT_FALSE(parsed.ok()) << seed;
+    EXPECT_NE(parsed.error().message.find("bad option 'seed="), std::string::npos)
+        << parsed.error().message;
+  }
+  const auto largest = with_seed("18446744073709549568");  // 2^64 - 2^11
+  ASSERT_TRUE(largest.ok()) << largest.error().message;
+  bool found = false;
+  for (const ChaosService& service : largest.value().services) {
+    found = found || service.traffic_seed == 18446744073709549568u;
+  }
+  EXPECT_TRUE(found);
+}
+
 TEST_F(ChaosTest, RunnerReportsSetupErrorsInsteadOfCrashing) {
   ChaosSpec spec = generate_scenario(sim::replica_seed(kBase, 0));
   ASSERT_FALSE(spec.services.empty());

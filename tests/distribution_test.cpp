@@ -667,7 +667,8 @@ TEST(Distribution, ReplicasAreBitIdenticalUnderParallelRunner) {
                      std::to_string(d.chunks_from_origin()) + "," +
                      std::to_string(d.cache().evictions());
       for (const auto id : d.cache().chunks()) {
-        fingerprint += ":" + std::to_string(id.digest);
+        fingerprint += ':';
+        fingerprint += std::to_string(id.digest);
       }
     }
     return fingerprint;

@@ -255,7 +255,9 @@ class LeafBuiltForest {
     std::vector<std::size_t> depth;
     const auto node = [&](std::size_t d) {
       depth.push_back(d);
-      return network_.add_node("n" + std::to_string(nodes_.size())).value;
+      std::string name(1, 'n');
+      name += std::to_string(nodes_.size());
+      return network_.add_node(std::move(name)).value;
     };
     nodes_.push_back(node(0));
     nodes_.push_back(node(0));
@@ -519,6 +521,142 @@ TEST(FlowNetwork, DrainedFlowCompletionLeavesRatesUnchanged) {
   EXPECT_NEAR(network.flow_rate_mbps(live[0]), 100 - 7.3 - 31.7, 1e-9);
   ASSERT_EQ(before.size(), 3u);
   EXPECT_EQ(after, before);
+}
+
+TEST(FlowNetwork, SamePathWithOtherLatencyCompletesAtItsOwnInstant) {
+  // Both flows cross a->b alone, at one cap, so they share one rate. One is
+  // routed over the link and owes its 5 ms latency; the other runs from a to
+  // a and names the link as an extra, which adds no latency.
+  sim::Engine engine;
+  FlowNetwork network(engine);
+  const NodeId a = network.add_node("a");
+  const NodeId b = network.add_node("b");
+  const std::array<LinkId, 1> extra{
+      network.add_duplex_link(a, b, 100, sim::SimTime::milliseconds(5)).first};
+  sim::SimTime routed_done;
+  sim::SimTime extra_done;
+  const FlowId routed = must(network.start_flow(
+      a, b, 625'000, [&](sim::SimTime t) { routed_done = t; }));
+  const FlowId named = must(network.start_flow(
+      a, a, 625'000, [&](sim::SimTime t) { extra_done = t; }, kUncapped, extra));
+  EXPECT_EQ(network.flow_rate_mbps(routed), 50.0);
+  EXPECT_EQ(network.flow_rate_mbps(named), 50.0);
+  engine.run();
+  // 625 kB at 6.25 MB/s: both drain at 100 ms.
+  EXPECT_EQ(extra_done, sim::SimTime::milliseconds(100));
+  EXPECT_EQ(routed_done, sim::SimTime::milliseconds(105));
+}
+
+TEST(FlowNetwork, CancelAtTheDrainInstantResharesTheRoute) {
+  // Two flows share a->b at 50 Mbps each; the smaller drains at exactly
+  // 100 ms and would complete at 110 ms, after the link's latency. Cancelled
+  // at 100 ms it is still in flight: the cancel succeeds, the callback never
+  // fires, and the other flow takes the whole link from that instant.
+  sim::Engine engine;
+  FlowNetwork network(engine);
+  const NodeId a = network.add_node("a");
+  const NodeId b = network.add_node("b");
+  network.add_duplex_link(a, b, 100, sim::SimTime::milliseconds(10));
+  bool small_fired = false;
+  sim::SimTime large_done;
+  const FlowId small = must(
+      network.start_flow(a, b, 625'000, [&](sim::SimTime) { small_fired = true; }));
+  const FlowId large = must(network.start_flow(
+      a, b, 1'875'000, [&](sim::SimTime t) { large_done = t; }));
+  bool cancelled = false;
+  double large_rate = 0;
+  engine.schedule_at(sim::SimTime::milliseconds(100), [&] {
+    cancelled = network.cancel_flow(small);
+    large_rate = network.flow_rate_mbps(large);
+  });
+  engine.run();
+  EXPECT_TRUE(cancelled);
+  EXPECT_FALSE(small_fired);
+  EXPECT_FALSE(network.cancel_flow(small));
+  EXPECT_EQ(large_rate, 100.0);
+  // 1.25 MB left at 100 ms, at 12.5 MB/s: drained at 200 ms, plus latency.
+  EXPECT_EQ(large_done, sim::SimTime::milliseconds(210));
+}
+
+TEST(FlowNetwork, DrainedFlowWaitingReadsZeroWhileItsRouteKeepsItsRate) {
+  // Three flows capped at 10 Mbps share a->b (10 ms latency). The smallest
+  // drains at 100 ms and waits until 110 ms. A zero-byte flow at 105 ms
+  // settles the network: the drained flow reads 0, the other two still read
+  // their cap, and the drained one completes when its projection said.
+  sim::Engine engine;
+  FlowNetwork network(engine);
+  const NodeId a = network.add_node("a");
+  const NodeId b = network.add_node("b");
+  network.add_duplex_link(a, b, 100, sim::SimTime::milliseconds(10));
+  sim::SimTime small_done;
+  const FlowId small = must(network.start_flow(
+      a, b, 125'000, [&](sim::SimTime t) { small_done = t; }, 10));
+  const FlowId first = must(
+      network.start_flow(a, b, 1'250'000, [](sim::SimTime) {}, 10));
+  const FlowId second = must(
+      network.start_flow(a, b, 1'250'000, [](sim::SimTime) {}, 10));
+  std::array<double, 3> rates{-1, -1, -1};
+  engine.schedule_at(sim::SimTime::milliseconds(105), [&] {
+    must(network.start_flow(b, a, 0, [](sim::SimTime) {}));
+    rates = {network.flow_rate_mbps(small), network.flow_rate_mbps(first),
+             network.flow_rate_mbps(second)};
+  });
+  engine.run();
+  EXPECT_EQ(rates[0], 0.0);
+  EXPECT_EQ(rates[1], 10.0);
+  EXPECT_EQ(rates[2], 10.0);
+  EXPECT_EQ(small_done, sim::SimTime::milliseconds(110));
+}
+
+TEST(FlowNetwork, FlowsDueTogetherCompleteInStartOrder) {
+  // Flow 1 crosses a->b (10 ms) and drains at 100 ms, due at 110 ms. Flow 2,
+  // zero bytes over c->b (60 ms) from 50 ms, is due at 110 ms too, and
+  // waits for its latency before flow 1 has drained. Flow 3 crosses no link
+  // and starts at 110 ms. All three complete at 110 ms, in start order.
+  sim::Engine engine;
+  FlowNetwork network(engine);
+  const NodeId a = network.add_node("a");
+  const NodeId b = network.add_node("b");
+  const NodeId c = network.add_node("c");
+  network.add_duplex_link(a, b, 100, sim::SimTime::milliseconds(10));
+  network.add_duplex_link(c, b, 100, sim::SimTime::milliseconds(60));
+  std::vector<std::pair<int, sim::SimTime>> completed;
+  const auto record = [&](int flow) {
+    return [&completed, flow](sim::SimTime t) { completed.emplace_back(flow, t); };
+  };
+  must(network.start_flow(a, b, 1'250'000, record(1)));
+  engine.schedule_at(sim::SimTime::milliseconds(50),
+                     [&] { must(network.start_flow(c, b, 0, record(2))); });
+  engine.schedule_at(sim::SimTime::milliseconds(110),
+                     [&] { must(network.start_flow(a, a, 500, record(3))); });
+  engine.run();
+  const sim::SimTime due = sim::SimTime::milliseconds(110);
+  EXPECT_EQ(completed, (std::vector<std::pair<int, sim::SimTime>>{
+                           {1, due}, {2, due}, {3, due}}));
+}
+
+TEST(FlowNetwork, DrainWithoutAProjectionIsPinnedAfterTheDoneScan) {
+  // Flow 1 sends one byte at 1e-10 B/s: its completion, about 1e10 s away,
+  // does not fit the clock, so it has none. Flow 2, zero bytes over a link of
+  // 6e9 s latency, is due at 6e9 s. The completion event then settles flow 1
+  // to 0.4 bytes: drained, it is pinned at that instant only after the event
+  // completed flow 2, and completes in the next event at the same instant.
+  sim::Engine engine;
+  FlowNetwork network(engine);
+  const NodeId a = network.add_node("a");
+  const NodeId b = network.add_node("b");
+  const NodeId c = network.add_node("c");
+  network.add_duplex_link(a, b, 8e-16, sim::SimTime::zero());
+  network.add_duplex_link(c, b, 100, sim::SimTime::seconds(6e9));
+  std::vector<std::pair<int, sim::SimTime>> completed;
+  const auto record = [&](int flow) {
+    return [&completed, flow](sim::SimTime t) { completed.emplace_back(flow, t); };
+  };
+  must(network.start_flow(a, b, 1, record(1)));
+  must(network.start_flow(c, b, 0, record(2)));
+  engine.run();
+  const sim::SimTime due = sim::SimTime::seconds(6e9);
+  EXPECT_EQ(completed, (std::vector<std::pair<int, sim::SimTime>>{{2, due}, {1, due}}));
 }
 
 TEST(FlowNetwork, TransferPastTheClockNeverCompletes) {

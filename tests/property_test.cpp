@@ -9,6 +9,7 @@
 #include <map>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/config_file.hpp"
@@ -26,6 +27,13 @@ namespace soda {
 namespace {
 
 class SeededTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// `prefix` followed by `i`. Built by appending: GCC 12 at -O3 reports a
+/// false -Wrestrict on `"h" + std::to_string(i)` at some call sites.
+std::string label(std::string prefix, std::int64_t i) {
+  prefix += std::to_string(i);
+  return prefix;
+}
 
 // ---------- Event queue: random schedules pop in nondecreasing time ----------
 
@@ -96,7 +104,7 @@ TEST_P(FlowFairnessProperty, RatesNeverExceedLinkCapacityOrCaps) {
   const auto sw = network.add_node("sw");
   std::vector<net::NodeId> hosts;
   for (int i = 0; i < 4; ++i) {
-    hosts.push_back(network.add_node("h" + std::to_string(i)));
+    hosts.push_back(network.add_node(label("h", i)));
     network.add_duplex_link(hosts.back(), sw, 100, sim::SimTime::zero());
   }
   std::vector<std::pair<net::FlowId, double>> flows;  // id, cap
@@ -217,7 +225,7 @@ TEST_P(FlowFairnessProperty, CompletionAndRateDigestIsPinned) {
   const std::size_t lan = pick(2) + 2;
   std::vector<net::NodeId> switches;
   for (std::size_t i = 0; i < lan; ++i) {
-    switches.push_back(network.add_node("sw" + std::to_string(i)));
+    switches.push_back(network.add_node(label("sw", i)));
   }
   for (std::size_t i = 0; i < lan; ++i) {
     network.add_duplex_link(switches[i], switches[(i + 1) % lan],
@@ -228,7 +236,7 @@ TEST_P(FlowFairnessProperty, CompletionAndRateDigestIsPinned) {
   std::vector<net::NodeId> endpoints;
   const auto host_count = static_cast<int>(rng.uniform_int(4, 6));
   for (int h = 0; h < host_count; ++h) {
-    const auto host = network.add_node("h" + std::to_string(h));
+    const auto host = network.add_node(label("h", h));
     const std::size_t home = pick(lan);
     network.add_duplex_link(host, switches[home], 100,
                             sim::SimTime::microseconds(100));
@@ -241,7 +249,7 @@ TEST_P(FlowFairnessProperty, CompletionAndRateDigestIsPinned) {
     const auto guests = static_cast<int>(rng.uniform_int(1, 3));
     for (int g = 0; g < guests; ++g) {
       const auto guest =
-          network.add_node("h" + std::to_string(h) + "g" + std::to_string(g));
+          network.add_node(label(label("h", h) + "g", g));
       network.add_duplex_link(guest, host,
                               rng.bernoulli(0.5) ? 50 : rng.uniform(20, 100),
                               sim::SimTime::microseconds(10));
@@ -325,7 +333,7 @@ TEST_P(FlowFairnessProperty, BurstCompletionAndRateDigestIsPinned) {
   std::vector<net::LinkId> shapers;
   std::vector<double> caps;
   for (int s = 0; s < 4; ++s) {
-    servers.push_back(network.add_node("s" + std::to_string(s)));
+    servers.push_back(network.add_node(label("s", s)));
     links.push_back(network
                         .add_duplex_link(servers.back(), sw, 100,
                                          sim::SimTime::microseconds(
